@@ -143,10 +143,11 @@ def cmd_exact(args) -> int:
     )
     try:
         bound = compute_bound(spec, profile.n)
+    except ValueError as exc:
+        doc["bound_error"] = str(exc)
+    else:
         doc["bound_kind"] = bound.kind
         doc["bound_value"] = bound.bound_value
-    except ValueError:
-        pass
     if args.format == "json":
         _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
     else:
@@ -156,7 +157,9 @@ def cmd_exact(args) -> int:
         lines.append(f"delta={delta}")
         lines.append(f"expected_degree={mean}")
         lines.append(f"gap={delta - mean}")
-        if "bound_value" in doc:
+        if "bound_error" in doc:
+            lines.append(f"bound=n/a ({doc['bound_error']})")
+        else:
             lines.append(f"bound[{doc['bound_kind']}]={doc['bound_value']}")
         _emit("\n".join(lines), args.out)
     return 0

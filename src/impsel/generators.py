@@ -93,12 +93,8 @@ def gen_random_single(n: int, seed: int) -> NominationProfile:
     """Each vertex nominates one uniformly random other vertex."""
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
-    stream = DrawStream(seed)
-    nominees = []
-    for u in range(n):
-        r = stream.next_below(n - 1)
-        nominees.append(r if r < u else r + 1)
-    return NominationProfile.single(nominees)
+    draws = DrawStream(seed).draws(n, n - 1)
+    return NominationProfile.single([r if r < u else r + 1 for u, r in enumerate(draws)])
 
 
 def gen_random_multi(n: int, p: float, seed: int) -> NominationProfile:
@@ -112,7 +108,9 @@ def gen_random_multi(n: int, p: float, seed: int) -> NominationProfile:
     cutoff = p * scale
     rows = []
     for u in range(n):
-        rows.append(tuple(v for v in range(n) if v != u and stream.next_below(scale) < cutoff))
+        # draw j decides the edge to the j-th vertex other than u
+        draws = stream.draws(n - 1, scale)
+        rows.append(tuple(j if j < u else j + 1 for j, r in enumerate(draws) if r < cutoff))
     return NominationProfile(n, MULTI, tuple(rows))
 
 

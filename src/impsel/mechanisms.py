@@ -32,7 +32,9 @@ versions.  Nothing in this package touches global RNG state.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -60,15 +62,48 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+
+#: Lanes per packed int: 1024 lanes of 128 bits keep each temporary at 16 KB.
+_CHUNK = 1024
+#: ``memoryview.cast("Q")`` reads native-endian words.  Serialised in the
+#: host's byte order, lane i's low word is word 2i on a little-endian host
+#: and word 2(L-1-i)+1 on a big-endian one, so both are read by one slice.
+_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
 
 
 def _mix64(z: int) -> int:
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z = (z * _MUL1) & _MASK64
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
+    z = (z * _MUL2) & _MASK64
     z ^= z >> 31
     return z
+
+
+def _rejection_limit(n: int) -> int:
+    """Raw values at or above this are rejected: the largest multiple of n in 2^64."""
+    if not 0 < n <= 1 << 64:
+        raise ValueError(f"bound must be in 1..2^64, got {n}")
+    return (1 << 64) - ((1 << 64) % n)
+
+
+@functools.lru_cache(maxsize=16)
+def _lanes(count: int) -> tuple[int, int, int, int]:
+    """Constants for ``count`` 64-bit lanes packed 128 bits apart in one int.
+
+    ``ones`` has a 1 at the bottom of each lane, ``masks`` the low 64 bits
+    of each lane, ``steps`` holds ``GOLDEN * (i + 1) mod 2^64`` in lane i,
+    and ``carries`` bit 64 of each lane.  The 64 spare bits per lane take
+    a full 64 x 64-bit product, so no lane carries into the next.
+    """
+    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+    steps = int.from_bytes(
+        b"".join(((_GOLDEN * i) & _MASK64).to_bytes(16, "little") for i in range(1, count + 1)),
+        "little",
+    )
+    return ones, ones * _MASK64, steps, ones << 64
 
 
 class DrawStream:
@@ -88,16 +123,42 @@ class DrawStream:
         return _mix64(self._state)
 
     def next_below(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError(f"bound must be positive, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
+        limit = _rejection_limit(n)
         while True:
             z = self.next_raw()
             if z < limit:
                 return z % n
 
     def draws(self, count: int, n: int) -> list[int]:
-        return [self.next_below(n) for _ in range(count)]
+        """``count`` draws below n, the same values and end state as that many
+        ``next_below(n)`` calls.
+
+        Raw value j of the stream is ``mix(state + GOLDEN * (j + 1))`` with no
+        dependence on earlier values, so a chunk of raw values is computed at
+        once on 64-bit lanes of one int.  If any lane is rejected (chance
+        below count * n / 2^64) the rest of the request replays one draw at
+        a time, so the bytes never depend on the batching.
+        """
+        # a lane at or above the limit carries into bit 64 once this is added
+        excess = (1 << 64) - _rejection_limit(n)
+        out: list[int] = []
+        while count > 0:
+            lanes = min(count, _CHUNK)
+            ones, masks, steps, carries = _lanes(lanes)
+            z = (self._state * ones + steps) & masks
+            z = (z ^ (z >> 30)) & masks
+            z = (z * _MUL1) & masks
+            z = (z ^ (z >> 27)) & masks
+            z = (z * _MUL2) & masks
+            z = (z ^ (z >> 31)) & masks
+            if excess and (z + ones * excess) & carries:
+                out.extend(self.next_below(n) for _ in range(count))
+                return out
+            words = memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[_LOW_WORDS]
+            out += [w % n for w in words]
+            self._state = (self._state + _GOLDEN * lanes) & _MASK64
+            count -= lanes
+        return out
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -221,20 +282,28 @@ def nominated_winner(
     W is everyone outside S nominated by a member of S; the winner
     maximizes nominations from outside W, lowest id on ties.
     """
-    s = frozenset(sample)
-    pool = frozenset(
-        v
-        for u in s
-        for v in profile.out[u]
-        if v not in s
-    )
+    s = set(sample)
+    out = profile.out
+    pool = {v for u in s for v in out[u] if v not in s}
     if not pool:
-        return pool, None
+        return frozenset(), None
     degs = profile.in_degrees
-    # nominations from inside the pool, to subtract off
-    inside = Counter(v for u in pool for v in profile.out[u] if v in pool)
-    winner = min(pool, key=lambda u: (-(degs[u] - inside[u]), u))
-    return pool, winner
+    score = {v: degs[v] for v in pool}
+    # nominations from inside the pool do not count
+    for u in pool:
+        for v in out[u]:
+            if v in score:
+                score[v] -= 1
+    return frozenset(pool), _argmax(score)
+
+
+def _argmax(score: dict[int, int]) -> int:
+    """Highest-scoring key, lowest id on ties."""
+    winner, top = -1, -1
+    for v, sc in score.items():
+        if sc > top or (sc == top and v < winner):
+            winner, top = v, sc
+    return winner
 
 
 def multiset_winner(profile: NominationProfile, counts: Mapping[int, int]) -> int | None:
@@ -244,14 +313,13 @@ def multiset_winner(profile: NominationProfile, counts: Mapping[int, int]) -> in
     sample's nominations counted with multiplicity.  None when every
     candidate scores zero.
     """
-    scores: Counter[int] = Counter()
+    out = profile.out
+    score: dict[int, int] = {}
     for u, mult in counts.items():
-        for v in profile.out[u]:
+        for v in out[u]:
             if v not in counts:
-                scores[v] += mult
-    if not scores:
-        return None
-    return min(scores, key=lambda u: (-scores[u], u))
+                score[v] = score.get(v, 0) + mult
+    return _argmax(score) if score else None
 
 
 def majority_default_winner(profile: NominationProfile, default_vertex: int) -> int:

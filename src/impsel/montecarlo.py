@@ -318,6 +318,8 @@ def sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRow]:
     seed derives from the row seed at a reserved index, so no stream
     overlaps any other.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = []
     row_index = 0
     for mech in config.mechanisms:

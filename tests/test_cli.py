@@ -143,6 +143,20 @@ def test_exact_text_mentions_distribution(tri_path, capsys):
     assert "p_none" in out or "p(" in out
 
 
+@pytest.mark.parametrize(
+    "mech, reason",
+    [("random-k:3", "sample size 3 out of range 1..2"), ("fixed:1", "no closed-form guarantee")],
+)
+def test_exact_reports_missing_bound(tri_path, capsys, mech, reason):
+    assert main(["exact", "--mech", mech, "--profile", tri_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("bound=n/a (") and reason in lines[-1]
+    assert main(["exact", "--mech", mech, "--profile", tri_path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert reason in doc["bound_error"]
+    assert "bound_kind" not in doc and "bound_value" not in doc
+
+
 def test_exact_budget_error_is_reported(tri_path, capsys):
     argv = ["exact", "--mech", "random-k:15", "--profile", tri_path]
     assert main(argv) == 2
@@ -172,6 +186,14 @@ def test_sweep_fit_and_jobs(sweep_config, capsys):
     assert "# fit slope=" in solo_out
     assert main(["sweep", "--config", sweep_config, "--fit", "--jobs", "1"]) == 0
     assert capsys.readouterr().out == solo_out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(sweep_config, capsys, jobs):
+    assert main(["sweep", "--config", sweep_config, "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"jobs must be at least 1, got {jobs}" in captured.err
 
 
 def test_sweep_seed_override(sweep_config, capsys):

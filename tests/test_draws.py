@@ -1,0 +1,113 @@
+"""The batched draw kernel against the one-draw-at-a-time stream.
+
+``DrawStream.draws`` computes a whole request on packed 64-bit lanes; it
+must return exactly what the same number of ``next_below`` calls return
+and leave the stream in the same state, rejections included.
+"""
+
+import hashlib
+import struct
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from impsel.core import format_profile
+from impsel.generators import gen_random_multi, gen_random_single
+from impsel.mechanisms import DrawStream, derive_seed
+
+COUNTS = (0, 1, 63, 1023, 1024, 1025, 3000)
+# 3 * 2^62 rejects a quarter of raw values, so nearly every request replays;
+# the last bound rejects one raw value in 3000, so some requests first
+# reject in a later chunk of lanes
+BOUNDS = (1, 2, 7, 4096, 2**53, 2**64 - 1, 3 * 2**62, 2**64 - 2**64 // 3000)
+SEEDS = (0, 1, 2**64 - 1) + tuple(derive_seed(17, i) for i in range(4))
+
+
+def scalar(seed, count, n):
+    stream = DrawStream(seed)
+    values = [stream.next_below(n) for _ in range(count)]
+    return values, stream.next_raw()
+
+
+def batched(seed, count, n):
+    stream = DrawStream(seed)
+    values = stream.draws(count, n)
+    return values, stream.next_raw()
+
+
+@pytest.mark.parametrize("n", BOUNDS)
+@pytest.mark.parametrize("count", COUNTS)
+def test_draws_match_next_below(count, n):
+    for seed in SEEDS:
+        assert batched(seed, count, n) == scalar(seed, count, n), (seed, count, n)
+
+
+def test_grid_rejects_in_a_later_chunk():
+    n = BOUNDS[-1]
+    limit = 2**64 - 2**64 % n
+
+    def first_rejection(seed):
+        stream = DrawStream(seed)
+        return next((j for j in range(3000) if stream.next_raw() >= limit), None)
+
+    assert any(j is not None and j >= 1024 for j in map(first_rejection, SEEDS))
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2500),
+    st.one_of(st.integers(1, 5000), st.integers(1, 2**64)),
+)
+@settings(max_examples=60, deadline=None)
+def test_draws_match_next_below_property(seed, count, n):
+    assert batched(seed, count, n) == scalar(seed, count, n)
+
+
+@pytest.mark.parametrize("n", (0, -3, 2**64 + 1, 2**70))
+def test_bound_out_of_range_is_rejected(n):
+    with pytest.raises(ValueError, match="bound"):
+        DrawStream(0).next_below(n)
+    with pytest.raises(ValueError, match="bound"):
+        DrawStream(0).draws(5, n)
+    with pytest.raises(ValueError, match="bound"):
+        DrawStream(0).draws(0, n)
+
+
+@pytest.mark.parametrize("order", ("little", "big"))
+def test_low_words_slice_for_either_byte_order(order):
+    # the kernel reads lane i's low 64 bits from the native-endian words of
+    # the packed int serialised in the host's byte order; emulate both hosts
+    low = [(0x0123456789ABCDEF * (i + 3)) % 2**64 for i in range(5)]
+    packed = sum(((0xDEAD << 64) | w) << (128 * i) for i, w in enumerate(low))
+    words = struct.unpack(("<" if order == "little" else ">") + "10Q", packed.to_bytes(80, order))
+    step = 2 if order == "little" else -2
+    assert list(words[::step]) == low
+
+
+def digest(profile):
+    return hashlib.sha256(format_profile(profile).encode()).hexdigest()
+
+
+# sha256 of format_profile output, recorded with the one-draw-at-a-time generators
+RANDOM_SINGLE_DIGESTS = {
+    (2, 0): "56c4739a694613dec581dedc9ac450ebb98cf6a9a69c8c796ea69778a8120dad",
+    (7, 3): "cc8ddd339881df9d27da904a75afcd18f44d3f27f2370fa7d6474f1cf56b0429",
+    (1000, 11): "b2b39b7d82e9b1abc91e930785230c55b7272db7f8ffd01be9fc9b84c1813ab0",
+    (4097, 5): "239a1e373ff10247ec3417e432f90c4a152e6c37fd86f2c3d0a3c6951c5e36cb",
+}
+RANDOM_MULTI_DIGESTS = {
+    (2, 0.5, 0): "e9efd481650d17ee4023d538ff50167a823ff1e92914aa06c6d89b6b006d0ca7",
+    (9, 0.3, 1): "861541d2da72a88067c81d7ec42ef203c78f0cf1e45c11a85f2ce9ab3be7b06a",
+    (60, 0.5, 2): "b028851575ef270498b1f12494c2b022bcec19c66438eedb32f20c2b45d1882e",
+    (1026, 0.01, 4): "57566763f6614c86ce287fa5a1a8e8873b49bb3c195ffa2fcce0ec38abbc2f1d",
+}
+
+
+@pytest.mark.parametrize("args", sorted(RANDOM_SINGLE_DIGESTS))
+def test_random_single_bytes_are_pinned(args):
+    assert digest(gen_random_single(*args)) == RANDOM_SINGLE_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", sorted(RANDOM_MULTI_DIGESTS))
+def test_random_multi_bytes_are_pinned(args):
+    assert digest(gen_random_multi(*args)) == RANDOM_MULTI_DIGESTS[args]

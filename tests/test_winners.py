@@ -1,0 +1,92 @@
+"""Winner rules against brute-force references, over every small profile.
+
+The references follow the definitions in the ``impsel.mechanisms``
+docstring word for word and share no code with the rules under test.
+"""
+
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
+
+from impsel.core import NominationProfile
+from impsel.mechanisms import multiset_winner, nominated_winner
+
+
+def least_best(scores):
+    """Best-scoring key, lowest id on ties, plus whether a tie was broken."""
+    best = max(scores.values())
+    top = [v for v in scores if scores[v] == best]
+    return min(top), len(top) > 1
+
+
+def reference_nominated(profile, sample):
+    """Pool W = vertices outside S nominated from S; winner has the most
+    nominations from outside W, ties to the lowest id; None if W is empty."""
+    n, out = profile.n, profile.out
+    s = set(sample)
+    pool = {v for v in range(n) if v not in s and any(v in out[u] for u in s)}
+    if not pool:
+        return frozenset(), None, False
+    scores = {v: sum(1 for u in range(n) if u not in pool and v in out[u]) for v in pool}
+    winner, tie = least_best(scores)
+    return frozenset(pool), winner, tie
+
+
+def reference_multiset(profile, counts):
+    """Candidates are the unsampled vertices, scored by the sample's
+    nominations with multiplicity; None when every candidate scores zero."""
+    n, out = profile.n, profile.out
+    scores = {
+        v: sum(m for u, m in counts.items() if v in out[u]) for v in range(n) if v not in counts
+    }
+    if not any(scores.values()):
+        return None, False
+    return least_best(scores)
+
+
+def single_profiles(n):
+    choices = [[v for v in range(n) if v != u] for u in range(n)]
+    for nominees in product(*choices):
+        yield NominationProfile.single(list(nominees))
+
+
+def multi_profiles(n):
+    rows = [
+        [c for r in range(n) for c in combinations([v for v in range(n) if v != u], r)]
+        for u in range(n)
+    ]
+    for out in product(*rows):
+        yield NominationProfile.multi(n, list(out))
+
+
+def multisets(n, largest):
+    for size in range(largest + 1):
+        yield from (Counter(c) for c in combinations_with_replacement(range(n), size))
+
+
+def check(profile, sample_multisets, seen):
+    for counts in sample_multisets:
+        pool, winner, tie = reference_nominated(profile, counts)
+        assert nominated_winner(profile, list(counts.elements())) == (pool, winner), (profile, counts)
+        seen["pool tie" if tie else "pool none" if winner is None else "pool"] += 1
+        winner, tie = reference_multiset(profile, counts)
+        assert multiset_winner(profile, counts) == winner, (profile, counts)
+        seen["score tie" if tie else "score none" if winner is None else "score"] += 1
+
+
+def test_every_single_profile_up_to_four_vertices():
+    seen = Counter()
+    for n in (2, 3, 4):
+        subsets = [Counter(c) for r in range(n + 1) for c in combinations(range(n), r)]
+        for profile in single_profiles(n):
+            check(profile, subsets + list(multisets(n, 3)), seen)
+    assert set(seen) == {"pool", "pool tie", "pool none", "score", "score tie", "score none"}
+
+
+def test_every_multi_profile_on_three_vertices():
+    seen = Counter()
+    profiles = list(multi_profiles(3))
+    assert len(profiles) == 4**3
+    assert any(p.edge_count == 0 for p in profiles)
+    for profile in profiles:
+        check(profile, multisets(3, 3), seen)
+    assert set(seen) == {"pool", "pool tie", "pool none", "score", "score tie", "score none"}
