@@ -4,159 +4,21 @@ Mechanisms that pick a highly nominated vertex without letting anyone
 influence their own chance of winning, plus the tooling to prove it:
 exact rational winner distributions, seeded Monte Carlo sweeps,
 adversarial instance generators, and exhaustive verification engines.
+
+The package exports every name in its modules' ``__all__`` lists.
 """
 
-from .core import (
-    MODELS,
-    MULTI,
-    SINGLE,
-    Deviation,
-    ModelViolation,
-    NominationProfile,
-    ProfileFormatError,
-    format_profile,
-    load_profile,
-    parse_profile,
-    save_profile,
-)
-from .exact import (
-    DEFAULT_SEQUENCE_BUDGET,
-    BoundReport,
-    EnumerationTooLarge,
-    WinnerDistribution,
-    compute_bound,
-    exact_distribution,
-    expected_winner_degree,
-    mwd_gap_upper_bound,
-    pr_top_in_nominated,
-    rks_gap_lower_bound,
-    rks_worst_delta,
-    sks_gap_upper_bound,
-    sks_sample_size,
-)
-from .generators import (
-    FAMILIES,
-    GeneratorSpec,
-    gen_bound_stress,
-    gen_fixed_sample_adversary,
-    gen_random_multi,
-    gen_random_single,
-    gen_single_worst,
-    gen_sqrt_adversary,
-)
-from .mechanisms import (
-    DrawStream,
-    MechanismSpec,
-    MechanismTrace,
-    ModelMismatch,
-    derive_seed,
-    parse_mechanism,
-    resolve_k,
-    run_mechanism,
-    winner_degree,
-)
-from .montecarlo import (
-    GapReport,
-    ScalingFit,
-    SweepConfig,
-    SweepRow,
-    TrialPlan,
-    estimate,
-    fit_scaling,
-    rows_to_csv,
-    rows_to_json,
-    sweep,
-)
-from .verify import (
-    SAMPLE_CATALOG,
-    EmptySampleError,
-    OracleNondeterministic,
-    ProfileSpaceTooLarge,
-    Witness,
-    check_impartial,
-    check_sample_constant,
-    check_strong_sample,
-    format_witness,
-    measure_additive_gap_exhaustive,
-    named_oracle,
-    refute_two_additive,
-    sample_mechanism_oracle,
-    validate_witness,
-)
+from . import core, exact, generators, mechanisms, montecarlo, verify
+from .core import *  # noqa: F401,F403
+from .exact import *  # noqa: F401,F403
+from .generators import *  # noqa: F401,F403
+from .mechanisms import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # core
-    "SINGLE",
-    "MULTI",
-    "MODELS",
-    "NominationProfile",
-    "Deviation",
-    "ModelViolation",
-    "ProfileFormatError",
-    "parse_profile",
-    "format_profile",
-    "load_profile",
-    "save_profile",
-    # mechanisms
-    "DrawStream",
-    "derive_seed",
-    "MechanismSpec",
-    "MechanismTrace",
-    "ModelMismatch",
-    "parse_mechanism",
-    "resolve_k",
-    "run_mechanism",
-    "winner_degree",
-    # exact
-    "DEFAULT_SEQUENCE_BUDGET",
-    "EnumerationTooLarge",
-    "WinnerDistribution",
-    "exact_distribution",
-    "expected_winner_degree",
-    "pr_top_in_nominated",
-    "rks_gap_lower_bound",
-    "rks_worst_delta",
-    "sks_sample_size",
-    "sks_gap_upper_bound",
-    "mwd_gap_upper_bound",
-    "BoundReport",
-    "compute_bound",
-    # generators
-    "gen_single_worst",
-    "gen_fixed_sample_adversary",
-    "gen_sqrt_adversary",
-    "gen_bound_stress",
-    "gen_random_single",
-    "gen_random_multi",
-    "GeneratorSpec",
-    "FAMILIES",
-    # montecarlo
-    "TrialPlan",
-    "GapReport",
-    "estimate",
-    "SweepConfig",
-    "SweepRow",
-    "sweep",
-    "ScalingFit",
-    "fit_scaling",
-    "rows_to_csv",
-    "rows_to_json",
-    # verify
-    "Witness",
-    "ProfileSpaceTooLarge",
-    "EmptySampleError",
-    "OracleNondeterministic",
-    "check_impartial",
-    "check_strong_sample",
-    "check_sample_constant",
-    "sample_mechanism_oracle",
-    "SAMPLE_CATALOG",
-    "named_oracle",
-    "refute_two_additive",
-    "measure_additive_gap_exhaustive",
-    "validate_witness",
-    "format_witness",
+    *(name for module in (core, mechanisms, exact, generators, montecarlo, verify) for name in module.__all__),
 ]

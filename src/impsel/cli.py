@@ -15,15 +15,19 @@ import json
 import sys
 
 from .core import format_profile, load_profile
-from .exact import (
-    DEFAULT_SEQUENCE_BUDGET,
-    compute_bound,
-    exact_distribution,
-    expected_winner_degree,
-)
+from .exact import DEFAULT_SEQUENCE_BUDGET, exact_distribution, expected_winner_degree
 from .generators import FAMILIES, GeneratorSpec
-from .mechanisms import MechanismSpec, parse_mechanism
-from .montecarlo import SweepConfig, TrialPlan, estimate, fit_scaling, rows_to_csv, rows_to_json, sweep
+from .mechanisms import MechanismSpec, compute_bound, parse_mechanism
+from .montecarlo import (
+    SweepConfig,
+    TrialPlan,
+    estimate,
+    fit_scaling,
+    plain,
+    rows_to_csv,
+    rows_to_json,
+    sweep,
+)
 from .verify import (
     SAMPLE_CATALOG,
     check_impartial,
@@ -65,67 +69,37 @@ def cmd_gen(args) -> int:
     if args.p is not None:
         params["p"] = args.p
     spec = GeneratorSpec.from_mapping(args.family, params)
-    if spec.needs_seed and args.seed is None:
-        raise ValueError(f"family {args.family} requires --seed")
-    profile = spec.build(args.n, args.seed if spec.needs_seed else None)
-    _emit(format_profile(profile), args.out)
+    _emit(format_profile(spec.build(args.n, args.seed)), args.out)
     return 0
-
-
-def _run_exact(spec: MechanismSpec, profile, args) -> dict:
-    dist = exact_distribution(spec, profile, budget=args.budget)
-    mean = expected_winner_degree(dist, profile)
-    delta = profile.delta
-    result = {
-        "mechanism": spec.label(),
-        "n": profile.n,
-        "delta": delta,
-        "mean_degree": str(mean),
-        "gap": str(delta - mean),
-        "p_none": str(dist.p_none),
-        "exact": True,
-    }
-    return result
 
 
 def cmd_run(args) -> int:
     spec = parse_mechanism(args.mech)
     profile = load_profile(args.profile)
     if args.exact:
-        result = _run_exact(spec, profile, args)
+        dist = exact_distribution(spec, profile, budget=args.budget)
+        mean = expected_winner_degree(dist, profile)
+        result = {
+            "mechanism": spec.label(),
+            "n": profile.n,
+            "delta": profile.delta,
+            "mean_degree": str(mean),
+            "gap": str(profile.delta - mean),
+            "p_none": str(dist.p_none),
+            "exact": True,
+        }
     else:
         if args.trials is None:
             raise ValueError("one of --exact or --trials is required")
         if args.seed is None:
             raise ValueError("--trials requires --seed")
         report = estimate(spec, profile, TrialPlan(args.trials, args.seed))
-        result = {
-            "mechanism": spec.label(),
-            "n": report.n,
-            "k": report.k,
-            "delta": report.delta,
-            "mean_degree": report.mean_degree,
-            "gap": report.gap,
-            "std_err": report.std_err,
-            "ci95": report.ci95_half_width,
-            "no_winner_rate": report.no_winner_rate,
-            "trials": report.trials,
-            "master_seed": report.master_seed,
-            "exact": report.exact,
-        }
+        result = {"mechanism": spec.label(), **report.fields()}
     if args.format == "json":
         _emit(json.dumps(result, indent=2, sort_keys=True), args.out)
     else:
-        _emit("\n".join(f"{key}={_plain(value)}" for key, value in result.items()), args.out)
+        _emit("\n".join(f"{key}={plain(value)}" for key, value in result.items()), args.out)
     return 0
-
-
-def _plain(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    return str(value)
 
 
 def cmd_exact(args) -> int:
@@ -174,7 +148,12 @@ def cmd_sweep(args) -> int:
         doc["master_seed"] = args.seed
     config = SweepConfig.from_json_dict(doc)
     rows = sweep(config, jobs=args.jobs)
-    fit = fit_scaling(rows) if args.fit else None
+    fit = None
+    if args.fit:
+        fit = fit_scaling(rows)
+        dropped = sum(row.report.gap <= 0 for row in rows)
+        if dropped:
+            print(f"fit: dropped {dropped} rows with gap <= 0", file=sys.stderr)
     text = rows_to_json(rows, fit) if args.format == "json" else rows_to_csv(rows, fit)
     _emit(text, args.out)
     return 0

@@ -1,9 +1,8 @@
-"""Exact winner distributions and closed-form guarantee formulas.
+"""Exact winner distributions.
 
 Sampling mechanisms draw k times with replacement, so their randomness
 space is the n^k equally likely draw sequences.  Everything here works in
-exact rational arithmetic over that space; floats appear only in the
-guarantee formulas, which contain transcendental terms.
+exact rational arithmetic over that space.
 
 Two enumeration routes are implemented and kept deliberately independent:
 
@@ -25,17 +24,21 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
-from .core import SINGLE, NominationProfile
-from .mechanisms import (
+from .core import NominationProfile
+from .mechanisms import (  # noqa: F401  (the guarantee formulas are also read from here)
+    BoundReport,
     MechanismSpec,
-    ModelMismatch,
-    majority_default_winner,
+    check_model,
+    compute_bound,
     multiset_winner,
+    mwd_gap_upper_bound,
     nominated_winner,
     resolve_k,
-    run_fixed_sample,
+    rks_gap_lower_bound,
+    rks_worst_delta,
+    run_mechanism,
+    sks_gap_upper_bound,
+    sks_sample_size,
 )
 
 __all__ = [
@@ -45,13 +48,6 @@ __all__ = [
     "exact_distribution",
     "expected_winner_degree",
     "pr_top_in_nominated",
-    "rks_gap_lower_bound",
-    "rks_worst_delta",
-    "sks_sample_size",
-    "sks_gap_upper_bound",
-    "mwd_gap_upper_bound",
-    "BoundReport",
-    "compute_bound",
 ]
 
 #: Enumeration refuses once the draw-sequence space n^k exceeds this.
@@ -232,21 +228,12 @@ def exact_distribution(
     if method not in ("auto", "sequences", "sets"):
         raise ValueError(f"unknown method {method!r}")
     n = profile.n
-
-    if spec.kind == "fixed_sample":
-        return WinnerDistribution.point_mass(n, run_fixed_sample(profile, spec.fixed_set).winner)
-    if spec.kind == "majority_default":
-        return WinnerDistribution.point_mass(
-            n, majority_default_winner(profile, spec.default_vertex)
-        )
-
+    if not spec.is_randomized:
+        return WinnerDistribution.point_mass(n, run_mechanism(spec, profile).winner)
     k = resolve_k(spec, n)
     _check_budget(n, k, budget)
+    check_model(spec.kind, profile.model)
     if spec.kind == "random_k_sample":
-        if profile.model != SINGLE:
-            raise ModelMismatch(
-                f"random_k_sample is defined for the single model, profile is {profile.model}"
-            )
         route = _random_k_by_sequences if method == "sequences" else _random_k_by_sets
     else:
         route = _simple_k_by_sequences if method == "sequences" else _simple_k_by_multisets
@@ -284,97 +271,3 @@ def pr_top_in_nominated(n: int, k: int, delta: int) -> Fraction:
     miss_all_nominators = (1 - Fraction(delta, n - 1)) ** k
     escape_sample = (1 - Fraction(1, n)) ** k
     return (1 - miss_all_nominators) * escape_sample
-
-
-def rks_gap_lower_bound(n: int, k: int) -> float:
-    """Guaranteed ceiling on delta - E[winner degree] for the k-draw sample rule.
-
-    Named for the guarantee's usual phrasing as a lower bound on the
-    expected winner degree: E >= delta - (2(k-1) + (n+1)/(k+1)) on every
-    single-model profile.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"sample size {k} out of range 1..{n - 1}")
-    return 2 * (k - 1) + (n + 1) / (k + 1)
-
-
-def rks_worst_delta(n: int, k: int) -> int:
-    """The in-degree at which the k-draw guarantee is tightest.
-
-    Nearest integer to (n - 1 + 2k^2)/(k + 1), clamped to the feasible
-    in-degree range.
-    """
-    target = round(Fraction(n - 1 + 2 * k * k, k + 1))
-    return max(1, min(target, n - 1))
-
-
-def sks_sample_size(n: int) -> int:
-    """Default multiset sample size: ceil((4 n^2 ln n)^(1/3)), clamped to [1, n-1].
-
-    Evaluated at 30 significant digits; if the value sits within 1e-9 of an
-    integer the ceiling is recomputed at doubled precision so rounding noise
-    cannot change it.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-
-    def value() -> mpmath.mpf:
-        return (4 * mpmath.mpf(n) ** 2 * mpmath.ln(n)) ** (mpmath.mpf(1) / 3)
-
-    with mpmath.workdps(30):
-        val = value()
-        if abs(val - mpmath.nint(val)) < mpmath.mpf("1e-9"):
-            with mpmath.workdps(60):
-                val = value()
-                k = int(mpmath.ceil(val))
-        else:
-            k = int(mpmath.ceil(val))
-    return max(1, min(k, n - 1))
-
-
-def sks_gap_upper_bound(n: int, k: float) -> float:
-    """Guaranteed ceiling on delta - E[winner degree] for the multiset sample rule."""
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-    if k < 1:
-        raise ValueError(f"sample size must be at least 1, got {k}")
-    return 2 * k + n * n * math.exp(-(k**3) / (2 * n * n))
-
-
-def mwd_gap_upper_bound(n: int) -> int:
-    """Guaranteed ceiling on delta - winner degree for the majority-default rule."""
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-    return (n + 1) // 2
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One guarantee formula evaluated for display.
-
-    ``kind`` is "rks_lower" or "sks_lower" (guarantees phrased as lower
-    bounds on expected winner degree) or "mwd_upper" (phrased as an upper
-    bound on the gap).  ``delta`` is the in-degree where the guarantee is
-    tightest, when the formula singles one out.
-    """
-
-    kind: str
-    n: int
-    k: int | None
-    delta: int | None
-    bound_value: float
-
-
-def compute_bound(spec: MechanismSpec, n: int) -> BoundReport:
-    """Evaluate the guarantee formula matching ``spec``; gap ceiling in all cases."""
-    if spec.kind == "random_k_sample":
-        k = resolve_k(spec, n)
-        return BoundReport("rks_lower", n, k, rks_worst_delta(n, k), rks_gap_lower_bound(n, k))
-    if spec.kind == "simple_k_sample":
-        k = resolve_k(spec, n)
-        return BoundReport("sks_lower", n, k, None, sks_gap_upper_bound(n, k))
-    if spec.kind == "majority_default":
-        return BoundReport("mwd_upper", n, None, None, float(mwd_gap_upper_bound(n)))
-    raise ValueError(f"no closed-form guarantee for {spec.kind}")

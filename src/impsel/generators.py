@@ -17,8 +17,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .core import MULTI, SINGLE, NominationProfile
-from .exact import rks_worst_delta
-from .mechanisms import DrawStream, _ceil_isqrt
+from .mechanisms import DrawStream, MechanismSpec, resolve_k, rks_worst_delta
 
 __all__ = [
     "gen_single_worst",
@@ -135,8 +134,8 @@ class GeneratorSpec:
     Parameters are stored as a sorted tuple of pairs so specs are hashable
     and picklable.  Optional parameters resolve at build time:
     single-worst defaults delta to n-1 (the star into vertex 0),
-    bound-stress defaults k to ceil(sqrt(n)), fixed-sample-adversary and
-    star default v to 0.
+    bound-stress defaults k to random-k's default sample size,
+    fixed-sample-adversary and star default v to 0.
     """
 
     family: str
@@ -166,11 +165,12 @@ class GeneratorSpec:
             p = self.get("p")
             if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0 <= p <= 1:
                 raise ValueError(f"edge probability {p!r} out of range [0, 1]")
-        for key in ("delta", "k", "v"):
+        # k is a sample size, at least 1 like MechanismSpec's
+        for key, minimum in (("delta", 0), ("k", 1), ("v", 0)):
             if key in keys:
                 value = self.get(key)
-                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                    raise ValueError(f"parameter {key} must be a non-negative integer, got {value!r}")
+                if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+                    raise ValueError(f"parameter {key} must be an integer >= {minimum}, got {value!r}")
 
     @classmethod
     def from_mapping(cls, family: str, params: Mapping[str, object] = ()) -> "GeneratorSpec":
@@ -210,10 +210,7 @@ class GeneratorSpec:
         if self.family == "sqrt-adversary":
             return gen_sqrt_adversary(n)
         if self.family == "bound-stress":
-            k = self.get("k")
-            if k is None:
-                k = max(1, min(_ceil_isqrt(n), n - 1))
-            return gen_bound_stress(n, k)
+            return gen_bound_stress(n, resolve_k(MechanismSpec.random_k(self.get("k")), n))
         if self.family == "random-single":
             return gen_random_single(n, instance_seed)
         return gen_random_multi(n, self.get("p"), instance_seed)

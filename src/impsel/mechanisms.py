@@ -1,4 +1,4 @@
-"""Selection mechanisms and the deterministic draw stream.
+"""Selection mechanisms, their guarantees, and the deterministic draw stream.
 
 Four mechanisms are provided.
 
@@ -25,6 +25,10 @@ Four mechanisms are provided.
     nominated by at least ceil(n/2) of the vertices other than d, in which
     case the lowest such vertex wins.  Deterministic, always has a winner.
 
+Everything that differs between the kinds (CLI spelling, models, sample
+size, winner of a list of draws, guarantee formula) is registered once, in
+:data:`KINDS`; the rest of the package asks the table.
+
 All randomness flows through :class:`DrawStream`, a splitmix64 generator
 written out here so results are reproducible across platforms and Python
 versions.  Nothing in this package touches global RNG state.
@@ -32,21 +36,26 @@ versions.  Nothing in this package touches global RNG state.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import sys
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .core import MULTI, SINGLE, NominationProfile
+from .core import MODELS, SINGLE, NominationProfile
 
 __all__ = [
     "DrawStream",
     "derive_seed",
     "MechanismSpec",
     "MechanismTrace",
+    "MechanismKind",
+    "KINDS",
     "ModelMismatch",
+    "check_model",
     "parse_mechanism",
     "nominated_winner",
     "multiset_winner",
@@ -58,6 +67,13 @@ __all__ = [
     "run_mechanism",
     "resolve_k",
     "winner_degree",
+    "rks_gap_lower_bound",
+    "rks_worst_delta",
+    "sks_sample_size",
+    "sks_gap_upper_bound",
+    "mwd_gap_upper_bound",
+    "BoundReport",
+    "compute_bound",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -170,9 +186,6 @@ class ModelMismatch(ValueError):
     """Mechanism applied to a profile model it is not defined for."""
 
 
-KINDS = ("random_k_sample", "simple_k_sample", "fixed_sample", "majority_default")
-
-
 @dataclass(frozen=True)
 class MechanismSpec:
     """Which mechanism to run, plus its parameters.
@@ -216,17 +229,12 @@ class MechanismSpec:
 
     @property
     def is_randomized(self) -> bool:
-        return self.kind in ("random_k_sample", "simple_k_sample")
+        return KINDS[self.kind].sample_size is not None
 
     def label(self) -> str:
         """The CLI spelling; ``parse_mechanism(spec.label()) == spec``."""
-        if self.kind == "random_k_sample":
-            return f"random-k:{self.k if self.k is not None else 'auto'}"
-        if self.kind == "simple_k_sample":
-            return f"simple-k:{self.k if self.k is not None else 'auto'}"
-        if self.kind == "fixed_sample":
-            return "fixed:" + ",".join(str(v) for v in self.fixed_set)
-        return f"majority-default:{self.default_vertex}"
+        kind = KINDS[self.kind]
+        return f"{kind.cli}:{kind.arg(self)}"
 
 
 def parse_mechanism(text: str) -> MechanismSpec:
@@ -238,20 +246,15 @@ def parse_mechanism(text: str) -> MechanismSpec:
     name, sep, arg = text.partition(":")
     if not sep:
         raise ValueError(f"mechanism {text!r} needs a ':<arg>' part")
+    kind = next((kind for kind in KINDS.values() if kind.cli == name), None)
+    if kind is None:
+        raise ValueError(f"unknown mechanism {name!r}")
     try:
-        if name == "random-k":
-            return MechanismSpec.random_k(None if arg == "auto" else int(arg))
-        if name == "simple-k":
-            return MechanismSpec.simple_k(None if arg == "auto" else int(arg))
-        if name == "fixed":
-            return MechanismSpec.fixed(int(v) for v in arg.split(","))
-        if name == "majority-default":
-            return MechanismSpec.majority_default(int(arg))
+        return kind.parse(arg)
     except ValueError as exc:
         if "mechanism" in str(exc):
             raise
         raise ValueError(f"bad mechanism argument in {text!r}: {exc}") from None
-    raise ValueError(f"unknown mechanism {name!r}")
 
 
 @dataclass(frozen=True)
@@ -269,9 +272,11 @@ class MechanismTrace:
     winner: int | None
 
 
-def _check_model(profile: NominationProfile, expected: str, kind: str) -> None:
-    if profile.model != expected:
-        raise ModelMismatch(f"{kind} is defined for the {expected} model, profile is {profile.model}")
+def check_model(kind: str, model: str) -> None:
+    """Raise ModelMismatch unless mechanism ``kind`` is defined for ``model``."""
+    models = KINDS[kind].models
+    if model not in models:
+        raise ModelMismatch(f"{kind} is defined for the {models[0]} model, profile is {model}")
 
 
 def nominated_winner(
@@ -339,7 +344,7 @@ def majority_default_winner(profile: NominationProfile, default_vertex: int) -> 
 
 
 def run_random_k_sample(profile: NominationProfile, k: int, stream: DrawStream) -> MechanismTrace:
-    _check_model(profile, SINGLE, "random_k_sample")
+    check_model("random_k_sample", profile.model)
     if k < 1:
         raise ValueError(f"sample size must be at least 1, got {k}")
     draws = stream.draws(k, profile.n)
@@ -348,7 +353,7 @@ def run_random_k_sample(profile: NominationProfile, k: int, stream: DrawStream) 
 
 
 def run_simple_k_sample(profile: NominationProfile, k: int, stream: DrawStream) -> MechanismTrace:
-    k = max(1, min(k, profile.n - 1))
+    k = _clamp_k(k, profile.n)
     draws = stream.draws(k, profile.n)
     winner = multiset_winner(profile, Counter(draws))
     return MechanismTrace(tuple(sorted(draws)), frozenset(), winner)
@@ -374,22 +379,16 @@ def _ceil_isqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
+def _clamp_k(k: int, n: int) -> int:
+    return max(1, min(k, n - 1))
+
+
 def resolve_k(spec: MechanismSpec, n: int) -> int:
     """Concrete sample size for a sampling mechanism on an n-vertex profile."""
-    if spec.kind == "random_k_sample":
-        # draws are with replacement, so an explicit k may exceed n - 1
-        if spec.k is not None:
-            return spec.k
-        return max(1, min(_ceil_isqrt(n), n - 1))
-    if spec.kind == "simple_k_sample":
-        if spec.k is not None:
-            k = spec.k
-        else:
-            from .exact import sks_sample_size  # deferred, exact imports this module
-
-            k = sks_sample_size(n)
-        return max(1, min(k, n - 1))
-    raise ValueError(f"{spec.kind} has no sample size")
+    sample_size = KINDS[spec.kind].sample_size
+    if sample_size is None:
+        raise ValueError(f"{spec.kind} has no sample size")
+    return sample_size(spec.k, n)
 
 
 def run_mechanism(
@@ -398,16 +397,9 @@ def run_mechanism(
     stream: DrawStream | None = None,
 ) -> MechanismTrace:
     """Evaluate ``spec`` once.  Randomized kinds require a stream."""
-    if spec.kind == "fixed_sample":
-        return run_fixed_sample(profile, spec.fixed_set)
-    if spec.kind == "majority_default":
-        return run_majority_default(profile, spec.default_vertex)
-    if stream is None:
+    if stream is None and spec.is_randomized:
         raise ValueError(f"{spec.kind} needs a DrawStream")
-    k = resolve_k(spec, profile.n)
-    if spec.kind == "random_k_sample":
-        return run_random_k_sample(profile, k, stream)
-    return run_simple_k_sample(profile, k, stream)
+    return KINDS[spec.kind].run(spec, profile, stream)
 
 
 def winner_degree(trace: MechanismTrace, profile: NominationProfile) -> int:
@@ -415,3 +407,164 @@ def winner_degree(trace: MechanismTrace, profile: NominationProfile) -> int:
     if trace.winner is None:
         return 0
     return profile.in_degrees[trace.winner]
+
+
+# ----- guarantee formulas -----
+
+
+def rks_gap_lower_bound(n: int, k: int) -> float:
+    """Guaranteed ceiling on delta - E[winner degree] for the k-draw sample rule.
+
+    Named for the guarantee's usual phrasing as a lower bound on the
+    expected winner degree: E >= delta - (2(k-1) + (n+1)/(k+1)) on every
+    single-model profile.
+    """
+    if n < 2:
+        raise ValueError(f"need at least 2 vertices, got {n}")
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"sample size {k} out of range 1..{n - 1}")
+    return 2 * (k - 1) + (n + 1) / (k + 1)
+
+
+def rks_worst_delta(n: int, k: int) -> int:
+    """The in-degree at which the k-draw guarantee is tightest.
+
+    Nearest integer to (n - 1 + 2k^2)/(k + 1), clamped to the feasible
+    in-degree range.
+    """
+    target = round(Fraction(n - 1 + 2 * k * k, k + 1))
+    return max(1, min(target, n - 1))
+
+
+_DECIMAL60 = decimal.Context(prec=60)
+
+
+def sks_sample_size(n: int) -> int:
+    """Default multiset sample size: ceil((4 n^2 ln n)^(1/3)), clamped to [1, n-1].
+
+    Evaluated as exp(ln(4 n^2 ln n) / 3) at 60 significant digits.  For
+    every integer n >= 2 the value is irrational, so it is never an integer
+    that rounding could push across.
+    """
+    if n < 2:
+        raise ValueError(f"need at least 2 vertices, got {n}")
+    ctx = _DECIMAL60
+    value = ctx.exp(ctx.divide(ctx.ln(ctx.multiply(4 * n * n, ctx.ln(n))), 3))
+    return _clamp_k(int(value.to_integral_value(rounding=decimal.ROUND_CEILING)), n)
+
+
+def sks_gap_upper_bound(n: int, k: float) -> float:
+    """Guaranteed ceiling on delta - E[winner degree] for the multiset sample rule."""
+    if n < 2:
+        raise ValueError(f"need at least 2 vertices, got {n}")
+    if k < 1:
+        raise ValueError(f"sample size must be at least 1, got {k}")
+    return 2 * k + n * n * math.exp(-(k**3) / (2 * n * n))
+
+
+def mwd_gap_upper_bound(n: int) -> int:
+    """Guaranteed ceiling on delta - winner degree for the majority-default rule."""
+    if n < 2:
+        raise ValueError(f"need at least 2 vertices, got {n}")
+    return (n + 1) // 2
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """One guarantee formula evaluated for display.
+
+    ``kind`` is "rks_lower" or "sks_lower" (guarantees phrased as lower
+    bounds on expected winner degree) or "mwd_upper" (phrased as an upper
+    bound on the gap).  ``delta`` is the in-degree where the guarantee is
+    tightest, when the formula singles one out.
+    """
+
+    kind: str
+    n: int
+    k: int | None
+    delta: int | None
+    bound_value: float
+
+
+def compute_bound(spec: MechanismSpec, n: int) -> BoundReport:
+    """Evaluate the guarantee formula matching ``spec``; gap ceiling in all cases."""
+    kind = KINDS[spec.kind]
+    if kind.bound is None:
+        raise ValueError(f"no closed-form guarantee for {spec.kind}")
+    return kind.bound(n, resolve_k(spec, n) if spec.is_randomized else None)
+
+
+# ----- the kinds -----
+
+
+@dataclass(frozen=True)
+class MechanismKind:
+    """Everything that differs between mechanism kinds.
+
+    ``parse`` builds a spec from the text after ``"<cli>:"`` and ``arg``
+    writes that text back.  ``sample_size(k, n)`` turns the spec's k (None
+    for the default) into the number of draws, and ``winner(profile,
+    draws)`` picks the winner of one list of draws; both are None for the
+    deterministic kinds.  ``bound(n, k)`` evaluates the guarantee, None
+    when the kind has none.
+
+    Entries call module functions through their globals at call time, so
+    a wrapper installed on a function is seen by every kind that uses it.
+    """
+
+    cli: str
+    models: tuple[str, ...]
+    parse: Callable[[str], MechanismSpec]
+    arg: Callable[[MechanismSpec], str]
+    run: Callable[[MechanismSpec, NominationProfile, DrawStream | None], MechanismTrace]
+    sample_size: Callable[[int | None, int], int] | None = None
+    winner: Callable[[NominationProfile, list[int]], int | None] | None = None
+    bound: Callable[[int, int | None], BoundReport] | None = None
+
+
+def _parse_k(arg: str) -> int | None:
+    return None if arg == "auto" else int(arg)
+
+
+def _k_arg(spec: MechanismSpec) -> str:
+    return "auto" if spec.k is None else str(spec.k)
+
+
+KINDS: dict[str, MechanismKind] = {
+    "random_k_sample": MechanismKind(
+        cli="random-k",
+        models=(SINGLE,),
+        parse=lambda arg: MechanismSpec.random_k(_parse_k(arg)),
+        arg=_k_arg,
+        run=lambda spec, profile, stream: run_random_k_sample(profile, resolve_k(spec, profile.n), stream),
+        # draws are with replacement, so an explicit k may exceed n - 1
+        sample_size=lambda k, n: _clamp_k(_ceil_isqrt(n), n) if k is None else k,
+        winner=lambda profile, draws: nominated_winner(profile, draws)[1],
+        bound=lambda n, k: BoundReport("rks_lower", n, k, rks_worst_delta(n, k), rks_gap_lower_bound(n, k)),
+    ),
+    "simple_k_sample": MechanismKind(
+        cli="simple-k",
+        models=MODELS,
+        parse=lambda arg: MechanismSpec.simple_k(_parse_k(arg)),
+        arg=_k_arg,
+        run=lambda spec, profile, stream: run_simple_k_sample(profile, resolve_k(spec, profile.n), stream),
+        sample_size=lambda k, n: _clamp_k(sks_sample_size(n) if k is None else k, n),
+        winner=lambda profile, draws: multiset_winner(profile, Counter(draws)),
+        bound=lambda n, k: BoundReport("sks_lower", n, k, None, sks_gap_upper_bound(n, k)),
+    ),
+    "fixed_sample": MechanismKind(
+        cli="fixed",
+        models=MODELS,
+        parse=lambda arg: MechanismSpec.fixed(int(v) for v in arg.split(",")),
+        arg=lambda spec: ",".join(str(v) for v in spec.fixed_set),
+        run=lambda spec, profile, stream: run_fixed_sample(profile, spec.fixed_set),
+    ),
+    "majority_default": MechanismKind(
+        cli="majority-default",
+        models=MODELS,
+        parse=lambda arg: MechanismSpec.majority_default(int(arg)),
+        arg=lambda spec: str(spec.default_vertex),
+        run=lambda spec, profile, stream: run_majority_default(profile, spec.default_vertex),
+        bound=lambda n, k: BoundReport("mwd_upper", n, None, None, float(mwd_gap_upper_bound(n))),
+    ),
+}

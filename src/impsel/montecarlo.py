@@ -15,25 +15,22 @@ import io
 import json
 import math
 import statistics
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import SINGLE, NominationProfile
+from .core import NominationProfile
 from .generators import GeneratorSpec
 from .mechanisms import (
+    KINDS,
     DrawStream,
     MechanismSpec,
-    ModelMismatch,
+    check_model,
     derive_seed,
-    multiset_winner,
-    nominated_winner,
     parse_mechanism,
     resolve_k,
     run_mechanism,
-    winner_degree,
 )
 
 __all__ = [
@@ -92,6 +89,22 @@ class GapReport:
         if self.exact and self.std_err != 0:
             raise ValueError("exact reports must have zero standard error")
 
+    def fields(self) -> dict:
+        """The report as CSV/JSON fields, in column order."""
+        return {
+            "n": self.n,
+            "k": self.k,
+            "delta": self.delta,
+            "mean_degree": self.mean_degree,
+            "gap": self.gap,
+            "std_err": self.std_err,
+            "ci95": self.ci95_half_width,
+            "no_winner_rate": self.no_winner_rate,
+            "trials": self.trials,
+            "master_seed": self.master_seed,
+            "exact": self.exact,
+        }
+
 
 def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -> GapReport:
     """Run ``plan.trials`` independent evaluations and report mean winner degree.
@@ -100,57 +113,29 @@ def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -
     winnerless evaluation contributes degree 0, matching the expectation
     convention where the no-winner mass contributes nothing.
     """
+    check_model(spec.kind, profile.model)
     n = profile.n
-    delta = profile.delta
-
-    if not spec.is_randomized:
+    if spec.is_randomized:
+        k = resolve_k(spec, n)
+        winner_of = KINDS[spec.kind].winner
+        trials = plan.trials
+        seed = plan.master_seed
+        winners = (winner_of(profile, DrawStream(derive_seed(seed, i)).draws(k, n)) for i in range(trials))
+    else:
         trace = run_mechanism(spec, profile)
-        degree = winner_degree(trace, profile)
-        k = len(spec.fixed_set) if spec.kind == "fixed_sample" else None
-        return GapReport(
-            n=n,
-            k=k,
-            delta=delta,
-            mean_degree=float(degree),
-            gap=float(delta - degree),
-            std_err=0.0,
-            ci95_half_width=0.0,
-            no_winner_rate=1.0 if trace.winner is None else 0.0,
-            trials=plan.trials,
-            master_seed=plan.master_seed,
-            exact=True,
-        )
+        k, trials, winners = len(trace.sample) or None, 1, (trace.winner,)
 
-    k = resolve_k(spec, n)
     degs = profile.in_degrees
-    trials = plan.trials
     sum_deg = 0
     sum_sq = 0
     no_winner = 0
-    if spec.kind == "random_k_sample":
-        if profile.model != SINGLE:
-            raise ModelMismatch(
-                f"random_k_sample is defined for the single model, profile is {profile.model}"
-            )
-        for i in range(trials):
-            stream = DrawStream(derive_seed(plan.master_seed, i))
-            _, winner = nominated_winner(profile, stream.draws(k, n))
-            if winner is None:
-                no_winner += 1
-            else:
-                d = degs[winner]
-                sum_deg += d
-                sum_sq += d * d
-    else:
-        for i in range(trials):
-            stream = DrawStream(derive_seed(plan.master_seed, i))
-            winner = multiset_winner(profile, Counter(stream.draws(k, n)))
-            if winner is None:
-                no_winner += 1
-            else:
-                d = degs[winner]
-                sum_deg += d
-                sum_sq += d * d
+    for winner in winners:
+        if winner is None:
+            no_winner += 1
+        else:
+            d = degs[winner]
+            sum_deg += d
+            sum_sq += d * d
 
     mean = sum_deg / trials
     if trials >= 2:
@@ -161,15 +146,15 @@ def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -
     return GapReport(
         n=n,
         k=k,
-        delta=delta,
+        delta=profile.delta,
         mean_degree=mean,
-        gap=delta - mean,
+        gap=profile.delta - mean,
         std_err=std_err,
         ci95_half_width=1.96 * std_err,
         no_winner_rate=no_winner / trials,
-        trials=trials,
+        trials=plan.trials,
         master_seed=plan.master_seed,
-        exact=False,
+        exact=not spec.is_randomized,
     )
 
 
@@ -182,9 +167,8 @@ class SweepConfig:
     """A JSON-loadable experiment: mechanisms x n values x instances.
 
     ``instances`` makes sense only for seeded generator families; a
-    deterministic family produces the same profile every time.
-    ``exact_budget`` is carried for forward compatibility of configs;
-    sweep rows are always Monte Carlo estimates.
+    deterministic family produces the same profile every time.  Sweep
+    rows are always Monte Carlo estimates.
     """
 
     mechanisms: tuple[MechanismSpec, ...]
@@ -193,7 +177,6 @@ class SweepConfig:
     trials: int
     master_seed: int
     instances: int = 1
-    exact_budget: int | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -208,11 +191,7 @@ class SweepConfig:
             if n < 2:
                 raise ValueError(f"every n must be at least 2, got {n}")
         for mech in self.mechanisms:
-            if mech.kind == "random_k_sample" and self.generator.model != SINGLE:
-                raise ValueError(
-                    f"mechanism {mech.label()} needs single-model profiles, "
-                    f"family {self.generator.family} generates {self.generator.model}"
-                )
+            check_model(mech.kind, self.generator.model)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SweepConfig":
@@ -223,15 +202,7 @@ class SweepConfig:
 
         if not isinstance(doc, dict):
             fail("/", "config must be a JSON object")
-        known = {
-            "mechanisms",
-            "generator",
-            "n_values",
-            "trials",
-            "master_seed",
-            "instances",
-            "exact_budget",
-        }
+        known = {"mechanisms", "generator", "n_values", "trials", "master_seed", "instances"}
         for key in doc:
             if key not in known:
                 fail(f"/{key}", "unknown field")
@@ -268,8 +239,6 @@ class SweepConfig:
 
         def require_int(key: str, minimum: int, default=None):
             value = doc.get(key, default)
-            if value is None:
-                return None
             if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
                 fail(f"/{key}", f"must be an integer >= {minimum}")
             return value
@@ -279,7 +248,6 @@ class SweepConfig:
         if not isinstance(master_seed, int) or isinstance(master_seed, bool):
             fail("/master_seed", "must be an integer")
         instances = require_int("instances", 1, default=1)
-        exact_budget = require_int("exact_budget", 1)
 
         try:
             return cls(
@@ -289,7 +257,6 @@ class SweepConfig:
                 trials=trials,
                 master_seed=master_seed,
                 instances=instances,
-                exact_budget=exact_budget,
             )
         except ValueError as exc:
             fail("/", str(exc))
@@ -301,6 +268,15 @@ class SweepRow:
     generator: str
     instance_seed: int | None
     report: GapReport
+
+    def fields(self) -> dict:
+        """The row as CSV/JSON fields; CSV_HEADER gives the column order."""
+        return {
+            "mechanism": self.mechanism,
+            "generator": self.generator,
+            "instance_seed": self.instance_seed,
+            **self.report.fields(),
+        }
 
 
 def _sweep_task(task) -> SweepRow:
@@ -372,60 +348,31 @@ CSV_HEADER = (
 )
 
 
-def _row_cells(row: SweepRow) -> list[str]:
-    r = row.report
-    return [
-        row.mechanism,
-        str(r.n),
-        "" if r.k is None else str(r.k),
-        row.generator,
-        "" if row.instance_seed is None else str(row.instance_seed),
-        str(r.delta),
-        str(r.mean_degree),
-        str(r.gap),
-        str(r.std_err),
-        str(r.ci95_half_width),
-        str(r.no_winner_rate),
-        str(r.trials),
-        str(r.master_seed),
-        "true" if r.exact else "false",
-    ]
+def plain(value) -> str:
+    """Text form of a field: booleans as true/false, None as empty."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    return str(value)
 
 
 def rows_to_csv(rows: Sequence[SweepRow], fit: ScalingFit | None = None) -> str:
     """Stable CSV rendering; a fit, when given, is appended as comment lines."""
+    header = CSV_HEADER.split(",")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    writer.writerow(header)
     for row in rows:
-        writer.writerow(_row_cells(row))
+        fields = row.fields()
+        writer.writerow(plain(fields[key]) for key in header)
     if fit is not None:
         buf.write(f"# fit slope={fit.slope} intercept={fit.intercept} r2={fit.r2}\n")
     return buf.getvalue()
 
 
 def rows_to_json(rows: Sequence[SweepRow], fit: ScalingFit | None = None) -> str:
-    header = CSV_HEADER.split(",")
-    doc: dict = {"rows": []}
-    for row in rows:
-        cells = _row_cells(row)
-        r = row.report
-        entry = dict(zip(header, cells))
-        entry.update(
-            n=r.n,
-            k=r.k,
-            instance_seed=row.instance_seed,
-            delta=r.delta,
-            mean_degree=r.mean_degree,
-            gap=r.gap,
-            std_err=r.std_err,
-            ci95=r.ci95_half_width,
-            no_winner_rate=r.no_winner_rate,
-            trials=r.trials,
-            master_seed=r.master_seed,
-            exact=r.exact,
-        )
-        doc["rows"].append(entry)
+    doc: dict = {"rows": [row.fields() for row in rows]}
     if fit is not None:
         doc["fit"] = {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2}
     return json.dumps(doc, indent=2, sort_keys=True)

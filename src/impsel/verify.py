@@ -123,34 +123,34 @@ class Witness:
             raise ValueError(f"unknown witness kind {self.kind!r}")
 
 
-def iter_single_profiles(n: int) -> Iterator[NominationProfile]:
-    """All (n-1)^n single-model profiles, in lexicographic nominee order."""
-    choices = [[v for v in range(n) if v != u] for u in range(n)]
-    for nominees in itertools.product(*choices):
-        yield NominationProfile.single(nominees)
-
-
-def _subsets_without(n: int, u: int) -> list[tuple[int, ...]]:
+def _vertex_choices(n: int, u: int, model: str) -> list[tuple[int, ...]]:
+    """Every out-set vertex u may have: one other vertex, or any subset of them."""
     others = [v for v in range(n) if v != u]
-    out = []
-    for r in range(len(others) + 1):
-        out.extend(itertools.combinations(others, r))
-    return out
-
-
-def iter_multi_profiles(n: int) -> Iterator[NominationProfile]:
-    """All 2^(n(n-1)) multi-model profiles, smallest out-sets first."""
-    choices = [_subsets_without(n, u) for u in range(n)]
-    for rows in itertools.product(*choices):
-        yield NominationProfile(n, MULTI, rows)
+    if model == SINGLE:
+        return [(v,) for v in others]
+    if model == MULTI:
+        return [c for r in range(n) for c in itertools.combinations(others, r)]
+    raise ValueError(f"unknown model {model!r}")
 
 
 def iter_profiles(n: int, model: str) -> Iterator[NominationProfile]:
-    if model == SINGLE:
-        return iter_single_profiles(n)
-    if model == MULTI:
-        return iter_multi_profiles(n)
-    raise ValueError(f"unknown model {model!r}")
+    """All n-vertex profiles of ``model``.
+
+    Single profiles come in lexicographic nominee order, multi profiles
+    smallest out-sets first.
+    """
+    choices = [_vertex_choices(n, u, model) for u in range(n)]
+    return (NominationProfile(n, model, rows) for rows in itertools.product(*choices))
+
+
+def iter_single_profiles(n: int) -> Iterator[NominationProfile]:
+    """All (n-1)^n single-model profiles."""
+    return iter_profiles(n, SINGLE)
+
+
+def iter_multi_profiles(n: int) -> Iterator[NominationProfile]:
+    """All 2^(n(n-1)) multi-model profiles."""
+    return iter_profiles(n, MULTI)
 
 
 def profile_count(n: int, model: str) -> int:
@@ -187,12 +187,6 @@ def _subject_distribution(subject, profile: NominationProfile, budget: int) -> W
     if not isinstance(result, int) or isinstance(result, bool) or not 0 <= result < profile.n:
         raise ValueError(f"oracle returned {result!r}, expected a vertex id or None")
     return WinnerDistribution.point_mass(profile.n, result)
-
-
-def _vertex_choices(n: int, u: int, model: str) -> list[tuple[int, ...]]:
-    if model == SINGLE:
-        return [(v,) for v in range(n) if v != u]
-    return _subsets_without(n, u)
 
 
 def check_impartial(
@@ -264,7 +258,7 @@ def check_strong_sample(
     """
     _require_space(n, SINGLE, max_n, DEFAULT_CHECK_MAX_N)
     witnesses: list[Witness] = []
-    for profile in iter_single_profiles(n):
+    for profile in iter_profiles(n, SINGLE):
         sample = _sample_of(g, profile)
         for u in sorted(sample):
             current = profile.single_nominees[u]
@@ -296,7 +290,7 @@ def check_sample_constant(
     _require_space(n, SINGLE, max_n, DEFAULT_MEASURE_MAX_N)
     first_profile: NominationProfile | None = None
     first_sample: frozenset[int] | None = None
-    for profile in iter_single_profiles(n):
+    for profile in iter_profiles(n, SINGLE):
         sample = _sample_of(g, profile)
         if first_sample is None:
             first_profile, first_sample = profile, sample

@@ -12,7 +12,7 @@ import pytest
 
 from impsel.cli import main
 from impsel.core import load_profile, parse_profile
-from impsel.montecarlo import CSV_HEADER
+from impsel.montecarlo import CSV_HEADER, SweepConfig, fit_scaling, rows_to_csv, sweep
 
 
 def run_cli(*argv):
@@ -77,6 +77,20 @@ def test_gen_unknown_family_is_usage_error():
 def test_gen_random_multi_requires_p(capsys):
     assert main(["gen", "--family", "random-multi", "--n", "5", "--seed", "1"]) == 2
     assert main(["gen", "--family", "random-multi", "--n", "5", "--seed", "1", "--p", "0.3"]) == 0
+
+
+def test_gen_rejects_seed_for_deterministic_family(capsys):
+    assert main(["gen", "--family", "star", "--n", "4", "--seed", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "deterministic" in captured.err
+
+
+def test_gen_bound_stress_rejects_k_zero(capsys):
+    assert main(["gen", "--family", "bound-stress", "--n", "8", "--k", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter k must be an integer >= 1, got 0" in captured.err
 
 
 def test_gen_to_file(tmp_path):
@@ -186,6 +200,28 @@ def test_sweep_fit_and_jobs(sweep_config, capsys):
     assert "# fit slope=" in solo_out
     assert main(["sweep", "--config", sweep_config, "--fit", "--jobs", "1"]) == 0
     assert capsys.readouterr().out == solo_out
+
+
+def test_sweep_fit_reports_dropped_rows(tmp_path, capsys):
+    # fixed:0 concedes n-2 on the star, majority-default:0 picks its top: gap 0
+    doc = {
+        "mechanisms": ["fixed:0", "majority-default:0"],
+        "generator": {"family": "star"},
+        "n_values": [4, 5, 6],
+        "trials": 1,
+        "master_seed": 0,
+    }
+    path = tmp_path / "zero-gap.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--fit"]) == 0
+    captured = capsys.readouterr()
+    rows = sweep(SweepConfig.from_json_dict(doc))
+    assert [row.report.gap for row in rows] == [2.0, 3.0, 4.0, 0.0, 0.0, 0.0]
+    assert captured.out == rows_to_csv(rows, fit_scaling(rows))
+    assert captured.err == "fit: dropped 3 rows with gap <= 0\n"
+    # no fit, nothing dropped
+    assert main(["sweep", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

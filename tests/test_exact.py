@@ -288,9 +288,10 @@ def test_compute_bound_reports():
 
 
 def test_sks_sample_size_precision_window():
-    # the mpmath path recomputes at higher precision near integer boundaries;
-    # scan a stretch of n and make sure results are stable under more digits
-    for n in range(2, 60):
+    # an 80-digit mpmath cube root as the reference for the 60-digit decimal
+    # evaluation, over small n, powers of two and powers of ten
+    inputs = [*range(2, 3001), *(2**e for e in range(12, 41)), *(10**e for e in range(6, 13))]
+    for n in inputs:
         with mpmath.workdps(80):
             val = mpmath.cbrt(4 * mpmath.mpf(n) ** 2 * mpmath.log(n))
             want = int(mpmath.ceil(val))

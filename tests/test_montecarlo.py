@@ -216,6 +216,22 @@ def test_config_validation_messages():
         )
 
 
+def test_config_rejects_exact_budget():
+    with pytest.raises(ValueError, match="^/exact_budget: unknown field$"):
+        small_config(exact_budget=1000)
+
+
+def test_config_rejects_bound_stress_k_zero():
+    with pytest.raises(ValueError, match="^/generator: parameter k must be an integer >= 1"):
+        small_config(generator={"family": "bound-stress", "k": 0}, instances=1)
+
+
+@pytest.mark.parametrize("key", ["trials", "instances"])
+def test_config_rejects_null_counts(key):
+    with pytest.raises(ValueError, match=f"^/{key}: must be an integer >= 1$"):
+        small_config(**{key: None})
+
+
 def test_config_rejects_model_mismatch():
     with pytest.raises(ValueError):
         small_config(

@@ -1,0 +1,73 @@
+"""Package structure: import graph, import placement, exports, dependencies."""
+
+import ast
+import graphlib
+import subprocess
+import sys
+from pathlib import Path
+
+import impsel
+
+SOURCES = sorted(Path(impsel.__file__).parent.glob("*.py"))
+MODULES = ("core", "mechanisms", "exact", "generators", "montecarlo", "verify")
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+
+
+def _package_imports(tree):
+    """(module imported, names taken) for every import of a sibling module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                for alias in node.names:
+                    yield alias.name, ()
+            else:
+                yield node.module, tuple(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("impsel."):
+            yield node.module.split(".")[1], tuple(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("impsel."):
+                    yield alias.name.split(".")[1], ()
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {name: {module for module, _ in _package_imports(tree)} for name, tree in _trees().items()}
+    order = list(graphlib.TopologicalSorter(graph).static_order())
+    assert set(graph) <= set(order)
+    assert graph["mechanisms"] == {"core"}
+    assert graph["core"] == set()
+
+
+def test_no_import_inside_a_function():
+    for name, tree in _trees().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested = [n for n in ast.walk(func) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not nested, f"{name}.{func.name} imports at line {nested[0].lineno}"
+
+
+def test_no_private_name_crosses_modules():
+    for name, tree in _trees().items():
+        for module, names in _package_imports(tree):
+            private = [n for n in names if n.startswith("_")]
+            assert not private, f"{name} imports {private} from {module}"
+
+
+def test_cli_import_does_not_load_mpmath():
+    code = "import sys, impsel.cli; print('mpmath' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_package_exports_every_module_export():
+    want = {"__version__"}
+    for name in MODULES:
+        want.update(getattr(impsel, name).__all__)
+    assert set(impsel.__all__) == want
+    assert len(impsel.__all__) == len(want)
+    for name in impsel.__all__:
+        assert getattr(impsel, name) is not None
