@@ -77,6 +77,8 @@ def cmd_run(args) -> int:
     spec = parse_mechanism(args.mech)
     profile = load_profile(args.profile)
     if args.exact:
+        if args.trials is not None or args.seed is not None:
+            raise ValueError("--exact enumerates every draw; it takes neither --trials nor --seed")
         dist = exact_distribution(spec, profile, budget=args.budget)
         mean = expected_winner_degree(dist, profile)
         result = {

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .core import NominationProfile
 from .mechanisms import (  # noqa: F401  (the guarantee formulas are also read from here)
+    KINDS,
     BoundReport,
     MechanismSpec,
     check_model,
@@ -154,25 +155,6 @@ def _random_k_by_sets(profile: NominationProfile, k: int) -> tuple[Counter, int,
     return counts, none_weight, n**k
 
 
-def _random_k_by_sequences(profile: NominationProfile, k: int) -> tuple[Counter, int, int]:
-    n = profile.n
-    counts: Counter[int] = Counter()
-    none_weight = 0
-    cache: dict[frozenset, int | None] = {}
-    for seq in itertools.product(range(n), repeat=k):
-        key = frozenset(seq)
-        if key in cache:
-            winner = cache[key]
-        else:
-            winner = nominated_winner(profile, key)[1]
-            cache[key] = winner
-        if winner is None:
-            none_weight += 1
-        else:
-            counts[winner] += 1
-    return counts, none_weight, n**k
-
-
 def _simple_k_by_multisets(profile: NominationProfile, k: int) -> tuple[Counter, int, int]:
     n = profile.n
     counts: Counter[int] = Counter()
@@ -191,18 +173,22 @@ def _simple_k_by_multisets(profile: NominationProfile, k: int) -> tuple[Counter,
     return counts, none_weight, n**k
 
 
-def _simple_k_by_sequences(profile: NominationProfile, k: int) -> tuple[Counter, int, int]:
+def _by_sequences(
+    spec: MechanismSpec, profile: NominationProfile, k: int, sample_of
+) -> tuple[Counter, int, int]:
+    """Walk all n^k draw sequences, applying the kind's winner rule once per
+    distinct ``sample_of(sequence)``."""
     n = profile.n
+    winner_of = KINDS[spec.kind].winner
     counts: Counter[int] = Counter()
     none_weight = 0
-    cache: dict[tuple, int | None] = {}
+    cache: dict = {}
     for seq in itertools.product(range(n), repeat=k):
-        key = tuple(sorted(seq))
+        key = sample_of(seq)
         if key in cache:
             winner = cache[key]
         else:
-            winner = multiset_winner(profile, Counter(seq))
-            cache[key] = winner
+            winner = cache[key] = winner_of(spec, profile, key)
         if winner is None:
             none_weight += 1
         else:
@@ -229,15 +215,17 @@ def exact_distribution(
         raise ValueError(f"unknown method {method!r}")
     n = profile.n
     if not spec.is_randomized:
-        return WinnerDistribution.point_mass(n, run_mechanism(spec, profile).winner)
+        return WinnerDistribution.point_mass(n, run_mechanism(spec, profile))
+    check_model(spec.kind, profile.model)
     k = resolve_k(spec, n)
     _check_budget(n, k, budget)
-    check_model(spec.kind, profile.model)
-    if spec.kind == "random_k_sample":
-        route = _random_k_by_sequences if method == "sequences" else _random_k_by_sets
+    rks = spec.kind == "random_k_sample"
+    if method == "sequences":
+        # random-k's winner depends on the set of draws, simple-k's on the multiset
+        sample_of = frozenset if rks else lambda seq: tuple(sorted(seq))
+        counts, none_weight, total = _by_sequences(spec, profile, k, sample_of)
     else:
-        route = _simple_k_by_sequences if method == "sequences" else _simple_k_by_multisets
-    counts, none_weight, total = route(profile, k)
+        counts, none_weight, total = (_random_k_by_sets if rks else _simple_k_by_multisets)(profile, k)
     assert none_weight + sum(counts.values()) == total
     return WinnerDistribution(
         n,

@@ -165,8 +165,8 @@ class GeneratorSpec:
             p = self.get("p")
             if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0 <= p <= 1:
                 raise ValueError(f"edge probability {p!r} out of range [0, 1]")
-        # k is a sample size, at least 1 like MechanismSpec's
-        for key, minimum in (("delta", 0), ("k", 1), ("v", 0)):
+        # k is a sample size, at least 1 like MechanismSpec's; delta is an in-degree target
+        for key, minimum in (("delta", 1), ("k", 1), ("v", 0)):
             if key in keys:
                 value = self.get(key)
                 if not isinstance(value, int) or isinstance(value, bool) or value < minimum:

@@ -26,8 +26,10 @@ Four mechanisms are provided.
     case the lowest such vertex wins.  Deterministic, always has a winner.
 
 Everything that differs between the kinds (CLI spelling, models, sample
-size, winner of a list of draws, guarantee formula) is registered once, in
-:data:`KINDS`; the rest of the package asks the table.
+size, winner rule, guarantee formula) is registered once, in :data:`KINDS`;
+the rest of the package asks the table.  A kind's ``winner`` is the only
+place it picks a winner: :func:`run_mechanism`, the Monte Carlo estimator
+and the per-sequence exact route all call it.
 
 All randomness flows through :class:`DrawStream`, a splitmix64 generator
 written out here so results are reproducible across platforms and Python
@@ -51,7 +53,6 @@ __all__ = [
     "DrawStream",
     "derive_seed",
     "MechanismSpec",
-    "MechanismTrace",
     "MechanismKind",
     "KINDS",
     "ModelMismatch",
@@ -59,14 +60,10 @@ __all__ = [
     "parse_mechanism",
     "nominated_winner",
     "multiset_winner",
+    "fixed_sample_winner",
     "majority_default_winner",
-    "run_random_k_sample",
-    "run_simple_k_sample",
-    "run_fixed_sample",
-    "run_majority_default",
     "run_mechanism",
     "resolve_k",
-    "winner_degree",
     "rks_gap_lower_bound",
     "rks_worst_delta",
     "sks_sample_size",
@@ -257,21 +254,6 @@ def parse_mechanism(text: str) -> MechanismSpec:
         raise ValueError(f"bad mechanism argument in {text!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class MechanismTrace:
-    """One mechanism evaluation: what was sampled and who won.
-
-    ``sample`` is the sorted draw multiset (or the fixed set); empty for
-    majority_default.  ``nominated`` is the nominee pool W; only
-    random_k_sample has one, the others leave it empty.  ``winner`` is None
-    when the mechanism declines to pick anyone.
-    """
-
-    sample: tuple[int, ...]
-    nominated: frozenset[int]
-    winner: int | None
-
-
 def check_model(kind: str, model: str) -> None:
     """Raise ModelMismatch unless mechanism ``kind`` is defined for ``model``."""
     models = KINDS[kind].models
@@ -327,6 +309,17 @@ def multiset_winner(profile: NominationProfile, counts: Mapping[int, int]) -> in
     return _argmax(score) if score else None
 
 
+def fixed_sample_winner(profile: NominationProfile, fixed_set: Sequence[int]) -> int | None:
+    """Winner when the sample is ``fixed_set``, each member counted once."""
+    sample = sorted(set(fixed_set))
+    for v in sample:
+        if not 0 <= v < profile.n:
+            raise ValueError(f"fixed sample vertex {v} out of range 0..{profile.n - 1}")
+    if len(sample) >= profile.n:
+        raise ValueError("fixed sample must leave at least one candidate")
+    return multiset_winner(profile, dict.fromkeys(sample, 1))
+
+
 def majority_default_winner(profile: NominationProfile, default_vertex: int) -> int:
     """Winner under the majority rule with default ``default_vertex``."""
     d = default_vertex
@@ -341,37 +334,6 @@ def majority_default_winner(profile: NominationProfile, default_vertex: int) -> 
         if deg >= threshold:
             return v
     return d
-
-
-def run_random_k_sample(profile: NominationProfile, k: int, stream: DrawStream) -> MechanismTrace:
-    check_model("random_k_sample", profile.model)
-    if k < 1:
-        raise ValueError(f"sample size must be at least 1, got {k}")
-    draws = stream.draws(k, profile.n)
-    pool, winner = nominated_winner(profile, draws)
-    return MechanismTrace(tuple(sorted(draws)), pool, winner)
-
-
-def run_simple_k_sample(profile: NominationProfile, k: int, stream: DrawStream) -> MechanismTrace:
-    k = _clamp_k(k, profile.n)
-    draws = stream.draws(k, profile.n)
-    winner = multiset_winner(profile, Counter(draws))
-    return MechanismTrace(tuple(sorted(draws)), frozenset(), winner)
-
-
-def run_fixed_sample(profile: NominationProfile, fixed_set: Sequence[int]) -> MechanismTrace:
-    sample = tuple(sorted(set(fixed_set)))
-    for v in sample:
-        if not 0 <= v < profile.n:
-            raise ValueError(f"fixed sample vertex {v} out of range 0..{profile.n - 1}")
-    if len(sample) >= profile.n:
-        raise ValueError("fixed sample must leave at least one candidate")
-    winner = multiset_winner(profile, {v: 1 for v in sample})
-    return MechanismTrace(sample, frozenset(), winner)
-
-
-def run_majority_default(profile: NominationProfile, default_vertex: int) -> MechanismTrace:
-    return MechanismTrace((), frozenset(), majority_default_winner(profile, default_vertex))
 
 
 def _ceil_isqrt(n: int) -> int:
@@ -395,18 +357,19 @@ def run_mechanism(
     spec: MechanismSpec,
     profile: NominationProfile,
     stream: DrawStream | None = None,
-) -> MechanismTrace:
-    """Evaluate ``spec`` once.  Randomized kinds require a stream."""
-    if stream is None and spec.is_randomized:
+) -> int | None:
+    """Winner of one evaluation of ``spec``, None when nobody wins.
+
+    A randomized kind takes ``resolve_k`` draws from ``stream``, which it
+    requires; a deterministic kind ignores it.
+    """
+    check_model(spec.kind, profile.model)
+    kind = KINDS[spec.kind]
+    if kind.sample_size is None:
+        return kind.winner(spec, profile, None)
+    if stream is None:
         raise ValueError(f"{spec.kind} needs a DrawStream")
-    return KINDS[spec.kind].run(spec, profile, stream)
-
-
-def winner_degree(trace: MechanismTrace, profile: NominationProfile) -> int:
-    """Full in-degree of the winner; 0 when nobody won."""
-    if trace.winner is None:
-        return 0
-    return profile.in_degrees[trace.winner]
+    return kind.winner(spec, profile, stream.draws(resolve_k(spec, profile.n), profile.n))
 
 
 # ----- guarantee formulas -----
@@ -502,11 +465,12 @@ class MechanismKind:
     """Everything that differs between mechanism kinds.
 
     ``parse`` builds a spec from the text after ``"<cli>:"`` and ``arg``
-    writes that text back.  ``sample_size(k, n)`` turns the spec's k (None
-    for the default) into the number of draws, and ``winner(profile,
-    draws)`` picks the winner of one list of draws; both are None for the
-    deterministic kinds.  ``bound(n, k)`` evaluates the guarantee, None
-    when the kind has none.
+    writes that text back.  ``winner(spec, profile, draws)`` is the kind's
+    one evaluation rule: it picks the winner of a list of draws for a
+    randomized kind and gets ``None`` for a deterministic one.
+    ``sample_size(k, n)`` turns the spec's k (None for the default) into the
+    number of draws; it is None for the deterministic kinds.  ``bound(n,
+    k)`` evaluates the guarantee, None when the kind has none.
 
     Entries call module functions through their globals at call time, so
     a wrapper installed on a function is seen by every kind that uses it.
@@ -516,9 +480,8 @@ class MechanismKind:
     models: tuple[str, ...]
     parse: Callable[[str], MechanismSpec]
     arg: Callable[[MechanismSpec], str]
-    run: Callable[[MechanismSpec, NominationProfile, DrawStream | None], MechanismTrace]
+    winner: Callable[[MechanismSpec, NominationProfile, Sequence[int] | None], int | None]
     sample_size: Callable[[int | None, int], int] | None = None
-    winner: Callable[[NominationProfile, list[int]], int | None] | None = None
     bound: Callable[[int, int | None], BoundReport] | None = None
 
 
@@ -536,10 +499,9 @@ KINDS: dict[str, MechanismKind] = {
         models=(SINGLE,),
         parse=lambda arg: MechanismSpec.random_k(_parse_k(arg)),
         arg=_k_arg,
-        run=lambda spec, profile, stream: run_random_k_sample(profile, resolve_k(spec, profile.n), stream),
+        winner=lambda spec, profile, draws: nominated_winner(profile, draws)[1],
         # draws are with replacement, so an explicit k may exceed n - 1
         sample_size=lambda k, n: _clamp_k(_ceil_isqrt(n), n) if k is None else k,
-        winner=lambda profile, draws: nominated_winner(profile, draws)[1],
         bound=lambda n, k: BoundReport("rks_lower", n, k, rks_worst_delta(n, k), rks_gap_lower_bound(n, k)),
     ),
     "simple_k_sample": MechanismKind(
@@ -547,9 +509,8 @@ KINDS: dict[str, MechanismKind] = {
         models=MODELS,
         parse=lambda arg: MechanismSpec.simple_k(_parse_k(arg)),
         arg=_k_arg,
-        run=lambda spec, profile, stream: run_simple_k_sample(profile, resolve_k(spec, profile.n), stream),
+        winner=lambda spec, profile, draws: multiset_winner(profile, Counter(draws)),
         sample_size=lambda k, n: _clamp_k(sks_sample_size(n) if k is None else k, n),
-        winner=lambda profile, draws: multiset_winner(profile, Counter(draws)),
         bound=lambda n, k: BoundReport("sks_lower", n, k, None, sks_gap_upper_bound(n, k)),
     ),
     "fixed_sample": MechanismKind(
@@ -557,14 +518,14 @@ KINDS: dict[str, MechanismKind] = {
         models=MODELS,
         parse=lambda arg: MechanismSpec.fixed(int(v) for v in arg.split(",")),
         arg=lambda spec: ",".join(str(v) for v in spec.fixed_set),
-        run=lambda spec, profile, stream: run_fixed_sample(profile, spec.fixed_set),
+        winner=lambda spec, profile, draws: fixed_sample_winner(profile, spec.fixed_set),
     ),
     "majority_default": MechanismKind(
         cli="majority-default",
         models=MODELS,
         parse=lambda arg: MechanismSpec.majority_default(int(arg)),
         arg=lambda spec: str(spec.default_vertex),
-        run=lambda spec, profile, stream: run_majority_default(profile, spec.default_vertex),
+        winner=lambda spec, profile, draws: majority_default_winner(profile, spec.default_vertex),
         bound=lambda n, k: BoundReport("mwd_upper", n, None, None, float(mwd_gap_upper_bound(n))),
     ),
 }

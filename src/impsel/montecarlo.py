@@ -30,7 +30,6 @@ from .mechanisms import (
     derive_seed,
     parse_mechanism,
     resolve_k,
-    run_mechanism,
 )
 
 __all__ = [
@@ -115,15 +114,15 @@ def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -
     """
     check_model(spec.kind, profile.model)
     n = profile.n
+    winner_of = KINDS[spec.kind].winner
     if spec.is_randomized:
         k = resolve_k(spec, n)
-        winner_of = KINDS[spec.kind].winner
-        trials = plan.trials
-        seed = plan.master_seed
-        winners = (winner_of(profile, DrawStream(derive_seed(seed, i)).draws(k, n)) for i in range(trials))
+        trials, seed = plan.trials, plan.master_seed
+        winners = (
+            winner_of(spec, profile, DrawStream(derive_seed(seed, i)).draws(k, n)) for i in range(trials)
+        )
     else:
-        trace = run_mechanism(spec, profile)
-        k, trials, winners = len(trace.sample) or None, 1, (trace.winner,)
+        k, trials, winners = len(spec.fixed_set or ()) or None, 1, (winner_of(spec, profile, None),)
 
     degs = profile.in_degrees
     sum_deg = 0

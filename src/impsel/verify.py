@@ -162,6 +162,8 @@ def profile_count(n: int, model: str) -> int:
 
 
 def _require_space(n: int, model: str, max_n: int | None, defaults: dict) -> None:
+    if model not in defaults:
+        raise ValueError(f"unknown model {model!r}")
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
     ceiling = max_n if max_n is not None else defaults[model]

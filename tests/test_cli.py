@@ -93,6 +93,13 @@ def test_gen_bound_stress_rejects_k_zero(capsys):
     assert "parameter k must be an integer >= 1, got 0" in captured.err
 
 
+def test_gen_single_worst_rejects_delta_zero(capsys):
+    assert main(["gen", "--family", "single-worst", "--n", "5", "--delta", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter delta must be an integer >= 1, got 0" in captured.err
+
+
 def test_gen_to_file(tmp_path):
     out = tmp_path / "p.txt"
     assert main(["gen", "--family", "star", "--n", "4", "--out", str(out)]) == 0
@@ -114,6 +121,14 @@ def test_run_requires_trials_or_exact(tri_path, capsys):
     assert main(["run", "--mech", "random-k:1", "--profile", tri_path]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("extra", [["--trials", "5", "--seed", "1"], ["--trials", "5"], ["--seed", "1"]])
+def test_run_exact_rejects_trials_and_seed(tri_path, capsys, extra):
+    assert main(["run", "--mech", "fixed:0", "--profile", tri_path, "--exact", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--exact enumerates every draw; it takes neither --trials nor --seed" in captured.err
 
 
 def test_run_trials_need_seed(tri_path):
@@ -175,6 +190,19 @@ def test_exact_budget_error_is_reported(tri_path, capsys):
     argv = ["exact", "--mech", "random-k:15", "--profile", tri_path]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["exact"], ["run", "--exact"]])
+def test_exact_checks_model_before_budget(tmp_path, capsys, command):
+    # n^k = 40^7 is far over the budget, but random-k is not defined for multi at all
+    path = tmp_path / "multi.txt"
+    gen = ["gen", "--family", "random-multi", "--n", "40", "--p", "0.1", "--seed", "1", "--out", str(path)]
+    assert main(gen) == 0
+    assert main([command[0], "--mech", "random-k:auto", "--profile", str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "random_k_sample is defined for the single model, profile is multi" in captured.err
+    assert "budget" not in captured.err
 
 
 def test_run_missing_profile_file(capsys):

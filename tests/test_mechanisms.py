@@ -1,26 +1,26 @@
 """Draw streams, winner rules, and the mechanism dispatcher."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from impsel.core import MULTI, SINGLE, NominationProfile
+from impsel.generators import gen_random_multi, gen_random_single
 from impsel.mechanisms import (
     DrawStream,
     MechanismSpec,
     ModelMismatch,
     derive_seed,
+    fixed_sample_winner,
     majority_default_winner,
     multiset_winner,
     nominated_winner,
     parse_mechanism,
     resolve_k,
-    run_fixed_sample,
-    run_majority_default,
     run_mechanism,
-    run_random_k_sample,
-    run_simple_k_sample,
-    winner_degree,
 )
+from impsel.montecarlo import TrialPlan, estimate
 
 TRI = NominationProfile.single([2, 2, 0])
 
@@ -203,44 +203,52 @@ def test_majority_default_vertex_range():
 
 
 def test_run_random_k_sample_trace_fields():
-    trace = run_random_k_sample(TRI, 2, DrawStream(5))
-    assert len(trace.sample) == 2
-    assert all(0 <= v < 3 for v in trace.sample)
-    assert trace.winner is None or trace.winner in trace.nominated
+    draws = DrawStream(5).draws(2, 3)
+    assert len(draws) == 2
+    assert all(0 <= v < 3 for v in draws)
+    pool, winner = nominated_winner(TRI, draws)
+    assert winner is None or winner in pool
+    assert run_mechanism(MechanismSpec.random_k(2), TRI, DrawStream(5)) == winner
 
 
 def test_run_random_k_sample_single_only():
     p = NominationProfile.multi(3, {0: [1, 2]})
     with pytest.raises(ModelMismatch):
-        run_random_k_sample(p, 1, DrawStream(0))
+        run_mechanism(MechanismSpec.random_k(1), p, DrawStream(0))
 
 
 def test_run_random_k_sample_k_validation():
     with pytest.raises(ValueError):
-        run_random_k_sample(TRI, 0, DrawStream(0))
+        run_mechanism(MechanismSpec.random_k(0), TRI, DrawStream(0))
 
 
 def test_run_simple_k_sample_clamps_k():
-    trace = run_simple_k_sample(TRI, 99, DrawStream(3))
-    assert len(trace.sample) == 2
+    assert resolve_k(MechanismSpec.simple_k(99), 3) == 2
+    stream = DrawStream(3)
+    winner = run_mechanism(MechanismSpec.simple_k(99), TRI, stream)
+    reference = DrawStream(3)
+    assert winner == multiset_winner(TRI, Counter(reference.draws(2, 3)))
+    assert stream.next_raw() == reference.next_raw()  # exactly two draws were taken
 
 
 def test_run_fixed_sample_is_deterministic():
     star = NominationProfile.single([1, 0, 0, 0, 0])
-    trace = run_fixed_sample(star, (0,))
-    assert trace.sample == (0,)
-    assert trace.winner == 1
+    assert fixed_sample_winner(star, (0,)) == 1
+    assert run_mechanism(MechanismSpec.fixed([0]), star) == 1
+    assert estimate(MechanismSpec.fixed([0]), star, TrialPlan(5, 0)).k == 1  # the sample is the fixed set
     with pytest.raises(ValueError):
-        run_fixed_sample(star, (0, 1, 2, 3, 4))
+        fixed_sample_winner(star, (0, 1, 2, 3, 4))
     with pytest.raises(ValueError):
-        run_fixed_sample(star, (9,))
+        fixed_sample_winner(star, (9,))
 
 
 def test_run_majority_default():
     p = NominationProfile.multi(5, {1: [4], 2: [4], 3: [4]})
-    trace = run_majority_default(p, 0)
-    assert trace.winner == 4
-    assert trace.sample == ()
+    assert run_mechanism(MechanismSpec.majority_default(0), p) == 4
+    stream = DrawStream(1)
+    assert run_mechanism(MechanismSpec.majority_default(0), p, stream) == 4
+    assert stream.next_raw() == DrawStream(1).next_raw()  # nothing is sampled
+    assert estimate(MechanismSpec.majority_default(0), p, TrialPlan(5, 0)).k is None
 
 
 def test_run_mechanism_dispatch_and_determinism():
@@ -254,17 +262,40 @@ def test_run_mechanism_dispatch_and_determinism():
 
 def test_run_mechanism_deterministic_kinds_need_no_stream():
     star = NominationProfile.single([1, 0, 0, 0])
-    assert run_mechanism(MechanismSpec.fixed([0]), star).winner == 1
-    assert run_mechanism(MechanismSpec.majority_default(1), star).winner == 0
+    assert run_mechanism(MechanismSpec.fixed([0]), star) == 1
+    assert run_mechanism(MechanismSpec.majority_default(1), star) == 0
 
 
 def test_winner_degree():
-    trace = run_fixed_sample(TRI, (0,))
-    assert trace.winner == 2
-    assert winner_degree(trace, TRI) == 2
-    none_trace = run_fixed_sample(NominationProfile.multi(3, {}), (0,))
-    assert none_trace.winner is None
-    assert winner_degree(none_trace, NominationProfile.multi(3, {})) == 0
+    winner = run_mechanism(MechanismSpec.fixed([0]), TRI)
+    assert winner == 2
+    assert TRI.in_degrees[winner] == 2
+    empty = NominationProfile.multi(3, {})
+    assert run_mechanism(MechanismSpec.fixed([0]), empty) is None
+    assert estimate(MechanismSpec.fixed([0]), empty, TrialPlan(1, 0)).mean_degree == 0
+
+
+# every kind on every model it is defined for
+ONE_PATH_CASES = [
+    (MechanismSpec.random_k(3), SINGLE),
+    (MechanismSpec.simple_k(), SINGLE),
+    (MechanismSpec.simple_k(), MULTI),
+    (MechanismSpec.fixed([0, 2]), SINGLE),
+    (MechanismSpec.fixed([0, 2]), MULTI),
+    (MechanismSpec.majority_default(1), SINGLE),
+    (MechanismSpec.majority_default(1), MULTI),
+]
+
+
+@pytest.mark.parametrize(("spec", "model"), ONE_PATH_CASES, ids=[f"{s.kind}-{m}" for s, m in ONE_PATH_CASES])
+def test_run_mechanism_matches_one_trial_estimate(spec, model):
+    """run_mechanism and estimate's trial loop are one evaluation path."""
+    for s in range(12):
+        n = 4 + s % 5
+        profile = gen_random_single(n, s) if model == SINGLE else gen_random_multi(n, 0.3, s)
+        winner = run_mechanism(spec, profile, DrawStream(derive_seed(s, 0)))
+        degree = 0 if winner is None else profile.in_degrees[winner]
+        assert estimate(spec, profile, TrialPlan(1, s)).mean_degree == degree
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +314,29 @@ def profile_and_seed(draw):
 @settings(max_examples=80)
 def test_random_k_winner_is_nominated_outsider(args, k):
     profile, seed = args
-    trace = run_random_k_sample(profile, k, DrawStream(seed))
-    sampled = set(trace.sample)
-    for u in trace.nominated:
+    draws = DrawStream(seed).draws(k, profile.n)
+    pool, winner = nominated_winner(profile, draws)
+    assert run_mechanism(MechanismSpec.random_k(k), profile, DrawStream(seed)) == winner
+    sampled = set(draws)
+    for u in pool:
         assert u not in sampled
         assert profile.in_degree(u, frm=sampled) >= 1
-    if trace.winner is None:
-        assert not trace.nominated
+    if winner is None:
+        assert not pool
     else:
-        assert trace.winner in trace.nominated
+        assert winner in pool
 
 
 @given(profile_and_seed(), st.integers(1, 6))
 @settings(max_examples=80)
 def test_simple_k_winner_never_sampled(args, k):
     profile, seed = args
-    trace = run_simple_k_sample(profile, k, DrawStream(seed))
-    if trace.winner is not None:
-        assert trace.winner not in set(trace.sample)
-        assert profile.in_degree(trace.winner, frm=list(trace.sample)) >= 1
+    k = min(k, profile.n - 1)
+    draws = DrawStream(seed).draws(k, profile.n)
+    winner = run_mechanism(MechanismSpec.simple_k(k), profile, DrawStream(seed))
+    if winner is not None:
+        assert winner not in set(draws)
+        assert profile.in_degree(winner, frm=draws) >= 1
 
 
 @given(st.integers(2, 40), st.integers(0, 2**32))

@@ -226,6 +226,11 @@ def test_config_rejects_bound_stress_k_zero():
         small_config(generator={"family": "bound-stress", "k": 0}, instances=1)
 
 
+def test_config_rejects_single_worst_delta_zero():
+    with pytest.raises(ValueError, match="^/generator: parameter delta must be an integer >= 1"):
+        small_config(generator={"family": "single-worst", "delta": 0}, instances=1)
+
+
 @pytest.mark.parametrize("key", ["trials", "instances"])
 def test_config_rejects_null_counts(key):
     with pytest.raises(ValueError, match=f"^/{key}: must be an integer >= 1$"):

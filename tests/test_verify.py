@@ -87,6 +87,13 @@ def test_space_ceiling():
     assert check_strong_sample(SAMPLE_CATALOG["const-0"], 6, max_n=6) == []
 
 
+@pytest.mark.parametrize("engine", [check_impartial, measure_additive_gap_exhaustive])
+@pytest.mark.parametrize("max_n", [None, 5])
+def test_unknown_model_is_value_error(engine, max_n):
+    with pytest.raises(ValueError, match="^unknown model 'bogus'$"):
+        engine(MechanismSpec.random_k(1), 3, "bogus", max_n=max_n)
+
+
 # ---------------------------------------------------------------------------
 # impartiality checking
 
