@@ -14,9 +14,9 @@ import argparse
 import json
 import sys
 
-from .core import format_profile, load_profile
+from .core import MODELS, SINGLE, format_profile, load_profile
 from .exact import DEFAULT_SEQUENCE_BUDGET, exact_distribution, expected_winner_degree
-from .generators import FAMILIES, GeneratorSpec
+from .generators import FAMILIES, PARAMS, GeneratorSpec
 from .mechanisms import MechanismSpec, compute_bound, parse_mechanism
 from .montecarlo import (
     SweepConfig,
@@ -60,14 +60,17 @@ def _load_subject(args) -> "MechanismSpec | object":
     return named_oracle(args.oracle)
 
 
+def _exact(spec, profile, args):
+    """exact_distribution under --budget and --method, which a deterministic mechanism refuses."""
+    method = getattr(args, "method", "auto")
+    if not spec.is_randomized and (args.budget is not None or method != "auto"):
+        raise ValueError(f"{spec.label()} is deterministic; it takes neither --budget nor --method")
+    budget = DEFAULT_SEQUENCE_BUDGET if args.budget is None else args.budget
+    return exact_distribution(spec, profile, budget=budget, method=method)
+
+
 def cmd_gen(args) -> int:
-    params = {}
-    for key in ("delta", "k", "v"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    if args.p is not None:
-        params["p"] = args.p
+    params = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
     spec = GeneratorSpec.from_mapping(args.family, params)
     _emit(format_profile(spec.build(args.n, args.seed)), args.out)
     return 0
@@ -79,7 +82,7 @@ def cmd_run(args) -> int:
     if args.exact:
         if args.trials is not None or args.seed is not None:
             raise ValueError("--exact enumerates every draw; it takes neither --trials nor --seed")
-        dist = exact_distribution(spec, profile, budget=args.budget)
+        dist = _exact(spec, profile, args)
         mean = expected_winner_degree(dist, profile)
         result = {
             "mechanism": spec.label(),
@@ -95,6 +98,8 @@ def cmd_run(args) -> int:
             raise ValueError("one of --exact or --trials is required")
         if args.seed is None:
             raise ValueError("--trials requires --seed")
+        if args.budget is not None:
+            raise ValueError("--budget bounds enumeration; it applies only with --exact")
         report = estimate(spec, profile, TrialPlan(args.trials, args.seed))
         result = {"mechanism": spec.label(), **report.fields()}
     if args.format == "json":
@@ -107,7 +112,7 @@ def cmd_run(args) -> int:
 def cmd_exact(args) -> int:
     spec = parse_mechanism(args.mech)
     profile = load_profile(args.profile)
-    dist = exact_distribution(spec, profile, budget=args.budget, method=args.method)
+    dist = _exact(spec, profile, args)
     mean = expected_winner_degree(dist, profile)
     delta = profile.delta
     doc = dist.to_json_dict()
@@ -226,35 +231,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate an instance profile")
+    def command(subparsers, name: str, handler, help: str) -> argparse.ArgumentParser:
+        """Declare one subcommand and the function that runs it."""
+        p = subparsers.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p_gen = command(sub, "gen", cmd_gen, "generate an instance profile")
     p_gen.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--delta", type=int, help="in-degree target (single-worst)")
-    p_gen.add_argument("--k", type=int, help="sample size the instance stresses (bound-stress)")
-    p_gen.add_argument("--v", type=int, help="target vertex (fixed-sample-adversary, star)")
-    p_gen.add_argument("--p", type=float, help="edge probability (random-multi)")
+    for key, (kind, _, text) in PARAMS.items():
+        takers = ", ".join(sorted(name for name, family in FAMILIES.items() if key in family.params))
+        p_gen.add_argument(f"--{key}", type=kind, help=f"{text} ({takers})")
     p_gen.add_argument("--seed", type=int, help="instance seed (random families)")
     p_gen.add_argument("--out", help="output file (default: stdout)")
 
-    p_run = sub.add_parser("run", help="evaluate one mechanism on one profile")
+    p_run = command(sub, "run", cmd_run, "evaluate one mechanism on one profile")
     p_run.add_argument("--mech", required=True)
     p_run.add_argument("--profile", required=True)
     p_run.add_argument("--exact", action="store_true", help="enumerate instead of sampling")
     p_run.add_argument("--trials", type=int)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--budget", type=int, default=DEFAULT_SEQUENCE_BUDGET)
+    p_run.add_argument("--budget", type=int)
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.add_argument("--out")
 
-    p_exact = sub.add_parser("exact", help="full exact winner distribution")
+    p_exact = command(sub, "exact", cmd_exact, "full exact winner distribution")
     p_exact.add_argument("--mech", required=True)
     p_exact.add_argument("--profile", required=True)
     p_exact.add_argument("--method", choices=("auto", "sequences", "sets"), default="auto")
-    p_exact.add_argument("--budget", type=int, default=DEFAULT_SEQUENCE_BUDGET)
+    p_exact.add_argument("--budget", type=int)
     p_exact.add_argument("--format", choices=("text", "json"), default="text")
     p_exact.add_argument("--out")
 
-    p_sweep = sub.add_parser("sweep", help="run a JSON-configured experiment")
+    p_sweep = command(sub, "sweep", cmd_sweep, "run a JSON-configured experiment")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--fit", action="store_true", help="append a log-log scaling fit")
@@ -270,46 +280,27 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--mech")
         group.add_argument("--oracle")
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--model", choices=("single", "multi"), default="single")
+        p.add_argument("--model", choices=MODELS, default=SINGLE)
         p.add_argument("--budget", type=int, default=DEFAULT_SEQUENCE_BUDGET)
         p.add_argument("--max-n", type=int, dest="max_n")
 
-    p_vi = vsub.add_parser("impartial", help="exhaustive impartiality check")
-    add_subject_flags(p_vi)
-
-    p_vs = vsub.add_parser("strong-sample", help="strong-sample check of a catalog function")
+    add_subject_flags(command(vsub, "impartial", cmd_verify_impartial, "exhaustive impartiality check"))
+    p_vs = command(vsub, "strong-sample", cmd_verify_strong_sample, "strong-sample check of a catalog function")
     p_vs.add_argument("--g", required=True)
     p_vs.add_argument("--n", type=int, required=True)
     p_vs.add_argument("--max-n", type=int, dest="max_n")
+    add_subject_flags(command(vsub, "gap", cmd_verify_gap, "exact worst additive gap"))
 
-    p_vg = vsub.add_parser("gap", help="exact worst additive gap")
-    add_subject_flags(p_vg)
-
-    p_refute = sub.add_parser("refute", help="corner a 4-vertex oracle out of 2-additivity")
+    p_refute = command(sub, "refute", cmd_refute, "corner a 4-vertex oracle out of 2-additivity")
     p_refute.add_argument("--oracle", required=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    commands = {
-        "gen": cmd_gen,
-        "run": cmd_run,
-        "exact": cmd_exact,
-        "sweep": cmd_sweep,
-        "refute": cmd_refute,
-    }
-    verify_commands = {
-        "impartial": cmd_verify_impartial,
-        "strong-sample": cmd_verify_strong_sample,
-        "gap": cmd_verify_gap,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return verify_commands[args.verify_command](args)
-        return commands[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         # every input problem in this package is a ValueError subclass:
         # profile format, model violations, budget refusals, bad configs

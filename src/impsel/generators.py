@@ -13,7 +13,7 @@ take an explicit seed and never touch global RNG state.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from .core import MULTI, SINGLE, NominationProfile
@@ -27,7 +27,9 @@ __all__ = [
     "gen_random_single",
     "gen_random_multi",
     "GeneratorSpec",
+    "Family",
     "FAMILIES",
+    "PARAMS",
 ]
 
 
@@ -113,30 +115,58 @@ def gen_random_multi(n: int, p: float, seed: int) -> NominationProfile:
     return NominationProfile(n, MULTI, tuple(rows))
 
 
-# family -> (model, allowed params, params that must be present)
-FAMILIES: dict[str, tuple[str, frozenset[str], frozenset[str]]] = {
-    "single-worst": (SINGLE, frozenset({"delta"}), frozenset()),
-    "fixed-sample-adversary": (SINGLE, frozenset({"v"}), frozenset()),
-    "star": (SINGLE, frozenset({"v"}), frozenset()),
-    "sqrt-adversary": (SINGLE, frozenset(), frozenset()),
-    "bound-stress": (SINGLE, frozenset({"k"}), frozenset()),
-    "random-single": (SINGLE, frozenset(), frozenset()),
-    "random-multi": (MULTI, frozenset({"p"}), frozenset({"p"})),
-}
+@dataclass(frozen=True)
+class Family:
+    """One instance family.  ``build(n, params, seed)`` is the only place it is
+    instantiated; ``params`` are the ``PARAMS`` keys it takes, ``required`` those
+    it needs, and ``seeded`` says whether it needs an instance seed."""
 
-_SEEDED = frozenset({"random-single", "random-multi"})
+    model: str
+    build: Callable[[int, dict, int | None], NominationProfile]
+    params: frozenset[str] = frozenset()
+    required: frozenset[str] = frozenset()
+    seeded: bool = False
+
+
+# Optional parameters resolve at build time: single-worst defaults delta to
+# n-1 (the star into vertex 0), bound-stress defaults k to random-k's default
+# sample size, fixed-sample-adversary and star default v to 0.
+FAMILIES: dict[str, Family] = {
+    "single-worst": Family(
+        SINGLE, lambda n, params, seed: gen_single_worst(n, params.get("delta", n - 1)), frozenset({"delta"})
+    ),
+    "fixed-sample-adversary": Family(
+        SINGLE, lambda n, params, seed: gen_fixed_sample_adversary(n, params.get("v", 0)), frozenset({"v"})
+    ),
+    "sqrt-adversary": Family(SINGLE, lambda n, params, seed: gen_sqrt_adversary(n)),
+    "bound-stress": Family(
+        SINGLE,
+        lambda n, params, seed: gen_bound_stress(n, resolve_k(MechanismSpec.random_k(params.get("k")), n)),
+        frozenset({"k"}),
+    ),
+    "random-single": Family(SINGLE, lambda n, params, seed: gen_random_single(n, seed), seeded=True),
+    "random-multi": Family(
+        MULTI,
+        lambda n, params, seed: gen_random_multi(n, params["p"], seed),
+        frozenset({"p"}),
+        frozenset({"p"}),
+        seeded=True,
+    ),
+}
+FAMILIES["star"] = FAMILIES["fixed-sample-adversary"]
+
+# parameter -> (type, least value, help text); p is also at most 1
+PARAMS: dict[str, tuple[type, int, str]] = {
+    "delta": (int, 1, "in-degree target"),
+    "k": (int, 1, "sample size the instance stresses"),
+    "v": (int, 0, "target vertex"),
+    "p": (float, 0, "edge probability"),
+}
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A family name plus its parameters, instantiable at any n.
-
-    Parameters are stored as a sorted tuple of pairs so specs are hashable
-    and picklable.  Optional parameters resolve at build time:
-    single-worst defaults delta to n-1 (the star into vertex 0),
-    bound-stress defaults k to random-k's default sample size,
-    fixed-sample-adversary and star default v to 0.
-    """
+    """A family name plus its parameters (sorted pairs: hashable, picklable), buildable at any n."""
 
     family: str
     params: tuple[tuple[str, object], ...] = ()
@@ -146,50 +176,41 @@ class GeneratorSpec:
             raise ValueError(
                 f"unknown family {self.family!r}; known: {', '.join(sorted(FAMILIES))}"
             )
-        _, allowed, required = FAMILIES[self.family]
+        family = FAMILIES[self.family]
         params = tuple(sorted((str(key), value) for key, value in self.params))
         object.__setattr__(self, "params", params)
         keys = [key for key, _ in params]
         if len(set(keys)) != len(keys):
             raise ValueError(f"duplicate parameter for family {self.family}")
         for key in keys:
-            if key not in allowed:
+            if key not in family.params:
                 raise ValueError(
                     f"family {self.family} does not take parameter {key!r}"
-                    + (f"; allowed: {', '.join(sorted(allowed))}" if allowed else "")
+                    + (f"; allowed: {', '.join(sorted(family.params))}" if family.params else "")
                 )
-        for key in required:
+        for key in family.required:
             if key not in keys:
                 raise ValueError(f"family {self.family} requires parameter {key!r}")
-        if "p" in keys:
-            p = self.get("p")
-            if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0 <= p <= 1:
-                raise ValueError(f"edge probability {p!r} out of range [0, 1]")
-        # k is a sample size, at least 1 like MechanismSpec's; delta is an in-degree target
-        for key, minimum in (("delta", 1), ("k", 1), ("v", 0)):
-            if key in keys:
-                value = self.get(key)
-                if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                    raise ValueError(f"parameter {key} must be an integer >= {minimum}, got {value!r}")
+        for key, value in params:
+            kind, least, _ = PARAMS[key]
+            valid = isinstance(value, (int, kind)) and not isinstance(value, bool)
+            if key == "p":
+                if not (valid and least <= value <= 1):
+                    raise ValueError(f"edge probability {value!r} out of range [0, 1]")
+            elif not (valid and value >= least):
+                raise ValueError(f"parameter {key} must be an integer >= {least}, got {value!r}")
 
     @classmethod
     def from_mapping(cls, family: str, params: Mapping[str, object] = ()) -> "GeneratorSpec":
-        mapping = dict(params)
-        return cls(family, tuple(mapping.items()))
-
-    def get(self, key: str, default=None):
-        for k, value in self.params:
-            if k == key:
-                return value
-        return default
+        return cls(family, tuple(dict(params).items()))
 
     @property
     def model(self) -> str:
-        return FAMILIES[self.family][0]
+        return FAMILIES[self.family].model
 
     @property
     def needs_seed(self) -> bool:
-        return self.family in _SEEDED
+        return FAMILIES[self.family].seeded
 
     def label(self) -> str:
         if not self.params:
@@ -203,14 +224,4 @@ class GeneratorSpec:
                 raise ValueError(f"family {self.family} requires an instance seed")
         elif instance_seed is not None:
             raise ValueError(f"family {self.family} is deterministic; no seed applies")
-        if self.family == "single-worst":
-            return gen_single_worst(n, self.get("delta", n - 1))
-        if self.family in ("fixed-sample-adversary", "star"):
-            return gen_fixed_sample_adversary(n, self.get("v", 0))
-        if self.family == "sqrt-adversary":
-            return gen_sqrt_adversary(n)
-        if self.family == "bound-stress":
-            return gen_bound_stress(n, resolve_k(MechanismSpec.random_k(self.get("k")), n))
-        if self.family == "random-single":
-            return gen_random_single(n, instance_seed)
-        return gen_random_multi(n, self.get("p"), instance_seed)
+        return FAMILIES[self.family].build(n, dict(self.params), instance_seed)

@@ -17,7 +17,7 @@ import math
 import statistics
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 from .core import NominationProfile
@@ -201,13 +201,12 @@ class SweepConfig:
 
         if not isinstance(doc, dict):
             fail("/", "config must be a JSON object")
-        known = {"mechanisms", "generator", "n_values", "trials", "master_seed", "instances"}
         for key in doc:
-            if key not in known:
+            if key not in {field.name for field in fields(cls)}:
                 fail(f"/{key}", "unknown field")
-        for key in ("mechanisms", "generator", "n_values", "trials", "master_seed"):
-            if key not in doc:
-                fail(f"/{key}", "required field is missing")
+        for field in fields(cls):
+            if field.default is MISSING and field.name not in doc:
+                fail(f"/{field.name}", "required field is missing")
 
         raw_mechs = doc["mechanisms"]
         if not isinstance(raw_mechs, list):
@@ -249,14 +248,7 @@ class SweepConfig:
         instances = require_int("instances", 1, default=1)
 
         try:
-            return cls(
-                mechanisms=tuple(mechanisms),
-                generator=generator,
-                n_values=tuple(raw_ns),
-                trials=trials,
-                master_seed=master_seed,
-                instances=instances,
-            )
+            return cls(tuple(mechanisms), generator, tuple(raw_ns), trials, master_seed, instances)
         except ValueError as exc:
             fail("/", str(exc))
 

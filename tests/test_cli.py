@@ -4,14 +4,18 @@ Most cases drive main() in process and read capsys; a few go through a
 real subprocess to cover the installed entry point end to end.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impsel.cli import main
 from impsel.core import load_profile, parse_profile
+from impsel.generators import FAMILIES, PARAMS
 from impsel.montecarlo import CSV_HEADER, SweepConfig, fit_scaling, rows_to_csv, sweep
 
 
@@ -106,6 +110,30 @@ def test_gen_to_file(tmp_path):
     assert load_profile(out).in_degrees == (3, 1, 0, 0)
 
 
+def _gen_argvs():
+    """gen command lines: every family, any subset of PARAMS, small values, optional seed."""
+    value = st.one_of(st.integers(-3, 64).map(str), st.floats(-1, 2, allow_nan=False).map(str))
+    params = st.dictionaries(st.sampled_from(sorted(PARAMS)), value, max_size=len(PARAMS))
+    seed = st.none() | st.integers(0, 2**32).map(lambda s: ["--seed", str(s)])
+    return st.tuples(st.sampled_from(sorted(FAMILIES)), st.integers(-2, 64), params, seed).map(
+        lambda t: ["gen", "--family", t[0], "--n", str(t[1])]
+        + [arg for key, text in t[2].items() for arg in (f"--{key}", text)]
+        + (t[3] or [])
+    )
+
+
+@given(_gen_argvs())
+@settings(max_examples=150, deadline=None)
+def test_gen_fuzz_exits_zero_or_two(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a float where an int is declared
+            code = exc.code
+    assert code in (0, 2), argv
+    assert "Traceback" not in err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # run and exact
 
@@ -129,6 +157,40 @@ def test_run_exact_rejects_trials_and_seed(tri_path, capsys, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--exact enumerates every draw; it takes neither --trials nor --seed" in captured.err
+
+
+def test_run_sampling_rejects_budget(tri_path, capsys):
+    argv = ["run", "--mech", "random-k:1", "--profile", tri_path, "--trials", "5", "--seed", "1"]
+    assert main([*argv, "--budget", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget bounds enumeration; it applies only with --exact" in captured.err
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--method", "sequences"],
+        ["exact", "--budget", "1"],
+        ["exact", "--method", "sets", "--budget", "1"],
+        ["run", "--exact", "--budget", "1"],
+    ],
+)
+def test_deterministic_exact_rejects_budget_and_method(tri_path, capsys, argv):
+    assert main([*argv, "--mech", "fixed:0", "--profile", tri_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fixed:0 is deterministic; it takes neither --budget nor --method" in captured.err
+    # without either flag both commands still evaluate it
+    plain = ["run", "--exact"] if argv[0] == "run" else ["exact"]
+    assert main([*plain, "--mech", "fixed:0", "--profile", tri_path]) == 0
+
+
+def test_exact_budget_zero_still_refuses(tri_path, capsys):
+    for argv in (["exact"], ["run", "--exact"]):
+        assert main([*argv, "--mech", "random-k:1", "--profile", tri_path, "--budget", "0"]) == 2
+        assert "raise the budget or use Monte Carlo" in capsys.readouterr().err
 
 
 def test_run_trials_need_seed(tri_path):

@@ -257,6 +257,37 @@ def test_parse_reports_line_numbers():
     assert "line 5" in str(exc.value)
 
 
+def _declares_no_vertex_count(text):
+    """True unless some line of ``text`` reads as an 'n <count>' line; only the
+    strategy below declares n, so every declared n stays small."""
+    return all(line.split()[:1] != ["n"] for line in text.splitlines())
+
+
+def _line(valid):
+    """Mostly ``valid``, sometimes short arbitrary text."""
+    junk = st.text(max_size=12).filter(_declares_no_vertex_count)
+    return st.tuples(valid, junk, st.sampled_from(range(4))).map(lambda t: t[1] if t[2] == 3 else t[0])
+
+
+_profile_texts = _line(
+    st.tuples(
+        _line(st.just("impsel 1")),
+        _line(st.sampled_from(["model single", "model multi"])),
+        _line(st.integers(-2, 64).map(lambda n: f"n {n}")),
+        st.lists(_line(st.tuples(st.integers(-1, 65), st.integers(-1, 65)).map("{0[0]} {0[1]}".format))),
+    ).map(lambda t: "\n".join([*t[:3], *t[3]]))
+)
+
+
+@given(_profile_texts)
+@settings(max_examples=200)
+def test_parse_fuzz_raises_only_format_or_model_errors(text):
+    try:
+        parse_profile(text)
+    except (ProfileFormatError, ModelViolation):
+        pass
+
+
 def test_save_and_load(tmp_path):
     p = NominationProfile.single([3, 0, 0, 1])
     path = tmp_path / "profile.txt"

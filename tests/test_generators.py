@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from impsel.core import MULTI, SINGLE
 from impsel.generators import (
     FAMILIES,
+    PARAMS,
     GeneratorSpec,
     gen_bound_stress,
     gen_fixed_sample_adversary,
@@ -147,9 +148,26 @@ def test_family_table_integrity():
         "random-single",
         "random-multi",
     }
-    for name, (model, allowed, required) in FAMILIES.items():
-        assert model in (SINGLE, MULTI)
-        assert required <= allowed
+    for name, family in FAMILIES.items():
+        assert family.model in (SINGLE, MULTI)
+        assert family.required <= family.params
+
+
+# one valid value for every parameter a family may take
+PARAM_VALUES = {"delta": 3, "k": 2, "v": 1, "p": 0.5}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_builds_its_model(name):
+    family = FAMILIES[name]
+    assert set(PARAM_VALUES) == set(PARAMS)
+    spec = GeneratorSpec.from_mapping(name, {key: PARAM_VALUES[key] for key in family.required})
+    assert spec.needs_seed == family.seeded
+    profile = spec.build(8, 3 if family.seeded else None)
+    assert profile.n == 8
+    assert profile.model == family.model == spec.model
+    with pytest.raises(ValueError, match="requires an instance seed" if family.seeded else "no seed applies"):
+        spec.build(8, None if family.seeded else 3)
 
 
 def test_spec_label_round_trip():

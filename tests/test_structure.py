@@ -2,11 +2,13 @@
 
 import ast
 import graphlib
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import impsel
+from impsel.generators import FAMILIES
 
 SOURCES = sorted(Path(impsel.__file__).parent.glob("*.py"))
 MODULES = ("core", "mechanisms", "exact", "generators", "montecarlo", "verify")
@@ -71,3 +73,14 @@ def test_package_exports_every_module_export():
     assert len(impsel.__all__) == len(want)
     for name in impsel.__all__:
         assert getattr(impsel, name) is not None
+
+
+def test_family_names_are_spelled_only_in_generators():
+    family_name = re.compile("|".join(rf"(?<![\w-]){re.escape(name)}(?![\w-])" for name in FAMILIES))
+    for name, tree in _trees().items():
+        if name == "generators":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found = family_name.search(node.value)
+                assert not found, f"{name}.py:{node.lineno} spells family {found.group()!r}"
