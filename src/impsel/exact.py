@@ -6,9 +6,11 @@ exact rational arithmetic over that space.
 
 Two enumeration routes are implemented and kept deliberately independent:
 
-* ``sequences`` walks all n^k draw sequences directly.
-* ``sets`` walks distinct sample sets (or multisets) and weights each by
-  the number of sequences that produce it: inclusion-exclusion
+* ``sequences`` walks all n^k draw sequences directly, the reference.
+* ``sets`` is the bitmask kernel :func:`winner_weights`, which the
+  exhaustive engines call too.  It walks the distinct sample sets (or
+  multisets) of :func:`sample_space` and weights each by the number of
+  sequences that produce it: inclusion-exclusion
   sum_j (-1)^j C(t,j) (t-j)^k for a t-element set, k!/prod(m_i!) for a
   multiset with multiplicities m_i.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,9 +34,7 @@ from .mechanisms import (  # noqa: F401  (the guarantee formulas are also read f
     MechanismSpec,
     check_model,
     compute_bound,
-    multiset_winner,
     mwd_gap_upper_bound,
-    nominated_winner,
     resolve_k,
     rks_gap_lower_bound,
     rks_worst_delta,
@@ -46,9 +47,12 @@ __all__ = [
     "DEFAULT_SEQUENCE_BUDGET",
     "EnumerationTooLarge",
     "WinnerDistribution",
+    "checked_sample_size",
     "exact_distribution",
     "expected_winner_degree",
     "pr_top_in_nominated",
+    "sample_space",
+    "winner_weights",
 ]
 
 #: Enumeration refuses once the draw-sequence space n^k exceeds this.
@@ -56,20 +60,20 @@ DEFAULT_SEQUENCE_BUDGET = 10**7
 
 
 class EnumerationTooLarge(ValueError):
-    """The draw-sequence space exceeds the enumeration budget.
+    """The draw-sequence space n^k exceeds the enumeration budget.
 
-    ``required`` holds the size of the space that was requested, so
-    callers can decide whether to raise the budget or fall back to
-    Monte Carlo estimation.
+    ``required`` holds n^k, so callers can decide whether to raise the
+    budget or fall back to Monte Carlo estimation.  Past 8192 bits (about
+    2,466 digits) it is None and the message names the space ``n^k``.
     """
 
-    def __init__(self, required: int, budget: int):
+    def __init__(self, n: int, k: int, budget: int):
+        self.n, self.k, self.budget = n, k, budget
+        self.required = n**k if k * n.bit_length() <= 8192 else None
         super().__init__(
-            f"enumeration needs {required} draw sequences, budget is {budget}; "
+            f"enumeration needs {self.required or f'{n}^{k}'} draw sequences, budget is {budget}; "
             f"raise the budget or use Monte Carlo"
         )
-        self.required = required
-        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -124,53 +128,108 @@ class WinnerDistribution:
         }
 
 
-def _check_budget(n: int, k: int, budget: int) -> int:
-    required = n**k
-    if required > budget:
-        raise EnumerationTooLarge(required, budget)
-    return required
+def checked_sample_size(spec: MechanismSpec, n: int, model: str, budget: int) -> int:
+    """Sample size k of randomized ``spec`` on n-vertex ``model`` profiles.
+
+    Raises ModelMismatch when the kind is not defined for ``model``, then
+    EnumerationTooLarge when n^k exceeds ``budget``, without building n^k.
+    """
+    check_model(spec.kind, model)
+    k = resolve_k(spec, n)
+    # n >= 2, so n^k exceeds the budget once k reaches the budget's bit length
+    if n ** min(k, budget.bit_length()) > budget:
+        raise EnumerationTooLarge(n, k, budget)
+    return k
 
 
-def _sequences_with_image_size(k: int, t: int) -> int:
-    """Length-k sequences over a fixed t-element alphabet using every symbol."""
-    return sum(
-        (-1) ** j * math.comb(t, j) * (t - j) ** k for j in range(t + 1)
-    )
+def sample_space(kind: str, n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The distinct samples of k draws over n vertices, one at a time.
+
+    Yields ``(members, levels, weight)``: the distinct vertices drawn, the
+    bitmasks ``levels[j]`` of those drawn more than j times, and how many of
+    the n^k draw sequences give the sample.  random-k's winner ignores
+    multiplicity, so its samples are the sets, each with the one level.
+    """
+    if kind == "random_k_sample":
+        for t in range(1, min(k, n) + 1):
+            # the length-k sequences over t members that use each one, by inclusion-exclusion
+            weight = sum((-1) ** j * math.comb(t, j) * (t - j) ** k for j in range(t + 1))
+            for members in itertools.combinations(range(n), t):
+                mask = 0
+                for u in members:
+                    mask |= 1 << u
+                yield members, (mask,), weight
+    elif kind == "simple_k_sample":
+        for combo in itertools.combinations_with_replacement(range(n), k):
+            mult = Counter(combo)
+            levels = tuple(sum(1 << u for u in mult if mult[u] > j) for j in range(max(mult.values())))
+            yield tuple(mult), levels, math.factorial(k) // math.prod(map(math.factorial, mult.values()))
+    else:
+        raise ValueError(f"{kind} draws no samples")
+
+
+def winner_weights(kind: str, rows: Sequence[Sequence[int]], samples: Iterable[tuple]) -> tuple[list[int], int]:
+    """Integer winning weight of each vertex, and the no-winner weight.
+
+    ``rows[u]`` is u's out-row and ``samples`` come from :func:`sample_space`,
+    so the weights sum to n^k.  The rules of ``nominated_winner`` and
+    ``multiset_winner`` on bitmasks: the pool is the OR of the members'
+    out-rows less the sample, and a pool member v scores ``deg[v] -
+    popcount(in_mask[v] & pool)`` (random-k) or the sample's nominations,
+    one popcount per level (simple-k).  No pool, no winner; ties to the
+    lowest id.  Masks stay non-negative, where CPython's bitwise ops are
+    about twice as fast: ``(pool | s) ^ s`` is ``pool & ~s``.
+    """
+    n = len(rows)
+    out_mask = [0] * n
+    in_mask = [0] * n
+    for u, row in enumerate(rows):
+        for v in row:
+            out_mask[u] |= 1 << v
+            in_mask[v] |= 1 << u
+    degree = [mask.bit_count() for mask in in_mask]
+    rks = kind == "random_k_sample"
+    weights = [0] * n
+    none_weight = 0
+    for members, levels, weight in samples:
+        pool = 0
+        for u in members:
+            pool |= out_mask[u]
+        pool = (pool | levels[0]) ^ levels[0]
+        if not pool:
+            none_weight += weight
+            continue
+        if not pool & (pool - 1):  # a lone candidate wins
+            weights[pool.bit_length() - 1] += weight
+            continue
+        best = -1
+        rest = pool
+        while rest:  # highest id first, so ">=" leaves a tie to the lowest
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            if rks:
+                score = degree[v] - (in_mask[v] & pool).bit_count()
+            else:
+                score = 0
+                for level in levels:
+                    score += (in_mask[v] & level).bit_count()
+            if score >= best:
+                best, winner = score, v
+        weights[winner] += weight
+    return weights, none_weight
+
+
+def _by_samples(kind: str, profile: NominationProfile, k: int) -> tuple[Counter, int, int]:
+    weights, none_weight = winner_weights(kind, profile.out, sample_space(kind, profile.n, k))
+    return Counter({v: w for v, w in enumerate(weights) if w}), none_weight, profile.n**k
 
 
 def _random_k_by_sets(profile: NominationProfile, k: int) -> tuple[Counter, int, int]:
-    n = profile.n
-    counts: Counter[int] = Counter()
-    none_weight = 0
-    for t in range(1, min(k, n) + 1):
-        weight = _sequences_with_image_size(k, t)
-        if weight == 0:
-            continue
-        for subset in itertools.combinations(range(n), t):
-            _, winner = nominated_winner(profile, subset)
-            if winner is None:
-                none_weight += weight
-            else:
-                counts[winner] += weight
-    return counts, none_weight, n**k
+    return _by_samples("random_k_sample", profile, k)
 
 
 def _simple_k_by_multisets(profile: NominationProfile, k: int) -> tuple[Counter, int, int]:
-    n = profile.n
-    counts: Counter[int] = Counter()
-    none_weight = 0
-    k_factorial = math.factorial(k)
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        mults = Counter(combo)
-        weight = k_factorial
-        for m in mults.values():
-            weight //= math.factorial(m)
-        winner = multiset_winner(profile, mults)
-        if winner is None:
-            none_weight += weight
-        else:
-            counts[winner] += weight
-    return counts, none_weight, n**k
+    return _by_samples("simple_k_sample", profile, k)
 
 
 def _by_sequences(
@@ -216,9 +275,7 @@ def exact_distribution(
     n = profile.n
     if not spec.is_randomized:
         return WinnerDistribution.point_mass(n, run_mechanism(spec, profile))
-    check_model(spec.kind, profile.model)
-    k = resolve_k(spec, n)
-    _check_budget(n, k, budget)
+    k = checked_sample_size(spec, n, profile.model, budget)
     rks = spec.kind == "random_k_sample"
     if method == "sequences":
         # random-k's winner depends on the set of draws, simple-k's on the multiset

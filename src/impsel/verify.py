@@ -4,8 +4,10 @@ Three engines share this module.
 
 * ``check_impartial`` iterates every profile on a small vertex set and
   every unilateral deviation, comparing the deviating vertex's own winning
-  probability before and after, as exact rationals.  An empty witness list
-  is a proof over that domain, not a statistical claim.
+  probability before and after, exactly.  An empty witness list is a proof
+  over that domain, not a statistical claim.  It and the gap measurement
+  compare the integer weights of ``exact.winner_weights`` for a randomized
+  spec, building profiles and rationals only for what they return.
 
 * ``check_strong_sample`` / ``check_sample_constant`` test sample
   functions g: a strong g is one no sample member can alter, and the
@@ -23,10 +25,12 @@ independently via ``validate_witness``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .core import (
     MULTI,
@@ -38,8 +42,11 @@ from .core import (
 from .exact import (
     DEFAULT_SEQUENCE_BUDGET,
     WinnerDistribution,
+    checked_sample_size,
     exact_distribution,
     expected_winner_degree,
+    sample_space,
+    winner_weights,
 )
 from .mechanisms import MechanismSpec, majority_default_winner, nominated_winner
 
@@ -133,14 +140,18 @@ def _vertex_choices(n: int, u: int, model: str) -> list[tuple[int, ...]]:
     raise ValueError(f"unknown model {model!r}")
 
 
+def _profile_rows(n: int, model: str) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The out-rows of every n-vertex profile of ``model``, in ``iter_profiles`` order."""
+    return itertools.product(*(_vertex_choices(n, u, model) for u in range(n)))
+
+
 def iter_profiles(n: int, model: str) -> Iterator[NominationProfile]:
     """All n-vertex profiles of ``model``.
 
     Single profiles come in lexicographic nominee order, multi profiles
     smallest out-sets first.
     """
-    choices = [_vertex_choices(n, u, model) for u in range(n)]
-    return (NominationProfile(n, model, rows) for rows in itertools.product(*choices))
+    return (NominationProfile(n, model, rows) for rows in _profile_rows(n, model))
 
 
 def iter_single_profiles(n: int) -> Iterator[NominationProfile]:
@@ -191,6 +202,23 @@ def _subject_distribution(subject, profile: NominationProfile, budget: int) -> W
     return WinnerDistribution.point_mass(profile.n, result)
 
 
+def _subject_weights(subject, n: int, model: str, budget: int) -> tuple[Callable, int]:
+    """``subject`` as a function from out-rows to weights, v winning with
+    probability ``weights[v] / scale``: the kernel's integers over n^k for a
+    randomized spec, checked against model and budget once, else rationals.
+    """
+    if isinstance(subject, MechanismSpec) and subject.is_randomized:
+        k = checked_sample_size(subject, n, model, budget)
+        samples = tuple(sample_space(subject.kind, n, k))
+        return (lambda rows: winner_weights(subject.kind, rows, samples)[0]), n**k
+
+    def weights(rows: tuple[tuple[int, ...], ...]) -> list[Fraction]:
+        dist = _subject_distribution(subject, NominationProfile(n, model, rows), budget)
+        return [dist.probability(v) for v in range(n)]
+
+    return weights, 1
+
+
 def check_impartial(
     subject,
     n: int,
@@ -207,34 +235,26 @@ def check_impartial(
     out-set.  Empty result = impartial on this whole domain.
     """
     _require_space(n, model, max_n, DEFAULT_CHECK_MAX_N)
-    cache: dict[NominationProfile, WinnerDistribution] = {}
-
-    def dist_of(profile: NominationProfile) -> WinnerDistribution:
-        found = cache.get(profile)
-        if found is None:
-            found = cache[profile] = _subject_distribution(subject, profile, budget)
-        return found
-
+    weights_of, scale = _subject_weights(subject, n, model, budget)
+    weights = functools.cache(weights_of)  # by out-rows; freed on return
     witnesses: list[Witness] = []
     for u in range(n):
         own_choices = _vertex_choices(n, u, model)
         other_choices = [_vertex_choices(n, w, model) for w in range(n) if w != u]
         for rest in itertools.product(*other_choices):
-            rows = list(rest[:u]) + [own_choices[0]] + list(rest[u:])
-            base = NominationProfile(n, model, tuple(rows))
-            base_p = dist_of(base).probability(u)
+            base = rest[:u] + (own_choices[0],) + rest[u:]
+            base_w = weights(base)[u]
             for choice in own_choices[1:]:
-                rows[u] = choice
-                alt = NominationProfile(n, model, tuple(rows))
-                alt_p = dist_of(alt).probability(u)
-                if alt_p != base_p:
+                alt = rest[:u] + (choice,) + rest[u:]
+                alt_w = weights(alt)[u]
+                if alt_w != base_w:
                     witnesses.append(
                         Witness(
                             "impartiality_violation",
-                            base,
-                            alt,
+                            NominationProfile(n, model, base),
+                            NominationProfile(n, model, alt),
                             u,
-                            {"p_a": base_p, "p_b": alt_p},
+                            {"p_a": Fraction(base_w, scale), "p_b": Fraction(alt_w, scale)},
                         )
                     )
     return witnesses
@@ -607,17 +627,20 @@ def measure_additive_gap_exhaustive(
     """Exact worst additive gap of ``subject`` over every n-vertex profile.
 
     Returns the maximum of delta minus expected winner degree, with the
-    first profile (in iteration order) that attains it.
+    first profile (in iteration order) that attains it.  Gaps are compared
+    as numerators ``delta * scale - sum(weights[v] * deg[v])``.
     """
     _require_space(n, model, max_n, DEFAULT_MEASURE_MAX_N)
-    best: Fraction | None = None
-    best_profile: NominationProfile | None = None
-    for profile in iter_profiles(n, model):
-        dist = _subject_distribution(subject, profile, budget)
-        gap = Fraction(profile.delta) - expected_winner_degree(dist, profile)
+    weights_of, scale = _subject_weights(subject, n, model, budget)
+    best = best_rows = None
+    for rows in _profile_rows(n, model):
+        degree = [0] * n
+        for v in itertools.chain.from_iterable(rows):
+            degree[v] += 1
+        gap = max(degree) * scale - sum(map(mul, weights_of(rows), degree))
         if best is None or gap > best:
-            best, best_profile = gap, profile
-    return best, best_profile
+            best, best_rows = gap, rows
+    return Fraction(best, scale), NominationProfile(n, model, best_rows)
 
 
 # ----- witness handling -----

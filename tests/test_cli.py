@@ -9,12 +9,13 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from impsel.cli import main
-from impsel.core import load_profile, parse_profile
+from impsel.core import MODELS, NominationProfile, format_profile, load_profile, parse_profile
 from impsel.generators import FAMILIES, PARAMS
 from impsel.montecarlo import CSV_HEADER, SweepConfig, fit_scaling, rows_to_csv, sweep
 
@@ -265,6 +266,70 @@ def test_exact_checks_model_before_budget(tmp_path, capsys, command):
     assert captured.out == ""
     assert "random_k_sample is defined for the single model, profile is multi" in captured.err
     assert "budget" not in captured.err
+
+
+@pytest.mark.parametrize("k, space", [(15, "14348907"), (10**9, "3^1000000000")])
+@pytest.mark.parametrize("command", [["exact"], ["run", "--exact"], ["verify", "gap"]])
+def test_budget_refusal_names_the_space_at_once(tri_path, capsys, command, k, space):
+    # the refusal never builds n^k: 3^(10^9) would take minutes to compute and cannot be printed
+    where = ["--n", "3"] if command[0] == "verify" else ["--profile", tri_path]
+    start = time.perf_counter()
+    assert main([*command, "--mech", f"random-k:{k}", *where]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: enumeration needs {space} draw sequences, budget is 10000000; "
+        "raise the budget or use Monte Carlo\n"
+    )
+
+
+def _sample_size():
+    return (st.integers(1, 64) | st.sampled_from([10**6, 3 * 10**7, 10**9, 10**18])).map(str)
+
+
+def _mechanism_texts():
+    """Every mechanism spelling, with small and huge k and vertex ids past n."""
+    return st.one_of(
+        st.tuples(st.sampled_from(["random-k", "simple-k"]), _sample_size() | st.just("auto")).map(":".join),
+        st.lists(st.integers(0, 6), min_size=1, max_size=3).map(lambda vs: "fixed:" + ",".join(map(str, vs))),
+        st.integers(0, 6).map(lambda v: f"majority-default:{v}"),
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_profiles(tmp_path_factory):
+    """A profile file per (n, model), n in 2..6."""
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for n in range(2, 7):
+        rows = [[v for v in ((u + 1) % n, (u + 2) % n) if v != u] for u in range(n)]
+        for model, profile in (
+            ("single", NominationProfile.single([(u + 1) % n for u in range(n)])),
+            ("multi", NominationProfile.multi(n, rows)),
+        ):
+            paths[n, model] = root / f"{model}-{n}.txt"
+            paths[n, model].write_text(format_profile(profile))
+    return paths
+
+
+@given(
+    st.sampled_from(["exact", "run", "impartial", "gap"]),
+    _mechanism_texts(),
+    st.integers(2, 6),
+    st.sampled_from(MODELS),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_and_verify_fuzz_exit_zero_one_or_two(fuzz_profiles, command, mech, n, model):
+    if command in ("exact", "run"):
+        argv = [command, "--mech", mech, "--profile", str(fuzz_profiles[n, model])]
+        argv += ["--exact"] if command == "run" else []
+    else:
+        argv = ["verify", command, "--mech", mech, "--n", str(n), "--model", model]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
 
 
 def test_run_missing_profile_file(capsys):

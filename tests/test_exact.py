@@ -19,6 +19,7 @@ from impsel.exact import (
     BoundReport,
     EnumerationTooLarge,
     WinnerDistribution,
+    checked_sample_size,
     compute_bound,
     exact_distribution,
     expected_winner_degree,
@@ -132,6 +133,30 @@ def test_budget_exceeded():
         exact_distribution(MechanismSpec.random_k(15), p)
     assert exc.value.required == 3**15
     assert exc.value.budget == DEFAULT_SEQUENCE_BUDGET
+
+
+@pytest.mark.parametrize("budget", [-1, 0, 1, 2**20 - 1, 2**20, 2**20 + 1, 3**13, DEFAULT_SEQUENCE_BUDGET])
+def test_budget_refuses_exactly_when_n_to_the_k_exceeds_it(budget):
+    for n in (2, 3, 7):
+        for k in range(1, 30):
+            if n**k > budget:
+                with pytest.raises(EnumerationTooLarge):
+                    checked_sample_size(MechanismSpec.random_k(k), n, SINGLE, budget)
+            else:
+                assert checked_sample_size(MechanismSpec.random_k(k), n, SINGLE, budget) == k
+
+
+def test_budget_refusal_never_builds_a_huge_space():
+    p = NominationProfile.single([(u + 1) % 3 for u in range(3)])
+    with pytest.raises(EnumerationTooLarge) as exc:
+        exact_distribution(MechanismSpec.random_k(10**9), p)
+    assert (exc.value.n, exc.value.k, exc.value.required) == (3, 10**9, None)
+    assert str(exc.value).startswith("enumeration needs 3^1000000000 draw sequences, budget is 10000000;")
+    # up to 8192 bits the space is still written out in decimal
+    with pytest.raises(EnumerationTooLarge) as exc:
+        exact_distribution(MechanismSpec.random_k(4096), p)
+    assert exc.value.required == 3**4096
+    assert f"needs {3**4096} draw sequences" in str(exc.value)
 
 
 def test_budget_override():

@@ -4,11 +4,18 @@ The driver tests steer it down every branch of its decision tree with
 scripted table-driven oracles, then re-validate each witness from scratch.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from impsel.core import MULTI, SINGLE, NominationProfile
-from impsel.exact import exact_distribution
-from impsel.mechanisms import MechanismSpec, majority_default_winner
+from impsel.core import MULTI, SINGLE, Deviation, NominationProfile
+from impsel.exact import (
+    EnumerationTooLarge,
+    WinnerDistribution,
+    exact_distribution,
+    expected_winner_degree,
+)
+from impsel.mechanisms import MechanismSpec, ModelMismatch, majority_default_winner, parse_mechanism
 from impsel.verify import (
     DEFAULT_CHECK_MAX_N,
     ORACLE_NAMES,
@@ -127,6 +134,71 @@ def test_callable_and_spec_subjects_agree():
 def test_majority_default_is_impartial_on_multi():
     oracle = named_oracle("majority-default-ext:0")
     assert check_impartial(oracle, 3, MULTI) == []
+
+
+def reference_engines(subject, n, model):
+    """``check_impartial`` and ``measure_additive_gap_exhaustive`` written out on
+    ``exact_distribution(method="sequences")``, or an oracle's point mass.
+
+    Deviations are visited in the engine's order: for each vertex u, every
+    profile where u makes its first choice, against each later choice of u.
+    """
+    profiles = list(iter_profiles(n, model))
+
+    def distribution(profile):
+        if callable(subject):
+            return WinnerDistribution.point_mass(n, subject(profile))
+        method = "sequences" if subject.is_randomized else "auto"
+        return exact_distribution(subject, profile, method=method)
+
+    dists = {profile: distribution(profile) for profile in profiles}
+    witnesses = []
+    for u in range(n):
+        choices = list(dict.fromkeys(profile.out[u] for profile in profiles))
+        for base in profiles:
+            if base.out[u] != choices[0]:
+                continue
+            p_a = dists[base].probability(u)
+            for choice in choices[1:]:
+                alt = base.apply_deviation(Deviation(u, choice))
+                p_b = dists[alt].probability(u)
+                if p_a != p_b:
+                    witnesses.append(Witness("impartiality_violation", base, alt, u, {"p_a": p_a, "p_b": p_b}))
+    gaps = [(profile.delta - expected_winner_degree(dists[profile], profile), profile) for profile in profiles]
+    alpha = max(gap for gap, _ in gaps)
+    worst = next(profile for gap, profile in gaps if gap == alpha)
+    return witnesses, alpha, worst
+
+
+ENGINE_CASES = (
+    [(f"random-k:{k}", SINGLE, n) for k in (1, 2, 3) for n in (3, 4, 5)]
+    + [(f"simple-k:{k}", model, n) for k in (1, 2) for model in (MULTI, SINGLE) for n in (3, 4)]
+    + [(mech, model, 3) for mech in ("fixed:0", "majority-default:0", "plurality") for model in (SINGLE, MULTI)]
+    + [("plurality", SINGLE, 4)]
+)
+
+
+@pytest.mark.parametrize("subject, model, n", ENGINE_CASES)
+def test_engines_match_the_sequences_reference(subject, model, n):
+    name = subject
+    subject = named_oracle(name) if name == "plurality" else parse_mechanism(name)
+    want_witnesses, want_alpha, want_worst = reference_engines(subject, n, model)
+    witnesses = check_impartial(subject, n, model)
+    alpha, worst = measure_additive_gap_exhaustive(subject, n, model)
+    assert witnesses == want_witnesses
+    assert bool(witnesses) == (name == "plurality")  # every mechanism here is impartial
+    assert all(type(w.detail["p_a"]) is type(w.detail["p_b"]) is Fraction for w in witnesses)
+    assert (alpha, worst) == (want_alpha, want_worst)
+    assert type(alpha) is Fraction
+
+
+@pytest.mark.parametrize("engine", [check_impartial, measure_additive_gap_exhaustive])
+def test_engines_refuse_before_enumerating(engine):
+    with pytest.raises(EnumerationTooLarge, match=r"^enumeration needs 9 draw sequences, budget is 8; "
+                       r"raise the budget or use Monte Carlo$"):
+        engine(MechanismSpec.random_k(2), 3, SINGLE, budget=8)
+    with pytest.raises(ModelMismatch, match="^random_k_sample is defined for the single model, profile is multi$"):
+        engine(MechanismSpec.random_k(1), 3, MULTI)
 
 
 # ---------------------------------------------------------------------------

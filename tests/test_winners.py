@@ -2,12 +2,18 @@
 
 The references follow the definitions in the ``impsel.mechanisms``
 docstring word for word and share no code with the rules under test.
+Each sample is also fed alone to the bitmask kernel
+``impsel.exact.winner_weights``, whose one unit of weight must land on the
+same winner.
 """
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
+import pytest
+
 from impsel.core import NominationProfile
+from impsel.exact import sample_space, winner_weights
 from impsel.mechanisms import multiset_winner, nominated_winner
 
 
@@ -63,14 +69,34 @@ def multisets(n, largest):
         yield from (Counter(c) for c in combinations_with_replacement(range(n), size))
 
 
+def kernel_winner(kind, profile, counts):
+    """The kernel's winner for one sample given as vertex -> multiplicity."""
+    members = tuple(sorted(counts))
+    if kind == "random_k_sample":
+        levels = (sum(1 << u for u in members),)
+    else:
+        levels = tuple(
+            sum(1 << u for u in members if counts[u] > j) for j in range(max(counts.values()))
+        )
+    weights, none_weight = winner_weights(kind, profile.out, [(members, levels, 1)])
+    assert sum(weights) + none_weight == 1
+    return None if none_weight else weights.index(1)
+
+
 def check(profile, sample_multisets, seen):
+    """Both rules and the kernel against the references; ``seen`` counts the
+    cases among the non-empty samples, the only ones the kernel gets."""
     for counts in sample_multisets:
         pool, winner, tie = reference_nominated(profile, counts)
         assert nominated_winner(profile, list(counts.elements())) == (pool, winner), (profile, counts)
-        seen["pool tie" if tie else "pool none" if winner is None else "pool"] += 1
+        if counts:
+            assert kernel_winner("random_k_sample", profile, counts) == winner, (profile, counts)
+            seen["pool tie" if tie else "pool none" if winner is None else "pool"] += 1
         winner, tie = reference_multiset(profile, counts)
         assert multiset_winner(profile, counts) == winner, (profile, counts)
-        seen["score tie" if tie else "score none" if winner is None else "score"] += 1
+        if counts:
+            assert kernel_winner("simple_k_sample", profile, counts) == winner, (profile, counts)
+            seen["score tie" if tie else "score none" if winner is None else "score"] += 1
 
 
 def test_every_single_profile_up_to_four_vertices():
@@ -90,3 +116,31 @@ def test_every_multi_profile_on_three_vertices():
     for profile in profiles:
         check(profile, multisets(3, 3), seen)
     assert set(seen) == {"pool", "pool tie", "pool none", "score", "score tie", "score none"}
+
+
+@pytest.mark.parametrize("kind", ["random_k_sample", "simple_k_sample"])
+def test_sample_space_weights_count_draw_sequences(kind):
+    """Every distinct sample once, weighted by the draw sequences that give it."""
+    for n in (2, 3, 4):
+        for k in (1, 2, 3, 4):
+            want = Counter(
+                frozenset(seq) if kind == "random_k_sample" else tuple(sorted(seq))
+                for seq in product(range(n), repeat=k)
+            )
+            got = Counter()
+            for members, levels, weight in sample_space(kind, n, k):
+                assert members == tuple(sorted(set(members)))
+                assert levels[0] == sum(1 << u for u in members)
+                if kind == "random_k_sample":
+                    assert len(levels) == 1
+                    key = frozenset(members)
+                else:
+                    key = tuple(sorted(u for u in members for level in levels if level >> u & 1))
+                assert key not in got
+                got[key] = weight
+            assert got == want, (n, k)
+
+
+def test_sample_space_refuses_deterministic_kinds():
+    with pytest.raises(ValueError, match="fixed_sample draws no samples"):
+        next(sample_space("fixed_sample", 3, 1))
