@@ -1,16 +1,19 @@
 """Exact winner distributions.
 
 Sampling mechanisms draw k times with replacement, so their randomness
-space is the n^k equally likely draw sequences.  Everything here works in
-exact rational arithmetic over that space.
+space is the n^k equally likely draw sequences.  Both enumeration routes
+return one shape, ``(weights list, no-winner weight)``: how many sequences
+each vertex wins, and how many nobody wins.  :func:`exact_distribution`
+alone divides them into a rational :class:`WinnerDistribution`; a
+deterministic mechanism gives the same shape, 0/1 weights over 1.
 
-Two enumeration routes are implemented and kept deliberately independent:
+The two routes are kept deliberately independent:
 
 * ``sequences`` walks all n^k draw sequences directly, the reference.
 * ``sets`` is the bitmask kernel :func:`winner_weights`, which the
   exhaustive engines call too.  It walks the distinct sample sets (or
-  multisets) of :func:`sample_space` and weights each by the number of
-  sequences that produce it: inclusion-exclusion
+  multisets) of :func:`sample_space` lazily and weights each by the
+  number of sequences that produce it: inclusion-exclusion
   sum_j (-1)^j C(t,j) (t-j)^k for a t-element set, k!/prod(m_i!) for a
   multiset with multiplicities m_i.
 
@@ -219,27 +222,14 @@ def winner_weights(kind: str, rows: Sequence[Sequence[int]], samples: Iterable[t
     return weights, none_weight
 
 
-def _by_samples(kind: str, profile: NominationProfile, k: int) -> tuple[Counter, int, int]:
-    weights, none_weight = winner_weights(kind, profile.out, sample_space(kind, profile.n, k))
-    return Counter({v: w for v, w in enumerate(weights) if w}), none_weight, profile.n**k
-
-
-def _random_k_by_sets(profile: NominationProfile, k: int) -> tuple[Counter, int, int]:
-    return _by_samples("random_k_sample", profile, k)
-
-
-def _simple_k_by_multisets(profile: NominationProfile, k: int) -> tuple[Counter, int, int]:
-    return _by_samples("simple_k_sample", profile, k)
-
-
-def _by_sequences(
-    spec: MechanismSpec, profile: NominationProfile, k: int, sample_of
-) -> tuple[Counter, int, int]:
-    """Walk all n^k draw sequences, applying the kind's winner rule once per
-    distinct ``sample_of(sequence)``."""
+def _by_sequences(spec: MechanismSpec, profile: NominationProfile, k: int) -> tuple[list[int], int]:
+    """Winning weight of each vertex, and the no-winner weight, over all n^k
+    draw sequences, applying the kind's winner rule once per distinct sample."""
     n = profile.n
     winner_of = KINDS[spec.kind].winner
-    counts: Counter[int] = Counter()
+    # random-k's winner depends on the set of draws, simple-k's on the multiset
+    sample_of = frozenset if spec.kind == "random_k_sample" else lambda seq: tuple(sorted(seq))
+    weights = [0] * n
     none_weight = 0
     cache: dict = {}
     for seq in itertools.product(range(n), repeat=k):
@@ -251,8 +241,8 @@ def _by_sequences(
         if winner is None:
             none_weight += 1
         else:
-            counts[winner] += 1
-    return counts, none_weight, n**k
+            weights[winner] += 1
+    return weights, none_weight
 
 
 def exact_distribution(
@@ -273,20 +263,20 @@ def exact_distribution(
     if method not in ("auto", "sequences", "sets"):
         raise ValueError(f"unknown method {method!r}")
     n = profile.n
-    if not spec.is_randomized:
-        return WinnerDistribution.point_mass(n, run_mechanism(spec, profile))
-    k = checked_sample_size(spec, n, profile.model, budget)
-    rks = spec.kind == "random_k_sample"
-    if method == "sequences":
-        # random-k's winner depends on the set of draws, simple-k's on the multiset
-        sample_of = frozenset if rks else lambda seq: tuple(sorted(seq))
-        counts, none_weight, total = _by_sequences(spec, profile, k, sample_of)
+    # a deterministic mechanism draws nothing: k = 0, one outcome
+    k = checked_sample_size(spec, n, profile.model, budget) if spec.is_randomized else 0
+    if k == 0:
+        winner = run_mechanism(spec, profile)
+        weights, none_weight = [int(v == winner) for v in range(n)], int(winner is None)
+    elif method == "sequences":
+        weights, none_weight = _by_sequences(spec, profile, k)
     else:
-        counts, none_weight, total = (_random_k_by_sets if rks else _simple_k_by_multisets)(profile, k)
-    assert none_weight + sum(counts.values()) == total
+        weights, none_weight = winner_weights(spec.kind, profile.out, sample_space(spec.kind, n, k))
+    total = n**k
+    assert none_weight + sum(weights) == total
     return WinnerDistribution(
         n,
-        {u: Fraction(c, total) for u, c in counts.items()},
+        {u: Fraction(w, total) for u, w in enumerate(weights) if w},
         Fraction(none_weight, total),
     )
 

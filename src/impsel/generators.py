@@ -172,7 +172,7 @@ class GeneratorSpec:
     params: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ValueError(
                 f"unknown family {self.family!r}; known: {', '.join(sorted(FAMILIES))}"
             )

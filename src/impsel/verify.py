@@ -6,8 +6,10 @@ Three engines share this module.
   every unilateral deviation, comparing the deviating vertex's own winning
   probability before and after, exactly.  An empty witness list is a proof
   over that domain, not a statistical claim.  It and the gap measurement
-  compare the integer weights of ``exact.winner_weights`` for a randomized
-  spec, building profiles and rationals only for what they return.
+  compare integer weights: ``exact.winner_weights`` over n^k for a
+  randomized spec, else a 0/1 winner at scale 1 (a deterministic spec or
+  an oracle, asked once per row tuple), building rationals only for what
+  they return.
 
 * ``check_strong_sample`` / ``check_sample_constant`` test sample
   functions g: a strong g is one no sample member can alter, and the
@@ -44,11 +46,10 @@ from .exact import (
     WinnerDistribution,
     checked_sample_size,
     exact_distribution,
-    expected_winner_degree,
     sample_space,
     winner_weights,
 )
-from .mechanisms import MechanismSpec, majority_default_winner, nominated_winner
+from .mechanisms import MechanismSpec, majority_default_winner, nominated_winner, run_mechanism
 
 __all__ = [
     "WITNESS_KINDS",
@@ -90,15 +91,16 @@ class ProfileSpaceTooLarge(ValueError):
     """Exhaustive iteration over this profile space was refused.
 
     ``count`` is the number of profiles that would have to be visited.
-    Pass an explicit ``max_n`` to override the default ceiling.
+    Pass a larger ``max_n`` to override the ceiling in force.
     """
 
-    def __init__(self, n: int, model: str, count: int):
+    def __init__(self, n: int, model: str, max_n: int | None):
+        self.count = profile_count(n, model)
+        ceiling = "the default ceiling" if max_n is None else f"the ceiling max_n={max_n}"
         super().__init__(
-            f"exhaustive check over {count} {model}-model profiles on {n} vertices "
-            f"exceeds the default ceiling; pass max_n={n} to allow it"
+            f"exhaustive check over {self.count} {model}-model profiles on {n} vertices "
+            f"exceeds {ceiling}; pass max_n={n} to allow it"
         )
-        self.count = count
 
 
 class EmptySampleError(ValueError):
@@ -179,44 +181,43 @@ def _require_space(n: int, model: str, max_n: int | None, defaults: dict) -> Non
         raise ValueError(f"need at least 2 vertices, got {n}")
     ceiling = max_n if max_n is not None else defaults[model]
     if n > ceiling:
-        raise ProfileSpaceTooLarge(n, model, profile_count(n, model))
+        raise ProfileSpaceTooLarge(n, model, max_n)
 
 
-def _subject_distribution(subject, profile: NominationProfile, budget: int) -> WinnerDistribution:
-    """Winner distribution of a MechanismSpec, or of an oracle callable.
+def _winner(answer, n: int) -> int | None:
+    """An oracle's answer, checked to be a vertex id below n or None."""
+    if answer is not None and (not isinstance(answer, int) or isinstance(answer, bool) or not 0 <= answer < n):
+        raise ValueError(f"oracle returned {answer!r}, expected a vertex id or None")
+    return answer
 
-    Oracles may return a winner vertex, None for no winner, or a full
-    WinnerDistribution.
-    """
-    if isinstance(subject, MechanismSpec):
-        return exact_distribution(subject, profile, budget=budget)
-    result = subject(profile)
-    if isinstance(result, WinnerDistribution):
-        if result.n != profile.n:
-            raise ValueError(f"oracle returned a distribution over {result.n} vertices, expected {profile.n}")
-        return result
-    if result is None:
-        return WinnerDistribution.point_mass(profile.n, None)
-    if not isinstance(result, int) or isinstance(result, bool) or not 0 <= result < profile.n:
-        raise ValueError(f"oracle returned {result!r}, expected a vertex id or None")
-    return WinnerDistribution.point_mass(profile.n, result)
+
+def _evaluate(subject, profile: NominationProfile, budget: int) -> list:
+    """Each vertex's winning probability under a MechanismSpec or an oracle: 0/1
+    ints for a winner vertex or None (no winner), rationals for a WinnerDistribution."""
+    if not isinstance(subject, MechanismSpec):
+        answer = subject(profile)
+    elif subject.is_randomized:
+        answer = exact_distribution(subject, profile, budget=budget)
+    else:
+        answer = run_mechanism(subject, profile)
+    if isinstance(answer, WinnerDistribution):
+        if answer.n != profile.n:
+            raise ValueError(f"oracle returned a distribution over {answer.n} vertices, expected {profile.n}")
+        return [answer.probability(v) for v in range(profile.n)]
+    winner = _winner(answer, profile.n)
+    return [int(v == winner) for v in range(profile.n)]
 
 
 def _subject_weights(subject, n: int, model: str, budget: int) -> tuple[Callable, int]:
     """``subject`` as a function from out-rows to weights, v winning with
     probability ``weights[v] / scale``: the kernel's integers over n^k for a
-    randomized spec, checked against model and budget once, else rationals.
+    randomized spec, checked against model and budget once, else ``_evaluate``.
     """
     if isinstance(subject, MechanismSpec) and subject.is_randomized:
         k = checked_sample_size(subject, n, model, budget)
         samples = tuple(sample_space(subject.kind, n, k))
         return (lambda rows: winner_weights(subject.kind, rows, samples)[0]), n**k
-
-    def weights(rows: tuple[tuple[int, ...], ...]) -> list[Fraction]:
-        dist = _subject_distribution(subject, NominationProfile(n, model, rows), budget)
-        return [dist.probability(v) for v in range(n)]
-
-    return weights, 1
+    return (lambda rows: _evaluate(subject, NominationProfile(n, model, rows), budget)), 1
 
 
 def check_impartial(
@@ -450,11 +451,7 @@ class _OracleCache:
             raise OracleNondeterministic(
                 f"oracle answered {first!r} then {second!r} on:\n{format_profile(profile)}"
             )
-        if first is not None and (
-            not isinstance(first, int) or isinstance(first, bool) or not 0 <= first < profile.n
-        ):
-            raise ValueError(f"oracle returned {first!r}, expected a vertex id or None")
-        self.memo[profile] = first
+        self.memo[profile] = _winner(first, profile.n)
         return first
 
 
@@ -668,15 +665,13 @@ def validate_witness(
             return False
         if not _differs_only_at(witness.profile_a, witness.profile_b, witness.vertex):
             return False
-        p_a = _subject_distribution(subject, witness.profile_a, budget).probability(witness.vertex)
-        p_b = _subject_distribution(subject, witness.profile_b, budget).probability(witness.vertex)
-        return p_a != p_b
+        p_a = _evaluate(subject, witness.profile_a, budget)[witness.vertex]
+        return _evaluate(subject, witness.profile_b, budget)[witness.vertex] != p_a
     if kind == "additivity_violation":
-        dist = _subject_distribution(subject, witness.profile_a, budget)
-        gap = Fraction(witness.profile_a.delta) - expected_winner_degree(dist, witness.profile_a)
-        return gap > 2
+        weights = _evaluate(subject, witness.profile_a, budget)
+        return witness.profile_a.delta - sum(map(mul, weights, witness.profile_a.in_degrees)) > 2
     if kind == "no_winner_violation":
-        return _subject_distribution(subject, witness.profile_a, budget).p_none == 1
+        return not any(_evaluate(subject, witness.profile_a, budget))
     if kind == "strong_sample_violation":
         if witness.profile_b is None or witness.vertex is None:
             return False

@@ -297,6 +297,14 @@ def _mechanism_texts():
     )
 
 
+def _run_fuzz(argv):
+    """The command exits 0, 1 or 2, and prints no traceback."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def fuzz_profiles(tmp_path_factory):
     """A profile file per (n, model), n in 2..6."""
@@ -326,10 +334,109 @@ def test_exact_and_verify_fuzz_exit_zero_one_or_two(fuzz_profiles, command, mech
         argv += ["--exact"] if command == "run" else []
     else:
         argv = ["verify", command, "--mech", mech, "--n", str(n), "--model", model]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(argv)
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in err.getvalue()
+    _run_fuzz(argv)
+
+
+def _small_mechanism_texts():
+    """Mechanism spellings with k at most 64: an explicit random-k k is drawn
+    k times per trial, however large."""
+    return st.one_of(
+        st.tuples(st.sampled_from(["random-k", "simple-k"]), st.integers(0, 64).map(str) | st.just("auto"))
+        .map(":".join),
+        st.lists(st.integers(0, 70), min_size=1, max_size=3).map(lambda vs: "fixed:" + ",".join(map(str, vs))),
+        st.integers(0, 70).map(lambda v: f"majority-default:{v}"),
+        st.sampled_from(["", "random-k", "fixed:", "majority-default:x", "nope:1"]),
+    )
+
+
+_SEEDS = st.integers(-(2**70), 2**70)
+
+
+def _mostly(valid, wrong):
+    """``valid`` seven times in eight, else ``wrong``."""
+    return st.sampled_from([True] * 7 + [False]).flatmap(lambda ok: valid if ok else wrong)
+
+
+def _valid_mechanism_texts():
+    """Mechanism spellings that parse, most of them valid on the profiles used here."""
+    sampled = st.tuples(st.sampled_from(["random-k", "simple-k"]), st.integers(1, 64).map(str) | st.just("auto"))
+    return sampled.map(":".join) | st.sampled_from(["fixed:0", "fixed:1,2", "majority-default:1"])
+
+
+@given(
+    _mostly(_valid_mechanism_texts(), _small_mechanism_texts()),
+    st.integers(2, 6),
+    st.sampled_from(MODELS),
+    _mostly(st.integers(1, 20), st.integers(-2, 0)),
+    _SEEDS,
+    st.sampled_from([[]] * 4 + [["--budget", "5"], ["--format", "json"], ["--exact"]]),
+)
+@settings(max_examples=60, deadline=None)
+def test_run_trials_fuzz_exit_zero_one_or_two(fuzz_profiles, mech, n, model, trials, seed, extra):
+    argv = ["run", "--mech", mech, "--profile", str(fuzz_profiles[n, model])]
+    _run_fuzz(argv + ["--trials", str(trials), "--seed", str(seed)] + extra)
+
+
+def _json_values():
+    """Values of every JSON type, for fields given the wrong one; integers stay
+    below 2, so no count they stand for grows."""
+    return st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 1), st.floats(allow_nan=True), st.text(max_size=4),
+        st.lists(st.integers(0, 5), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    )
+
+
+def _generators():
+    """A family with values for its required and some optional parameters;
+    sometimes an unknown family or parameter, or a value of the wrong type."""
+
+    def of(name):
+        family = FAMILIES[name]
+        values = {key: st.floats(0, 1) if key == "p" else st.integers(1, 8) for key in PARAMS}
+        values = {key: _mostly(value, _json_values()) for key, value in values.items()}
+        return st.fixed_dictionaries(
+            {"family": st.just(name), **{key: values[key] for key in family.required}},
+            optional={key: values[key] for key in sorted(family.params - family.required)},
+        )
+
+    family = st.sampled_from(sorted(FAMILIES) + ["bogus"]) | _json_values()
+    wrong = st.fixed_dictionaries({"family": family}, optional={"bogus": st.integers(1, 8)})
+    return _mostly(st.sampled_from(sorted(FAMILIES)).flatmap(of), wrong | _json_values())
+
+
+def _sweep_docs():
+    """Sweep configs covering every field, each mostly valid and sometimes of a
+    wrong type or value; now and then a field is dropped or an unknown one
+    added.  n <= 64, trials <= 20 and instances <= 3 keep every run small."""
+    mechanisms = st.lists(_mostly(_valid_mechanism_texts(), _small_mechanism_texts()), min_size=1, max_size=3)
+    fields = st.fixed_dictionaries({
+        "mechanisms": _mostly(mechanisms, _json_values()),
+        "generator": _generators(),
+        "n_values": _mostly(st.lists(st.integers(2, 64), min_size=1, max_size=3), _json_values()),
+        "trials": _mostly(st.integers(1, 20), _json_values()),
+        "master_seed": _mostly(_SEEDS, _json_values()),
+        "instances": _mostly(st.integers(1, 3), _json_values()),
+    })
+
+    def edit(doc, drop, extra):
+        doc = {key: value for key, value in doc.items() if key != drop}
+        return {**doc, "bogus": extra} if drop == "instances" else doc
+
+    # drop a required field, or the optional one and add an unknown field
+    drop = st.sampled_from([None] * 7 + ["mechanisms", "trials", "instances"])
+    return _mostly(st.builds(edit, fields, drop, _json_values()), _json_values())
+
+
+@given(
+    _sweep_docs(),
+    st.sampled_from([[], ["--jobs", "-1"], ["--jobs", "0"], ["--jobs", "1"]]),
+    st.sampled_from([[], ["--fit"], ["--format", "json"], ["--seed", "3"], ["--seed", str(-(2**70))]]),
+)
+@settings(max_examples=80, deadline=None)
+def test_sweep_fuzz_exit_zero_one_or_two(tmp_path_factory, doc, jobs, extra):
+    path = tmp_path_factory.mktemp("sweep") / "config.json"
+    path.write_text(json.dumps(doc))
+    _run_fuzz(["sweep", "--config", str(path)] + jobs + extra)
 
 
 def test_run_missing_profile_file(capsys):
@@ -407,6 +514,17 @@ def test_sweep_config_error_names_field(tmp_path, capsys):
     assert "/trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", [["star"], {"name": "star"}])
+def test_sweep_rejects_a_family_that_is_not_a_string(tmp_path, capsys, family):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"mechanisms": ["random-k:2"], "generator": {"family": family},
+                               "n_values": [4], "trials": 1, "master_seed": 0}))
+    assert main(["sweep", "--config", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: /generator: unknown family {family!r}; known: ")
+
+
 def test_sweep_output_file(sweep_config, tmp_path):
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--config", sweep_config, "--out", str(out)]) == 0
@@ -446,6 +564,19 @@ def test_verify_gap(capsys):
     assert main(["verify", "gap", "--mech", "fixed:0", "--n", "4"]) == 0
     out = capsys.readouterr().out
     assert "2" in out
+
+
+def test_verify_ceiling_message_names_the_ceiling_in_force(capsys):
+    assert main(["verify", "gap", "--mech", "random-k:2", "--n", "7"]) == 2
+    assert capsys.readouterr().err == (
+        "error: exhaustive check over 279936 single-model profiles on 7 vertices "
+        "exceeds the default ceiling; pass max_n=7 to allow it\n"
+    )
+    assert main(["verify", "gap", "--mech", "random-k:2", "--n", "3", "--max-n", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: exhaustive check over 8 single-model profiles on 3 vertices "
+        "exceeds the ceiling max_n=2; pass max_n=3 to allow it\n"
+    )
 
 
 def test_verify_mech_and_oracle_conflict():

@@ -4,6 +4,7 @@ The driver tests steer it down every branch of its decision tree with
 scripted table-driven oracles, then re-validate each witness from scratch.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from impsel.exact import (
     exact_distribution,
     expected_winner_degree,
 )
-from impsel.mechanisms import MechanismSpec, ModelMismatch, majority_default_winner, parse_mechanism
+from impsel.mechanisms import KINDS, MechanismSpec, ModelMismatch, majority_default_winner, parse_mechanism
 from impsel.verify import (
     DEFAULT_CHECK_MAX_N,
     ORACLE_NAMES,
@@ -92,6 +93,20 @@ def test_space_ceiling():
         check_strong_sample(SAMPLE_CATALOG["const-0"], 7, max_n=6)
     # an explicit ceiling unlocks the larger domain
     assert check_strong_sample(SAMPLE_CATALOG["const-0"], 6, max_n=6) == []
+
+
+@pytest.mark.parametrize("engine, n, count", [(check_impartial, 6, 5**6), (measure_additive_gap_exhaustive, 7, 6**7)])
+def test_space_ceiling_message_names_the_ceiling_in_force(engine, n, count):
+    with pytest.raises(ProfileSpaceTooLarge) as caught:
+        engine(MechanismSpec.random_k(2), n, SINGLE)
+    assert str(caught.value) == (f"exhaustive check over {count} single-model profiles on {n} vertices "
+                                 f"exceeds the default ceiling; pass max_n={n} to allow it")
+    assert caught.value.count == count
+    with pytest.raises(ProfileSpaceTooLarge) as caught:
+        engine(MechanismSpec.random_k(2), 3, SINGLE, max_n=2)
+    assert str(caught.value) == ("exhaustive check over 8 single-model profiles on 3 vertices "
+                                 "exceeds the ceiling max_n=2; pass max_n=3 to allow it")
+    assert caught.value.count == 8
 
 
 @pytest.mark.parametrize("engine", [check_impartial, measure_additive_gap_exhaustive])
@@ -464,6 +479,95 @@ def test_validate_rejects_gap_of_exactly_two():
     star = NominationProfile.single([1, 0, 0, 0])
     claim = Witness("additivity_violation", star, None, 1, {})
     assert not validate_witness(claim, table_oracle({star: 1}))
+
+
+TRI = NominationProfile.single([1, 2, 0])
+# the last answer is n itself, one past the last vertex id
+BAD_ANSWERS = [True, False, -1, "0", 1.0, (0,), lambda profile: profile.n]
+
+
+def _answer_check_calls(oracle):
+    """Every entry point that asks ``oracle`` about 3- or 4-vertex profiles."""
+    tri_b = TRI.apply_deviation(Deviation(0, (2,)))
+    return {
+        "check_impartial": lambda: check_impartial(oracle, 3, SINGLE),
+        "measure_additive_gap_exhaustive": lambda: measure_additive_gap_exhaustive(oracle, 3, SINGLE),
+        "refute_two_additive": lambda: refute_two_additive(oracle),
+        "validate impartiality": lambda: validate_witness(
+            Witness("impartiality_violation", TRI, tri_b, 0), oracle),
+        "validate additivity": lambda: validate_witness(Witness("additivity_violation", TRI), oracle),
+        "validate no winner": lambda: validate_witness(Witness("no_winner_violation", TRI), oracle),
+    }
+
+
+@pytest.mark.parametrize("answer", BAD_ANSWERS, ids=lambda answer: "n" if callable(answer) else repr(answer))
+def test_every_engine_rejects_an_answer_that_is_not_a_vertex_id(answer):
+    oracle = answer if callable(answer) else lambda profile: answer
+    for where, call in _answer_check_calls(oracle).items():
+        bad = (4 if where == "refute_two_additive" else 3) if callable(answer) else answer
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == f"oracle returned {bad!r}, expected a vertex id or None", where
+
+
+def test_every_engine_rejects_a_distribution_over_the_wrong_n():
+    wrong = WinnerDistribution.point_mass(2, 0)
+    for where, call in _answer_check_calls(lambda p: wrong).items():
+        with pytest.raises(ValueError) as caught:
+            call()
+        if where == "refute_two_additive":  # the refutation driver needs one winner, not a distribution
+            assert str(caught.value) == f"oracle returned {wrong!r}, expected a vertex id or None"
+        else:
+            assert str(caught.value) == "oracle returned a distribution over 2 vertices, expected 3", where
+
+
+def _half_least_degree(profile):
+    """A distribution-valued oracle: the least-id vertex of least in-degree
+    wins with probability 1/2, nobody otherwise."""
+    degs = profile.in_degrees
+    return WinnerDistribution(profile.n, {degs.index(min(degs)): Fraction(1, 2)}, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("model, n", [(SINGLE, 4), (MULTI, 3)])
+def test_validate_witness_matches_a_fraction_derivation(model, n):
+    """``validate_witness`` against ``exact_distribution`` and
+    ``expected_winner_degree``, on every profile and every one-vertex deviation."""
+    subjects = [parse_mechanism(m) for m in ("random-k:2", "simple-k:2", "fixed:0", "majority-default:0")]
+    subjects += [named_oracle("plurality"), _half_least_degree]
+    profiles = list(iter_profiles(n, model))
+    choices = [list(dict.fromkeys(p.out[u] for p in profiles)) for u in range(n)]
+    outcomes = Counter()
+    for subject in subjects:
+        if isinstance(subject, MechanismSpec):
+            if model not in KINDS[subject.kind].models:
+                continue
+            dists = {p: exact_distribution(subject, p) for p in profiles}
+        else:
+            dists = {p: subject(p) for p in profiles}
+            dists = {p: d if isinstance(d, WinnerDistribution) else WinnerDistribution.point_mass(n, d)
+                     for p, d in dists.items()}
+        for p in profiles:
+            got = validate_witness(Witness("additivity_violation", p), subject)
+            assert got == (p.delta - expected_winner_degree(dists[p], p) > 2)
+            outcomes["additivity", got] += 1
+            got = validate_witness(Witness("no_winner_violation", p), subject)
+            assert got == (dists[p].p_none == 1)
+            outcomes["no winner", got] += 1
+            for u in range(n):
+                for choice in choices[u]:
+                    if choice == p.out[u]:
+                        continue
+                    alt = p.apply_deviation(Deviation(u, choice))
+                    got = validate_witness(Witness("impartiality_violation", p, alt, u), subject)
+                    assert got == (dists[p].probability(u) != dists[alt].probability(u))
+                    outcomes["impartiality", got] += 1
+    # each witness kind is seen to hold and to fail, except where the model rules it out
+    want = {(kind, got) for kind in ("additivity", "no winner", "impartiality") for got in (True, False)}
+    if model == MULTI:
+        want.discard(("additivity", True))  # delta <= 2 on 3 vertices
+    else:
+        want.discard(("no winner", True))  # a single-model pool is never empty for these subjects
+    assert set(outcomes) == want
 
 
 def test_format_witness_is_readable():
