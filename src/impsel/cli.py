@@ -196,7 +196,7 @@ def cmd_verify_strong_sample(args) -> int:
             f"unknown sample function {args.g!r}; known: {', '.join(sorted(SAMPLE_CATALOG))}"
         ) from None
     witnesses = check_strong_sample(g, args.n, max_n=args.max_n)
-    return _report_witnesses(witnesses, f"{profile_count(args.n, 'single')} single profiles, n={args.n}")
+    return _report_witnesses(witnesses, f"{profile_count(args.n, SINGLE)} {SINGLE} profiles, n={args.n}")
 
 
 def cmd_verify_gap(args) -> int:

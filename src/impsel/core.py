@@ -7,10 +7,13 @@ vertex names exactly one other vertex; in the ``multi`` model a vertex may
 name any subset of the others, including nobody (abstention).  A profile
 where every vertex abstains is a perfectly valid multi-model profile.
 
-Profiles are immutable values.  Anything that "modifies" one, such as
-:meth:`NominationProfile.apply_deviation`, returns a new profile.
+This module is the one owner of those rules: ``out_degrees(model, n)``
+says what each model allows, and only ``NominationProfile`` checks a row.
 
-Vertices are ``0 .. n-1``.  Out-sets are stored sorted and deduplicated so
+Profiles are immutable values.  Anything that "modifies" one, such as
+``profile.apply_deviation(u, new_out)``, returns a new profile.
+
+Vertices are the ints ``0 .. n-1``.  Out-sets are stored sorted and deduplicated so
 equal graphs compare and hash equal regardless of construction order.
 """
 
@@ -24,10 +27,10 @@ __all__ = [
     "SINGLE",
     "MULTI",
     "MODELS",
+    "out_degrees",
     "PROFILE_MAGIC",
     "ModelViolation",
     "ProfileFormatError",
-    "Deviation",
     "NominationProfile",
     "parse_profile",
     "format_profile",
@@ -37,7 +40,9 @@ __all__ = [
 
 SINGLE = "single"
 MULTI = "multi"
-MODELS = (SINGLE, MULTI)
+#: The out-degrees each model allows a vertex of an n-vertex profile.
+_OUT_DEGREES = {SINGLE: lambda n: range(1, 2), MULTI: range}
+MODELS = tuple(_OUT_DEGREES)
 
 #: First line of every profile file; the trailing integer is a format version.
 PROFILE_MAGIC = "impsel 1"
@@ -46,8 +51,8 @@ PROFILE_MAGIC = "impsel 1"
 class ModelViolation(ValueError):
     """A graph breaks the structural rules of its declared model.
 
-    Raised for self-loops, out-of-range vertex ids, and single-model
-    profiles whose vertices do not have out-degree exactly one.
+    Raised for unknown models, self-loops, vertex ids that are not ints or
+    are out of range, and out-degrees the model does not allow.
     """
 
 
@@ -55,36 +60,28 @@ class ProfileFormatError(ValueError):
     """A profile file or string is syntactically malformed."""
 
 
-def _normalize_out(vertex: int, nominees: Iterable[int], n: int, model: str) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(v) for v in nominees)))
+def out_degrees(model: str, n: int) -> range:
+    """The out-degrees ``model`` allows a vertex of an n-vertex profile."""
+    if model not in MODELS:
+        raise ModelViolation(f"unknown model {model!r}")
+    return _OUT_DEGREES[model](n)
+
+
+def _normalize_out(vertex: int, nominees: Iterable[int], n: int, degrees: range) -> tuple[int, ...]:
+    row = tuple(nominees)
+    for v in row:
+        if type(v) is not int:
+            raise ModelViolation(f"vertex {vertex}: nominee {v!r} is not an int")
+    out = tuple(sorted(set(row)))
     for v in out:
         if not 0 <= v < n:
             raise ModelViolation(f"vertex {vertex}: nominee {v} out of range 0..{n - 1}")
     if vertex in out:
         raise ModelViolation(f"vertex {vertex}: self-loop is not allowed")
-    if model == SINGLE and len(out) != 1:
-        raise ModelViolation(
-            f"vertex {vertex}: single model requires out-degree exactly 1, got {len(out)}"
-        )
+    # a loop-free row in range fits multi's 0..n-1, so only single's {1} can fail
+    if len(out) not in degrees:
+        raise ModelViolation(f"vertex {vertex}: single model requires out-degree exactly 1, got {len(out)}")
     return out
-
-
-@dataclass(frozen=True)
-class Deviation:
-    """Replacement of one vertex's entire out-set.
-
-    ``new_out`` is normalized to a sorted, deduplicated tuple.  The deviating
-    vertex may never nominate itself.
-    """
-
-    vertex: int
-    new_out: tuple[int, ...]
-
-    def __init__(self, vertex: int, new_out: Iterable[int]):
-        object.__setattr__(self, "vertex", int(vertex))
-        object.__setattr__(self, "new_out", tuple(sorted(set(int(v) for v in new_out))))
-        if self.vertex in self.new_out:
-            raise ModelViolation(f"vertex {self.vertex}: self-loop is not allowed")
 
 
 @dataclass(frozen=True)
@@ -101,16 +98,15 @@ class NominationProfile:
     out: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ModelViolation(f"unknown model {self.model!r}")
-        if self.n < 2:
-            raise ModelViolation(f"need at least 2 vertices, got {self.n}")
-        if len(self.out) != self.n:
-            raise ModelViolation(f"out has {len(self.out)} entries for n={self.n}")
-        normalized = tuple(
-            _normalize_out(u, nominees, self.n, self.model)
-            for u, nominees in enumerate(self.out)
-        )
+        n = self.n
+        if type(n) is not int:
+            raise ModelViolation(f"vertex count {n!r} is not an int")
+        degrees = out_degrees(self.model, n)
+        if n < 2:
+            raise ModelViolation(f"need at least 2 vertices, got {n}")
+        if len(self.out) != n:
+            raise ModelViolation(f"out has {len(self.out)} entries for n={n}")
+        normalized = tuple(_normalize_out(u, nominees, n, degrees) for u, nominees in enumerate(self.out))
         object.__setattr__(self, "out", normalized)
 
     # ----- constructors -----
@@ -133,20 +129,6 @@ class NominationProfile:
             rows = [tuple(r) for r in out_sets]
             rows.extend(() for _ in range(n - len(rows)))
         return cls(n, MULTI, tuple(rows))
-
-    @classmethod
-    def from_edges(cls, n: int, model: str, edges: Iterable[tuple[int, int]]) -> "NominationProfile":
-        """Build from an edge list; duplicate edges are rejected."""
-        seen: set[tuple[int, int]] = set()
-        rows: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not 0 <= u < n:
-                raise ModelViolation(f"edge source {u} out of range 0..{n - 1}")
-            if (u, v) in seen:
-                raise ProfileFormatError(f"duplicate edge {u} -> {v}")
-            seen.add((u, v))
-            rows[u].append(v)
-        return cls(n, model, tuple(tuple(r) for r in rows))
 
     # ----- queries -----
 
@@ -171,28 +153,6 @@ class NominationProfile:
             raise ModelViolation("single_nominees is defined for the single model only")
         return tuple(row[0] for row in self.out)
 
-    def in_degree(self, u: int, frm: Iterable[int] | Mapping[int, int] | None = None) -> int:
-        """Number of nominations ``u`` receives from ``frm``.
-
-        ``frm`` may be ``None`` (all vertices), an iterable of vertex ids
-        where repeats count as multiplicity, or a mapping vertex -> count.
-        """
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range 0..{self.n - 1}")
-        if frm is None:
-            return self.in_degrees[u]
-        if isinstance(frm, Mapping):
-            pairs: Iterable[tuple[int, int]] = frm.items()
-        else:
-            pairs = ((s, 1) for s in frm)
-        total = 0
-        for s, mult in pairs:
-            if not 0 <= s < self.n:
-                raise ValueError(f"vertex {s} out of range 0..{self.n - 1}")
-            if u in self.out[s]:
-                total += mult
-        return total
-
     def max_degree(self) -> tuple[int, tuple[int, ...]]:
         """Return ``(delta, argmax)`` with the argmax vertices in ascending order.
 
@@ -202,10 +162,6 @@ class NominationProfile:
         degs = self.in_degrees
         top = max(degs)
         return top, tuple(u for u, d in enumerate(degs) if d == top)
-
-    @property
-    def top_vertex(self) -> int:
-        return self.max_degree()[1][0]
 
     def edges(self) -> Iterable[tuple[int, int]]:
         """Yield edges in sorted ``(u, v)`` order."""
@@ -219,13 +175,12 @@ class NominationProfile:
 
     # ----- deviations -----
 
-    def apply_deviation(self, deviation: Deviation) -> "NominationProfile":
-        """Return the profile where ``deviation.vertex`` replaced its out-set."""
-        u = deviation.vertex
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range 0..{self.n - 1}")
+    def apply_deviation(self, u: int, new_out: Iterable[int]) -> "NominationProfile":
+        """Return the profile where vertex ``u`` replaced its out-set with ``new_out``."""
+        if type(u) is not int or not 0 <= u < self.n:
+            raise ValueError(f"vertex {u!r} out of range 0..{self.n - 1}")
         rows = list(self.out)
-        rows[u] = deviation.new_out
+        rows[u] = new_out
         return NominationProfile(self.n, self.model, tuple(rows))
 
 
@@ -279,8 +234,7 @@ def parse_profile(text: str) -> NominationProfile:
     except ValueError:
         raise ProfileFormatError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
 
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    rows: dict[int, set[int]] = {}  # by source, in file order
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
@@ -289,12 +243,15 @@ def parse_profile(text: str) -> NominationProfile:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ProfileFormatError(f"line {lineno}: edge endpoints must be integers") from None
-        if (u, v) in seen:
+        row = rows.setdefault(u, set())
+        if v in row:
             raise ProfileFormatError(f"line {lineno}: duplicate edge {u} -> {v}")
-        seen.add((u, v))
-        edges.append((u, v))
-
-    return NominationProfile.from_edges(n, model, edges)
+        row.add(v)
+    # only now, so a duplicate or bad line anywhere wins over a bad source
+    for u in rows:
+        if not 0 <= u < n:
+            raise ModelViolation(f"edge source {u} out of range 0..{n - 1}")
+    return NominationProfile(n, model, tuple(rows.get(u, ()) for u in range(n)))
 
 
 def format_profile(profile: NominationProfile) -> str:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,9 +38,9 @@ from operator import mul
 from .core import (
     MULTI,
     SINGLE,
-    Deviation,
     NominationProfile,
     format_profile,
+    out_degrees,
 )
 from .exact import (
     DEFAULT_SEQUENCE_BUDGET,
@@ -133,13 +134,9 @@ class Witness:
 
 
 def _vertex_choices(n: int, u: int, model: str) -> list[tuple[int, ...]]:
-    """Every out-set vertex u may have: one other vertex, or any subset of them."""
+    """Every out-set ``model`` allows vertex u, smallest out-sets first."""
     others = [v for v in range(n) if v != u]
-    if model == SINGLE:
-        return [(v,) for v in others]
-    if model == MULTI:
-        return [c for r in range(n) for c in itertools.combinations(others, r)]
-    raise ValueError(f"unknown model {model!r}")
+    return [c for r in out_degrees(model, n) for c in itertools.combinations(others, r)]
 
 
 def _profile_rows(n: int, model: str) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -167,11 +164,8 @@ def iter_multi_profiles(n: int) -> Iterator[NominationProfile]:
 
 
 def profile_count(n: int, model: str) -> int:
-    if model == SINGLE:
-        return (n - 1) ** n
-    if model == MULTI:
-        return 2 ** (n * (n - 1))
-    raise ValueError(f"unknown model {model!r}")
+    """Number of n-vertex profiles of ``model``: each vertex picks an allowed out-set."""
+    return sum(math.comb(n - 1, r) for r in out_degrees(model, n)) ** n
 
 
 def _require_space(n: int, model: str, max_n: int | None, defaults: dict) -> None:
@@ -288,7 +282,7 @@ def check_strong_sample(
             for alt in range(n):
                 if alt == u or alt == current:
                     continue
-                deviated = profile.apply_deviation(Deviation(u, (alt,)))
+                deviated = profile.apply_deviation(u, (alt,))
                 new_sample = _sample_of(g, deviated)
                 if new_sample != sample:
                     witnesses.append(

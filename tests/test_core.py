@@ -1,17 +1,18 @@
-"""Profile construction, degree queries, deviations, and the file format."""
+"""Profile construction, model rules, degree queries, deviations, and the file format."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from impsel.core import (
+    MODELS,
     MULTI,
     SINGLE,
-    Deviation,
     ModelViolation,
     NominationProfile,
     ProfileFormatError,
     format_profile,
     load_profile,
+    out_degrees,
     parse_profile,
     save_profile,
 )
@@ -92,9 +93,31 @@ def test_multi_accepts_mapping_with_abstainers():
     assert p.out == ((1, 2), (), (), (0,))
 
 
-def test_from_edges_rejects_duplicates():
-    with pytest.raises(ProfileFormatError):
-        NominationProfile.from_edges(3, MULTI, [(0, 1), (0, 1)])
+def test_out_degrees_per_model():
+    assert MODELS == (SINGLE, MULTI)
+    assert out_degrees(SINGLE, 5) == range(1, 2)
+    assert out_degrees(MULTI, 5) == range(5)
+    with pytest.raises(ModelViolation, match="^unknown model 'plural'$"):
+        out_degrees("plural", 5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: NominationProfile.single([1.5, 0]),
+        lambda: NominationProfile.single([True, 0]),
+        lambda: NominationProfile.multi(3, ["12"]),
+        lambda: NominationProfile.multi(3, [(1.0,)]),
+        # True equals 1, so a set would quietly fold it into the int nominee
+        lambda: NominationProfile(3, MULTI, [(1, True), (), ()]),
+        lambda: NominationProfile(3.0, SINGLE, [(1,), (2,), (0,)]),
+        lambda: NominationProfile(True, MULTI, [()]),
+        lambda: NominationProfile("3", MULTI, [(), (), ()]),
+    ],
+)
+def test_non_int_ids_are_rejected(build):
+    with pytest.raises(ModelViolation, match="is not an int$"):
+        build()
 
 
 def test_equality_ignores_input_order():
@@ -112,7 +135,7 @@ def test_in_degrees_counts_nominations():
     p = NominationProfile.single([2, 2, 0])
     assert p.in_degrees == (1, 0, 2)
     assert p.delta == 2
-    assert p.top_vertex == 2
+    assert p.max_degree() == (2, (2,))
 
 
 def test_max_degree_breaks_ties_by_vertex_id():
@@ -120,7 +143,6 @@ def test_max_degree_breaks_ties_by_vertex_id():
     delta, argmax = p.max_degree()
     assert delta == 1
     assert argmax == (0, 1)
-    assert p.top_vertex == 0
 
 
 def test_edgeless_multi_profile():
@@ -128,28 +150,6 @@ def test_edgeless_multi_profile():
     assert p.delta == 0
     assert p.edge_count == 0
     assert p.max_degree() == (0, (0, 1, 2))
-
-
-def test_in_degree_from_subset():
-    p = NominationProfile.single([2, 2, 0])
-    assert p.in_degree(2) == 2
-    assert p.in_degree(2, frm=[0]) == 1
-    assert p.in_degree(2, frm=[0, 1]) == 2
-    assert p.in_degree(0, frm=[1]) == 0
-
-
-def test_in_degree_multiplicity():
-    p = NominationProfile.single([2, 2, 0])
-    assert p.in_degree(2, frm=[0, 0, 1]) == 3
-    assert p.in_degree(2, frm={0: 3}) == 3
-
-
-def test_in_degree_range_checks():
-    p = NominationProfile.single([1, 0])
-    with pytest.raises(ValueError):
-        p.in_degree(2)
-    with pytest.raises(ValueError):
-        p.in_degree(0, frm=[5])
 
 
 def test_edges_sorted():
@@ -164,34 +164,37 @@ def test_edges_sorted():
 
 def test_apply_deviation_returns_new_profile():
     p = NominationProfile.single([1, 2, 0])
-    q = p.apply_deviation(Deviation(0, (2,)))
+    q = p.apply_deviation(0, (2,))
     assert q.out[0] == (2,)
     assert p.out[0] == (1,)
     assert q.out[1:] == p.out[1:]
 
 
 def test_deviation_normalizes_and_rejects_self_loop():
-    d = Deviation(1, [3, 0, 3])
-    assert d.new_out == (0, 3)
-    with pytest.raises(ModelViolation):
-        Deviation(1, [1])
+    p = NominationProfile.multi(4)
+    assert p.apply_deviation(1, [3, 0, 3]).out[1] == (0, 3)
+    with pytest.raises(ModelViolation, match="^vertex 1: self-loop is not allowed$"):
+        p.apply_deviation(1, [1])
 
 
 def test_deviation_must_respect_model():
     p = NominationProfile.single([1, 2, 0])
     with pytest.raises(ModelViolation):
-        p.apply_deviation(Deviation(0, ()))
+        p.apply_deviation(0, ())
     with pytest.raises(ModelViolation):
-        p.apply_deviation(Deviation(0, (1, 2)))
-    with pytest.raises(ValueError):
-        p.apply_deviation(Deviation(7, (1,)))
+        p.apply_deviation(0, (1, 2))
+    with pytest.raises(ModelViolation, match="is not an int$"):
+        p.apply_deviation(0, (1.0,))
+    for u in (7, -1, True, 1.0):
+        with pytest.raises(ValueError, match="out of range 0..2$"):
+            p.apply_deviation(u, (1,))
 
 
 @given(multi_profiles())
 def test_deviation_round_trip(p):
     for u in range(p.n):
-        swapped = p.apply_deviation(Deviation(u, ()))
-        restored = swapped.apply_deviation(Deviation(u, p.out[u]))
+        swapped = p.apply_deviation(u, ())
+        restored = swapped.apply_deviation(u, p.out[u])
         assert restored == p
 
 
@@ -257,6 +260,16 @@ def test_parse_reports_line_numbers():
     assert "line 5" in str(exc.value)
 
 
+def test_parse_rejects_duplicate_edge_with_its_line():
+    with pytest.raises(ProfileFormatError, match="^line 6: duplicate edge 0 -> 1$"):
+        parse_profile("impsel 1\nmodel multi\nn 3\n0 1\n0 2\n0 1\n")
+    # a duplicate anywhere is reported before an out-of-range source
+    with pytest.raises(ProfileFormatError, match="^line 6: duplicate edge 1 -> 0$"):
+        parse_profile("impsel 1\nmodel multi\nn 3\n7 0\n1 0\n1 0\n")
+    with pytest.raises(ModelViolation, match="^edge source 7 out of range 0..2$"):
+        parse_profile("impsel 1\nmodel multi\nn 3\n1 0\n7 0\n9 0\n")
+
+
 def _declares_no_vertex_count(text):
     """True unless some line of ``text`` reads as an 'n <count>' line; only the
     strategy below declares n, so every declared n stays small."""
@@ -288,6 +301,91 @@ def test_parse_fuzz_raises_only_format_or_model_errors(text):
         pass
 
 
+def _two_pass_parse(text):
+    """Reference parse in two passes: every line is checked and collected into
+    an edge list first, and only then are the edges' sources checked, in file
+    order, while the rows are built."""
+    content = ((no, raw.strip()) for no, raw in enumerate(text.splitlines(), start=1))
+    lines = iter([(no, line) for no, line in content if line and not line.startswith("#")])
+
+    def next_line(what):
+        for item in lines:
+            return item
+        raise ProfileFormatError(f"unexpected end of input, expected {what}")
+
+    no, magic = next_line("magic line")
+    if magic != "impsel 1":
+        raise ProfileFormatError(f"line {no}: expected 'impsel 1', got {magic!r}")
+    no, line = next_line("model line")
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "model":
+        raise ProfileFormatError(f"line {no}: expected 'model single|multi'")
+    if parts[1] not in MODELS:
+        raise ProfileFormatError(f"line {no}: unknown model {parts[1]!r}")
+    model = parts[1]
+    no, line = next_line("vertex count line")
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "n":
+        raise ProfileFormatError(f"line {no}: expected 'n <count>'")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise ProfileFormatError(f"line {no}: vertex count {parts[1]!r} is not an integer") from None
+    edges = []
+    for no, line in lines:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ProfileFormatError(f"line {no}: expected '<from> <to>', got {line!r}")
+        try:
+            edge = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise ProfileFormatError(f"line {no}: edge endpoints must be integers") from None
+        if edge in edges:
+            raise ProfileFormatError(f"line {no}: duplicate edge {edge[0]} -> {edge[1]}")
+        edges.append(edge)
+    rows = [[] for _ in range(n)]
+    for u, v in edges:
+        if not 0 <= u < n:
+            raise ModelViolation(f"edge source {u} out of range 0..{n - 1}")
+        rows[u].append(v)
+    return NominationProfile(n, model, tuple(map(tuple, rows)))
+
+
+@st.composite
+def _faulty_profile_texts(draw):
+    """A valid profile's text, reordered, with a few faults that may occur
+    together: duplicates, out-of-range sources and targets, junk lines, a
+    dropped line and a wrong vertex count."""
+    p = draw(st.one_of(single_profiles(2, 5), multi_profiles(2, 4)))
+    n = p.n + draw(st.sampled_from([0, 0, 0, -1, 1, -p.n]))
+    lines = list(draw(st.permutations([f"{u} {v}" for u, v in p.edges()])))
+    pair = "{0[0]} {0[1]}".format
+    faults = st.one_of(
+        st.sampled_from(lines or ["0 1"]),
+        st.tuples(st.sampled_from([-1, n, n + 3]), st.integers(-1, n)).map(pair),
+        st.tuples(st.integers(-1, n), st.sampled_from([-1, n])).map(pair),
+        st.sampled_from(["0 x", "1 2 3", "# note", "", "zap"]),
+    )
+    for fault in draw(st.lists(faults, max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    if lines and draw(st.integers(0, 4)) == 0:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(["impsel 1", f"model {p.model}", f"n {n}", *lines]) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ProfileFormatError, ModelViolation) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.one_of(_faulty_profile_texts(), _profile_texts))
+@settings(max_examples=400)
+def test_parse_matches_the_two_pass_reference(text):
+    assert _outcome(parse_profile, text) == _outcome(_two_pass_parse, text)
+
+
 def test_save_and_load(tmp_path):
     p = NominationProfile.single([3, 0, 0, 1])
     path = tmp_path / "profile.txt"
@@ -310,11 +408,3 @@ def test_text_round_trip_multi(p):
 @given(multi_profiles())
 def test_degree_totals_match_edge_count(p):
     assert sum(p.in_degrees) == p.edge_count
-
-
-@given(multi_profiles(), st.data())
-def test_degree_partition_is_additive(p, data):
-    subset = data.draw(st.sets(st.integers(0, p.n - 1)))
-    rest = [v for v in range(p.n) if v not in subset]
-    for u in range(p.n):
-        assert p.in_degree(u) == p.in_degree(u, frm=subset) + p.in_degree(u, frm=rest)

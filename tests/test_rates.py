@@ -1,0 +1,78 @@
+"""Exact closed forms for the gap on the star and bound-stress families.
+
+On ``fixed-sample-adversary`` with v = 0 (the star: every vertex nominates
+0, and 0 nominates 1) both sampling rules behave alike: if 0 is not drawn
+it wins; if 0 is drawn but 1 is not, 1 wins; if both are drawn nobody
+does.  With a = (1 - 1/n)^k and b = (1 - 2/n)^k the gap delta - E[winner
+degree] is therefore (n-1)(1-a) - (a-b), and the star attains the random-k
+rate Theta(sqrt n) at the default k.
+
+On ``bound-stress`` the gap is (delta-1)(1 - pr_top_in_nominated) whenever
+some vertex always wins, which holds when k < n - delta + 1, the length of
+the chain's cycle.  At the default k it grows only like n^(1/3), which is
+why acceptance criterion C4's pinned window [0.35, 0.65] stays red: the
+family picks the delta where the guarantee is tightest, not where the
+mechanism is worst.  The closed forms live here as test oracles.
+"""
+
+import math
+import statistics
+from fractions import Fraction
+
+import pytest
+
+from impsel.exact import exact_distribution, expected_winner_degree, pr_top_in_nominated
+from impsel.generators import gen_bound_stress, gen_fixed_sample_adversary
+from impsel.mechanisms import MechanismSpec, resolve_k, rks_gap_lower_bound, rks_worst_delta
+
+C4_N_VALUES = (64, 128, 256, 512, 1024, 2048, 4096)
+SMALL_CASES = [(n, k) for n in range(3, 13) for k in range(1, 6) if n**k <= 10**6]
+
+
+def star_gap(n, k):
+    a = Fraction(n - 1, n) ** k
+    b = Fraction(n - 2, n) ** k
+    return (n - 1) * (1 - a) - (a - b)
+
+
+def bound_stress_gap(n, k):
+    delta = rks_worst_delta(n, k)
+    return (delta - 1) * (1 - pr_top_in_nominated(n, k, delta))
+
+
+def enumerated_gap(spec, profile):
+    return profile.delta - expected_winner_degree(exact_distribution(spec, profile), profile)
+
+
+def log_log_slope(gap, n_values):
+    """Least-squares slope of ln(gap) against ln(n) at the default random-k k."""
+    points = [(math.log(n), math.log(gap(n, resolve_k(MechanismSpec.random_k(), n)))) for n in n_values]
+    return statistics.linear_regression(*zip(*points)).slope
+
+
+@pytest.mark.parametrize("make", [MechanismSpec.random_k, MechanismSpec.simple_k])
+def test_star_gap_matches_enumeration(make):
+    assert len(SMALL_CASES) == 50
+    for n, k in SMALL_CASES:
+        spec = make(k)
+        assert enumerated_gap(spec, gen_fixed_sample_adversary(n, 0)) == star_gap(n, resolve_k(spec, n)), (n, k)
+
+
+def test_bound_stress_gap_matches_enumeration_while_someone_always_wins():
+    checked = 0
+    for n, k in SMALL_CASES:
+        if k < n - rks_worst_delta(n, k) + 1:
+            assert enumerated_gap(MechanismSpec.random_k(k), gen_bound_stress(n, k)) == bound_stress_gap(n, k), (n, k)
+            checked += 1
+    assert checked == 21
+
+
+def test_star_shows_the_sqrt_rate_under_its_guarantee():
+    assert 0.35 <= log_log_slope(star_gap, C4_N_VALUES) <= 0.65
+    for n in C4_N_VALUES:
+        k = resolve_k(MechanismSpec.random_k(), n)
+        assert 0 < star_gap(n, k) < rks_gap_lower_bound(n, k)
+
+
+def test_bound_stress_slope_explains_c4():
+    assert log_log_slope(bound_stress_gap, C4_N_VALUES) == pytest.approx(0.3231, abs=1e-4)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import impsel
+from impsel.core import MODELS
 from impsel.generators import FAMILIES
 
 SOURCES = sorted(Path(impsel.__file__).parent.glob("*.py"))
@@ -84,3 +85,18 @@ def test_family_names_are_spelled_only_in_generators():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 found = family_name.search(node.value)
                 assert not found, f"{name}.py:{node.lineno} spells family {found.group()!r}"
+
+
+def test_only_core_branches_on_a_model():
+    def names_a_model(node):
+        return (isinstance(node, ast.Name) and node.id in ("SINGLE", "MULTI")) or (
+            isinstance(node, ast.Constant) and node.value in MODELS
+        )
+
+    for name, tree in _trees().items():
+        if name == "core":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                assert not any(map(names_a_model, operands)), f"{name}.py:{node.lineno} compares with a model"

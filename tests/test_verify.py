@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from impsel.core import MULTI, SINGLE, Deviation, NominationProfile
+from impsel.core import MULTI, SINGLE, NominationProfile
 from impsel.exact import (
     EnumerationTooLarge,
     WinnerDistribution,
@@ -64,6 +64,18 @@ def test_profile_counts():
     assert profile_count(4, SINGLE) == 81
     assert profile_count(3, MULTI) == 64
     assert profile_count(4, MULTI) == 4096
+    for n in range(1, 9):
+        assert profile_count(n, SINGLE) == (n - 1) ** n
+        assert profile_count(n, MULTI) == 2 ** (n * (n - 1))
+
+
+def test_iteration_order():
+    singles = [p.single_nominees for p in iter_profiles(3, SINGLE)]
+    assert singles == sorted(singles) and singles[0] == (1, 0, 0)
+    multis = [p.out for p in iter_profiles(3, MULTI)]
+    assert multis[0] == ((), (), ()) and multis[-1] == ((1, 2), (0, 2), (0, 1))
+    # the last vertex's out-set varies fastest, smallest out-sets first
+    assert [out[2] for out in multis[:4]] == [(), (0,), (1,), (0, 1)]
 
 
 def test_iterators_match_counts_and_are_unique():
@@ -175,7 +187,7 @@ def reference_engines(subject, n, model):
                 continue
             p_a = dists[base].probability(u)
             for choice in choices[1:]:
-                alt = base.apply_deviation(Deviation(u, choice))
+                alt = base.apply_deviation(u, choice)
                 p_b = dists[alt].probability(u)
                 if p_a != p_b:
                     witnesses.append(Witness("impartiality_violation", base, alt, u, {"p_a": p_a, "p_b": p_b}))
@@ -488,7 +500,7 @@ BAD_ANSWERS = [True, False, -1, "0", 1.0, (0,), lambda profile: profile.n]
 
 def _answer_check_calls(oracle):
     """Every entry point that asks ``oracle`` about 3- or 4-vertex profiles."""
-    tri_b = TRI.apply_deviation(Deviation(0, (2,)))
+    tri_b = TRI.apply_deviation(0, (2,))
     return {
         "check_impartial": lambda: check_impartial(oracle, 3, SINGLE),
         "measure_additive_gap_exhaustive": lambda: measure_additive_gap_exhaustive(oracle, 3, SINGLE),
@@ -557,7 +569,7 @@ def test_validate_witness_matches_a_fraction_derivation(model, n):
                 for choice in choices[u]:
                     if choice == p.out[u]:
                         continue
-                    alt = p.apply_deviation(Deviation(u, choice))
+                    alt = p.apply_deviation(u, choice)
                     got = validate_witness(Witness("impartiality_violation", p, alt, u), subject)
                     assert got == (dists[p].probability(u) != dists[alt].probability(u))
                     outcomes["impartiality", got] += 1
