@@ -60,13 +60,17 @@ def _load_subject(args) -> "MechanismSpec | object":
     return named_oracle(args.oracle)
 
 
-def _exact(spec, profile, args):
-    """exact_distribution under --budget and --method, which a deterministic mechanism refuses."""
-    method = getattr(args, "method", "auto")
-    if not spec.is_randomized and (args.budget is not None or method != "auto"):
-        raise ValueError(f"{spec.label()} is deterministic; it takes neither --budget nor --method")
-    budget = DEFAULT_SEQUENCE_BUDGET if args.budget is None else args.budget
-    return exact_distribution(spec, profile, budget=budget, method=method)
+def _budget(subject, args) -> int:
+    """--budget, else the default.  Only a randomized mechanism enumerates, so
+    any other subject refuses --budget, and in run and exact a --method too."""
+    if isinstance(subject, MechanismSpec) and subject.is_randomized:
+        return DEFAULT_SEQUENCE_BUDGET if args.budget is None else args.budget
+    label = getattr(args, "oracle", None) or subject.label()
+    if args.command == "verify" and args.budget is not None:
+        raise ValueError(f"{label} is deterministic; it takes no --budget")
+    if args.command != "verify" and (args.budget is not None or getattr(args, "method", "auto") != "auto"):
+        raise ValueError(f"{label} is deterministic; it takes neither --budget nor --method")
+    return DEFAULT_SEQUENCE_BUDGET
 
 
 def cmd_gen(args) -> int:
@@ -82,7 +86,7 @@ def cmd_run(args) -> int:
     if args.exact:
         if args.trials is not None or args.seed is not None:
             raise ValueError("--exact enumerates every draw; it takes neither --trials nor --seed")
-        dist = _exact(spec, profile, args)
+        dist = exact_distribution(spec, profile, budget=_budget(spec, args))
         mean = expected_winner_degree(dist, profile)
         result = {
             "mechanism": spec.label(),
@@ -112,7 +116,7 @@ def cmd_run(args) -> int:
 def cmd_exact(args) -> int:
     spec = parse_mechanism(args.mech)
     profile = load_profile(args.profile)
-    dist = _exact(spec, profile, args)
+    dist = exact_distribution(spec, profile, budget=_budget(spec, args), method=args.method)
     mean = expected_winner_degree(dist, profile)
     delta = profile.delta
     doc = dist.to_json_dict()
@@ -149,9 +153,7 @@ def cmd_exact(args) -> int:
 def cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if args.seed is not None:
-        if not isinstance(doc, dict):
-            raise ValueError("/: config must be a JSON object")
+    if args.seed is not None and isinstance(doc, dict):
         doc["master_seed"] = args.seed
     config = SweepConfig.from_json_dict(doc)
     rows = sweep(config, jobs=args.jobs)
@@ -180,9 +182,7 @@ def _report_witnesses(witnesses, domain: str) -> int:
 
 def cmd_verify_impartial(args) -> int:
     subject = _load_subject(args)
-    witnesses = check_impartial(
-        subject, args.n, args.model, budget=args.budget, max_n=args.max_n
-    )
+    witnesses = check_impartial(subject, args.n, args.model, budget=_budget(subject, args), max_n=args.max_n)
     return _report_witnesses(
         witnesses, f"{profile_count(args.n, args.model)} {args.model} profiles, n={args.n}"
     )
@@ -202,7 +202,7 @@ def cmd_verify_strong_sample(args) -> int:
 def cmd_verify_gap(args) -> int:
     subject = _load_subject(args)
     alpha, worst = measure_additive_gap_exhaustive(
-        subject, args.n, args.model, budget=args.budget, max_n=args.max_n
+        subject, args.n, args.model, budget=_budget(subject, args), max_n=args.max_n
     )
     print(f"alpha={alpha}")
     print("worst profile:")
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--oracle")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--model", choices=MODELS, default=SINGLE)
-        p.add_argument("--budget", type=int, default=DEFAULT_SEQUENCE_BUDGET)
+        p.add_argument("--budget", type=int)
         p.add_argument("--max-n", type=int, dest="max_n")
 
     add_subject_flags(command(vsub, "impartial", cmd_verify_impartial, "exhaustive impartiality check"))

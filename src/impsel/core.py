@@ -67,6 +67,12 @@ def out_degrees(model: str, n: int) -> range:
     return _OUT_DEGREES[model](n)
 
 
+def _vertex_count(n) -> int:
+    if type(n) is not int:
+        raise ModelViolation(f"vertex count {n!r} is not an int")
+    return n
+
+
 def _normalize_out(vertex: int, nominees: Iterable[int], n: int, degrees: range) -> tuple[int, ...]:
     row = tuple(nominees)
     for v in row:
@@ -98,9 +104,7 @@ class NominationProfile:
     out: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = self.n
-        if type(n) is not int:
-            raise ModelViolation(f"vertex count {n!r} is not an int")
+        n = _vertex_count(self.n)
         degrees = out_degrees(self.model, n)
         if n < 2:
             raise ModelViolation(f"need at least 2 vertices, got {n}")
@@ -123,6 +127,7 @@ class NominationProfile:
         out_sets: Mapping[int, Iterable[int]] | Sequence[Iterable[int]] = (),
     ) -> "NominationProfile":
         """Build a multi-model profile; vertices missing from ``out_sets`` abstain."""
+        n = _vertex_count(n)  # before the padding needs it
         if isinstance(out_sets, Mapping):
             rows = [tuple(out_sets.get(u, ())) for u in range(n)]
         else:

@@ -46,6 +46,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import MODELS, SINGLE, NominationProfile
 
@@ -187,9 +188,10 @@ class ModelMismatch(ValueError):
 class MechanismSpec:
     """Which mechanism to run, plus its parameters.
 
-    Exactly the parameters relevant to ``kind`` are set; the constructors
-    below enforce that.  ``k=None`` on the sampling mechanisms means "pick
-    the default sample size for the profile at run time".
+    Each kind reads the one parameter its ``KINDS`` row names; the
+    constructor checks it (``fixed_set`` is stored sorted and unique) and
+    rejects the other two.  ``k=None`` on the sampling mechanisms means
+    "pick the default sample size for the profile at run time".
     """
 
     kind: str
@@ -198,10 +200,15 @@ class MechanismSpec:
     default_vertex: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if type(self.kind) is not str or self.kind not in KINDS:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"sample size must be at least 1, got {self.k}")
+        param = KINDS[self.kind].param
+        for name, rule in _PARAMS.items():
+            value = getattr(self, name)
+            if name == param:
+                object.__setattr__(self, name, rule.check(value))
+            elif value is not None:
+                raise ValueError(f"{self.kind} takes no {name}")
 
     @classmethod
     def random_k(cls, k: int | None = None) -> "MechanismSpec":
@@ -213,15 +220,10 @@ class MechanismSpec:
 
     @classmethod
     def fixed(cls, sample: Iterable[int]) -> "MechanismSpec":
-        sample = tuple(sorted(set(sample)))
-        if not sample:
-            raise ValueError("fixed sample must be non-empty")
         return cls("fixed_sample", fixed_set=sample)
 
     @classmethod
     def majority_default(cls, default_vertex: int) -> "MechanismSpec":
-        if default_vertex < 0:
-            raise ValueError(f"default vertex must be non-negative, got {default_vertex}")
         return cls("majority_default", default_vertex=default_vertex)
 
     @property
@@ -231,7 +233,7 @@ class MechanismSpec:
     def label(self) -> str:
         """The CLI spelling; ``parse_mechanism(spec.label()) == spec``."""
         kind = KINDS[self.kind]
-        return f"{kind.cli}:{kind.arg(self)}"
+        return f"{kind.cli}:{_PARAMS[kind.param].text(getattr(self, kind.param))}"
 
 
 def parse_mechanism(text: str) -> MechanismSpec:
@@ -243,11 +245,12 @@ def parse_mechanism(text: str) -> MechanismSpec:
     name, sep, arg = text.partition(":")
     if not sep:
         raise ValueError(f"mechanism {text!r} needs a ':<arg>' part")
-    kind = next((kind for kind in KINDS.values() if kind.cli == name), None)
+    kind = next((key for key, entry in KINDS.items() if entry.cli == name), None)
     if kind is None:
         raise ValueError(f"unknown mechanism {name!r}")
+    param = KINDS[kind].param
     try:
-        return kind.parse(arg)
+        return MechanismSpec(kind, **{param: _PARAMS[param].parse(arg)})
     except ValueError as exc:
         if "mechanism" in str(exc):
             raise
@@ -460,13 +463,48 @@ def compute_bound(spec: MechanismSpec, n: int) -> BoundReport:
 # ----- the kinds -----
 
 
+def _int_at_least(value, least: int, what: str) -> int:
+    """``value`` if it is an int (a bool is not) of at least ``least``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an int")
+    if value < least:
+        raise ValueError(f"{what} must be {f'at least {least}' if least else 'non-negative'}, got {value}")
+    return value
+
+
+def _fixed_set(sample) -> tuple[int, ...]:
+    members = {_int_at_least(v, 0, "fixed sample vertex") for v in sample or ()}
+    if not members:
+        raise ValueError("fixed sample must be non-empty")
+    return tuple(sorted(members))
+
+
+class _Param(NamedTuple):
+    check: Callable[[object], object]  # returns the value to store
+    parse: Callable[[str], object]  # reads the text after "<cli>:"
+    text: Callable[[object], str]  # writes it back
+
+
+_PARAMS: dict[str, _Param] = {
+    "k": _Param(
+        lambda k: None if k is None else _int_at_least(k, 1, "sample size"),
+        lambda arg: None if arg == "auto" else int(arg),
+        lambda k: "auto" if k is None else str(k),
+    ),
+    "fixed_set": _Param(
+        _fixed_set, lambda arg: tuple(int(v) for v in arg.split(",")), lambda s: ",".join(map(str, s))
+    ),
+    "default_vertex": _Param(lambda d: _int_at_least(d, 0, "default vertex"), int, str),
+}
+
+
 @dataclass(frozen=True)
 class MechanismKind:
     """Everything that differs between mechanism kinds.
 
-    ``parse`` builds a spec from the text after ``"<cli>:"`` and ``arg``
-    writes that text back.  ``winner(spec, profile, draws)`` is the kind's
-    one evaluation rule: it picks the winner of a list of draws for a
+    ``param`` names the one spec field the kind reads (a key of
+    ``_PARAMS``).  ``winner(spec, profile, draws)`` is the kind's one
+    evaluation rule: it picks the winner of a list of draws for a
     randomized kind and gets ``None`` for a deterministic one.
     ``sample_size(k, n)`` turns the spec's k (None for the default) into the
     number of draws; it is None for the deterministic kinds.  ``bound(n,
@@ -478,27 +516,17 @@ class MechanismKind:
 
     cli: str
     models: tuple[str, ...]
-    parse: Callable[[str], MechanismSpec]
-    arg: Callable[[MechanismSpec], str]
+    param: str
     winner: Callable[[MechanismSpec, NominationProfile, Sequence[int] | None], int | None]
     sample_size: Callable[[int | None, int], int] | None = None
     bound: Callable[[int, int | None], BoundReport] | None = None
-
-
-def _parse_k(arg: str) -> int | None:
-    return None if arg == "auto" else int(arg)
-
-
-def _k_arg(spec: MechanismSpec) -> str:
-    return "auto" if spec.k is None else str(spec.k)
 
 
 KINDS: dict[str, MechanismKind] = {
     "random_k_sample": MechanismKind(
         cli="random-k",
         models=(SINGLE,),
-        parse=lambda arg: MechanismSpec.random_k(_parse_k(arg)),
-        arg=_k_arg,
+        param="k",
         winner=lambda spec, profile, draws: nominated_winner(profile, draws)[1],
         # draws are with replacement, so an explicit k may exceed n - 1
         sample_size=lambda k, n: _clamp_k(_ceil_isqrt(n), n) if k is None else k,
@@ -507,8 +535,7 @@ KINDS: dict[str, MechanismKind] = {
     "simple_k_sample": MechanismKind(
         cli="simple-k",
         models=MODELS,
-        parse=lambda arg: MechanismSpec.simple_k(_parse_k(arg)),
-        arg=_k_arg,
+        param="k",
         winner=lambda spec, profile, draws: multiset_winner(profile, Counter(draws)),
         sample_size=lambda k, n: _clamp_k(sks_sample_size(n) if k is None else k, n),
         bound=lambda n, k: BoundReport("sks_lower", n, k, None, sks_gap_upper_bound(n, k)),
@@ -516,15 +543,13 @@ KINDS: dict[str, MechanismKind] = {
     "fixed_sample": MechanismKind(
         cli="fixed",
         models=MODELS,
-        parse=lambda arg: MechanismSpec.fixed(int(v) for v in arg.split(",")),
-        arg=lambda spec: ",".join(str(v) for v in spec.fixed_set),
+        param="fixed_set",
         winner=lambda spec, profile, draws: fixed_sample_winner(profile, spec.fixed_set),
     ),
     "majority_default": MechanismKind(
         cli="majority-default",
         models=MODELS,
-        parse=lambda arg: MechanismSpec.majority_default(int(arg)),
-        arg=lambda spec: str(spec.default_vertex),
+        param="default_vertex",
         winner=lambda spec, profile, draws: majority_default_winner(profile, spec.default_vertex),
         bound=lambda n, k: BoundReport("mwd_upper", n, None, None, float(mwd_gap_upper_bound(n))),
     ),

@@ -26,6 +26,7 @@ from .mechanisms import (
     KINDS,
     DrawStream,
     MechanismSpec,
+    ModelMismatch,
     check_model,
     derive_seed,
     parse_mechanism,
@@ -74,7 +75,7 @@ class GapReport:
     mean_degree: float
     gap: float
     std_err: float
-    ci95_half_width: float
+    ci95: float
     no_winner_rate: float
     trials: int
     master_seed: int
@@ -90,19 +91,7 @@ class GapReport:
 
     def fields(self) -> dict:
         """The report as CSV/JSON fields, in column order."""
-        return {
-            "n": self.n,
-            "k": self.k,
-            "delta": self.delta,
-            "mean_degree": self.mean_degree,
-            "gap": self.gap,
-            "std_err": self.std_err,
-            "ci95": self.ci95_half_width,
-            "no_winner_rate": self.no_winner_rate,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "exact": self.exact,
-        }
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -> GapReport:
@@ -149,7 +138,7 @@ def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -
         mean_degree=mean,
         gap=profile.delta - mean,
         std_err=std_err,
-        ci95_half_width=1.96 * std_err,
+        ci95=1.96 * std_err,
         no_winner_rate=no_winner / trials,
         trials=plan.trials,
         master_seed=plan.master_seed,
@@ -178,23 +167,34 @@ class SweepConfig:
     instances: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.instances < 1:
-            raise ValueError(f"instances must be at least 1, got {self.instances}")
-        if self.instances > 1 and not self.generator.needs_seed:
-            raise ValueError(
-                f"family {self.generator.family} is deterministic; instances must be 1"
-            )
+        """Check every field, in a fixed order; each error starts with the field's JSON path."""
+
+        def require(ok: bool, path: str, message: str) -> None:
+            if not ok:
+                raise ValueError(f"{path}: {message}")
+
+        require(isinstance(self.generator, GeneratorSpec), "/generator", "must be a GeneratorSpec")
+        require(all(type(n) is int for n in self.n_values), "/n_values", "must be a list of integers")
+        require(type(self.trials) is int and self.trials >= 1, "/trials", "must be an integer >= 1")
+        require(type(self.master_seed) is int, "/master_seed", "must be an integer")
+        require(type(self.instances) is int and self.instances >= 1, "/instances", "must be an integer >= 1")
+        require(
+            self.instances == 1 or self.generator.needs_seed,
+            "/instances",
+            f"family {self.generator.family} is deterministic; instances must be 1",
+        )
         for n in self.n_values:
-            if n < 2:
-                raise ValueError(f"every n must be at least 2, got {n}")
-        for mech in self.mechanisms:
-            check_model(mech.kind, self.generator.model)
+            require(n >= 2, "/n_values", f"every n must be at least 2, got {n}")
+        for i, mech in enumerate(self.mechanisms):
+            require(isinstance(mech, MechanismSpec), f"/mechanisms[{i}]", "must be a MechanismSpec")
+            try:
+                check_model(mech.kind, self.generator.model)
+            except ModelMismatch as exc:
+                raise ValueError(f"/mechanisms[{i}]: {exc}") from None
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SweepConfig":
-        """Validate a parsed JSON document; errors name the offending field."""
+        """Check a parsed JSON document's shape and convert it; the constructor checks the fields."""
 
         def fail(path: str, message: str):
             raise ValueError(f"{path}: {message}")
@@ -229,28 +229,10 @@ class SweepConfig:
         except ValueError as exc:
             fail("/generator", str(exc))
 
-        raw_ns = doc["n_values"]
-        if not isinstance(raw_ns, list) or any(
-            not isinstance(n, int) or isinstance(n, bool) for n in raw_ns
-        ):
+        if not isinstance(doc["n_values"], list):
             fail("/n_values", "must be a list of integers")
-
-        def require_int(key: str, minimum: int, default=None):
-            value = doc.get(key, default)
-            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                fail(f"/{key}", f"must be an integer >= {minimum}")
-            return value
-
-        trials = require_int("trials", 1)
-        master_seed = doc["master_seed"]
-        if not isinstance(master_seed, int) or isinstance(master_seed, bool):
-            fail("/master_seed", "must be an integer")
-        instances = require_int("instances", 1, default=1)
-
-        try:
-            return cls(tuple(mechanisms), generator, tuple(raw_ns), trials, master_seed, instances)
-        except ValueError as exc:
-            fail("/", str(exc))
+        converted = {"mechanisms": tuple(mechanisms), "generator": generator}
+        return cls(**{**doc, **converted, "n_values": tuple(doc["n_values"])})
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,6 @@ __all__ = [
     "ProfileSpaceTooLarge",
     "EmptySampleError",
     "OracleNondeterministic",
-    "iter_single_profiles",
-    "iter_multi_profiles",
     "iter_profiles",
     "profile_count",
     "check_impartial",
@@ -151,16 +149,6 @@ def iter_profiles(n: int, model: str) -> Iterator[NominationProfile]:
     smallest out-sets first.
     """
     return (NominationProfile(n, model, rows) for rows in _profile_rows(n, model))
-
-
-def iter_single_profiles(n: int) -> Iterator[NominationProfile]:
-    """All (n-1)^n single-model profiles."""
-    return iter_profiles(n, SINGLE)
-
-
-def iter_multi_profiles(n: int) -> Iterator[NominationProfile]:
-    """All 2^(n(n-1)) multi-model profiles."""
-    return iter_profiles(n, MULTI)
 
 
 def profile_count(n: int, model: str) -> int:

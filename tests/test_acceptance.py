@@ -36,7 +36,7 @@ from impsel.verify import (
     check_impartial,
     check_sample_constant,
     check_strong_sample,
-    iter_single_profiles,
+    iter_profiles,
     measure_additive_gap_exhaustive,
     named_oracle,
     refute_two_additive,
@@ -96,7 +96,7 @@ def small_single_scan():
             for T in itertools.combinations(range(n), size)
         ]
         nk = {k: n**k for k in ks}
-        for profile in iter_single_profiles(n):
+        for profile in iter_profiles(n, SINGLE):
             degs = profile.in_degrees
             delta = max(degs)
             if degs.count(delta) != 1:

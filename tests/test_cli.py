@@ -188,6 +188,32 @@ def test_deterministic_exact_rejects_budget_and_method(tri_path, capsys, argv):
     assert main([*plain, "--mech", "fixed:0", "--profile", tri_path]) == 0
 
 
+@pytest.mark.parametrize("command", ["impartial", "gap"])
+@pytest.mark.parametrize(
+    ("subject", "label"),
+    [
+        (["--mech", "fixed:0"], "fixed:0"),
+        (["--mech", "majority-default:1"], "majority-default:1"),
+        (["--oracle", "plurality"], "plurality"),
+    ],
+)
+def test_deterministic_verify_rejects_budget(capsys, command, subject, label):
+    argv = ["verify", command, *subject, "--n", "3"]
+    assert main([*argv, "--budget", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {label} is deterministic; it takes no --budget\n"
+    assert main(argv) in (0, 1)
+
+
+@pytest.mark.parametrize("command", ["impartial", "gap"])
+def test_verify_budget_bounds_a_randomized_mechanism(capsys, command):
+    argv = ["verify", command, "--mech", "random-k:2", "--n", "3"]
+    assert main([*argv, "--budget", "8"]) == 2  # 3^2 = 9 draw sequences
+    assert "draw sequences, budget is 8; raise the budget" in capsys.readouterr().err
+    assert main([*argv, "--budget", "9"]) == 0
+
+
 def test_exact_budget_zero_still_refuses(tri_path, capsys):
     for argv in (["exact"], ["run", "--exact"]):
         assert main([*argv, "--mech", "random-k:1", "--profile", tri_path, "--budget", "0"]) == 2

@@ -111,6 +111,9 @@ def test_out_degrees_per_model():
         # True equals 1, so a set would quietly fold it into the int nominee
         lambda: NominationProfile(3, MULTI, [(1, True), (), ()]),
         lambda: NominationProfile(3.0, SINGLE, [(1,), (2,), (0,)]),
+        # the vertex count is checked before multi pads the rows to it
+        lambda: NominationProfile.multi(3.0, [(1,), (0,), (0,)]),
+        lambda: NominationProfile.multi(3.0, {0: [1]}),
         lambda: NominationProfile(True, MULTI, [()]),
         lambda: NominationProfile("3", MULTI, [(), (), ()]),
     ],

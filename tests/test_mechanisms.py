@@ -1,5 +1,6 @@
 """Draw streams, winner rules, and the mechanism dispatcher."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from impsel.core import MULTI, SINGLE, NominationProfile
 from impsel.generators import gen_random_multi, gen_random_single
 from impsel.mechanisms import (
+    KINDS,
     DrawStream,
     MechanismSpec,
     ModelMismatch,
@@ -101,8 +103,50 @@ class TestMechanismSpec:
 
     def test_fixed_set_sorted_and_nonempty(self):
         assert MechanismSpec.fixed([2, 1, 2]).fixed_set == (1, 2)
+        assert MechanismSpec("fixed_sample", fixed_set=(2, 1, 2)) == MechanismSpec.fixed([1, 2])
         with pytest.raises(ValueError):
             MechanismSpec.fixed([])
+
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda: MechanismSpec("fixed_sample"), "fixed sample must be non-empty"),
+            (lambda: MechanismSpec("majority_default"), "default vertex None is not an int"),
+            (
+                lambda: MechanismSpec("random_k_sample", k=3, default_vertex=1),
+                "random_k_sample takes no default_vertex",
+            ),
+            (lambda: MechanismSpec("simple_k_sample", fixed_set=(0,)), "simple_k_sample takes no fixed_set"),
+            (lambda: MechanismSpec("majority_default", k=2, default_vertex=0), "majority_default takes no k"),
+            (lambda: MechanismSpec.random_k(True), "sample size True is not an int"),
+            (lambda: MechanismSpec.random_k(2.5), "sample size 2.5 is not an int"),
+            (lambda: MechanismSpec.simple_k(0), "sample size must be at least 1, got 0"),
+            (lambda: MechanismSpec("majority_default", default_vertex=-1), "default vertex must be non-negative, got -1"),
+            (lambda: MechanismSpec.majority_default(False), "default vertex False is not an int"),
+            (lambda: MechanismSpec.fixed([0, -1]), "fixed sample vertex must be non-negative, got -1"),
+            (lambda: MechanismSpec.fixed([1.0]), "fixed sample vertex 1.0 is not an int"),
+            (lambda: MechanismSpec("plurality"), "unknown mechanism kind 'plurality'"),
+            (lambda: MechanismSpec(["fixed_sample"]), "unknown mechanism kind ['fixed_sample']"),
+        ],
+    )
+    def test_constructor_rejects(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @given(st.sampled_from(sorted(KINDS)), st.data())
+    def test_every_spec_that_constructs_round_trips(self, kind, data):
+        values = {
+            "k": st.none() | st.integers(-2, 40) | st.booleans() | st.floats(-2, 40),
+            "fixed_set": st.lists(st.integers(-2, 9) | st.booleans(), max_size=4),
+            "default_vertex": st.integers(-2, 9) | st.booleans(),
+        }
+        # the field the kind reads, and now and then a stray one
+        names = data.draw(st.sets(st.sampled_from(sorted(values)), max_size=1)) | {KINDS[kind].param}
+        try:
+            spec = MechanismSpec(kind, **{name: data.draw(values[name]) for name in sorted(names)})
+        except ValueError:
+            return
+        assert parse_mechanism(spec.label()) == spec
 
     def test_randomized_flag(self):
         assert MechanismSpec.random_k(2).is_randomized

@@ -6,6 +6,7 @@ check over many master seeds that the exact mean lands inside the
 reported confidence band at the expected rate.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -140,17 +141,18 @@ def test_concentrated_family_closed_form_exactly():
 # sweeps
 
 
+SMALL_DOC = {
+    "mechanisms": ["random-k:2", "simple-k:2"],
+    "generator": {"family": "random-single"},
+    "n_values": [6, 9],
+    "trials": 400,
+    "master_seed": 2024,
+    "instances": 2,
+}
+
+
 def small_config(**overrides):
-    doc = {
-        "mechanisms": ["random-k:2", "simple-k:2"],
-        "generator": {"family": "random-single"},
-        "n_values": [6, 9],
-        "trials": 400,
-        "master_seed": 2024,
-        "instances": 2,
-    }
-    doc.update(overrides)
-    return SweepConfig.from_json_dict(doc)
+    return SweepConfig.from_json_dict({**SMALL_DOC, **overrides})
 
 
 def test_sweep_row_grid_and_order():
@@ -216,6 +218,14 @@ def test_config_validation_messages():
         )
 
 
+def test_config_constructor_checks_the_converted_fields():
+    config = small_config()
+    with pytest.raises(ValueError, match=r"^/mechanisms\[0\]: must be a MechanismSpec$"):
+        dataclasses.replace(config, mechanisms=("random-k:2",))
+    with pytest.raises(ValueError, match=r"^/generator: must be a GeneratorSpec$"):
+        dataclasses.replace(config, generator="random-single")
+
+
 def test_config_rejects_exact_budget():
     with pytest.raises(ValueError, match="^/exact_budget: unknown field$"):
         small_config(exact_budget=1000)
@@ -237,22 +247,38 @@ def test_config_rejects_null_counts(key):
         small_config(**{key: None})
 
 
-def test_config_rejects_model_mismatch():
-    with pytest.raises(ValueError):
-        small_config(
-            mechanisms=["random-k:2"],
-            generator={"family": "random-multi", "p": 0.2},
-        )
+_STAR = {"generator": {"family": "star"}, "instances": 1}
+_MULTI = {"mechanisms": ["simple-k:2"], "generator": {"family": "random-multi", "p": 0.2}}
+# (a valid base over SMALL_DOC, the one field corrupted, its bad value, the path the error names)
+_CORRUPTIONS = {
+    "mechanisms-not-a-list": ({}, "mechanisms", "random-k:2", "/mechanisms"),
+    "mechanisms-not-a-string": ({}, "mechanisms", ["random-k:2", 7], "/mechanisms[1]"),
+    "mechanisms-bad-k": ({}, "mechanisms", ["random-k:2", "simple-k:0"], "/mechanisms[1]"),
+    "mechanisms-model-mismatch": (_MULTI, "mechanisms", ["simple-k:2", "random-k:2"], "/mechanisms[1]"),
+    "generator-unknown-family": ({}, "generator", {"family": "bogus"}, "/generator"),
+    "generator-not-an-object": ({}, "generator", ["random-single"], "/generator"),
+    "n_values-not-a-list": ({}, "n_values", 6, "/n_values"),
+    "n_values-float": ({}, "n_values", [6, 9.0], "/n_values"),
+    "n_values-bool": ({}, "n_values", [6, True], "/n_values"),
+    "n_values-below-two": ({}, "n_values", [6, 1], "/n_values"),
+    "trials-zero": ({}, "trials", 0, "/trials"),
+    "trials-bool": ({}, "trials", True, "/trials"),
+    "trials-float": ({}, "trials", 2.5, "/trials"),
+    "master_seed-string": ({}, "master_seed", "7", "/master_seed"),
+    "master_seed-bool": ({}, "master_seed", False, "/master_seed"),
+    "instances-zero": ({}, "instances", 0, "/instances"),
+    "instances-bool": ({}, "instances", True, "/instances"),
+    "instances-deterministic-family": (_STAR, "instances", 3, "/instances"),
+}
 
 
-def test_config_rejects_instances_on_deterministic_family():
-    with pytest.raises(ValueError):
-        small_config(generator={"family": "star"}, instances=3)
-
-
-def test_config_rejects_bool_trials():
-    with pytest.raises(ValueError):
-        small_config(trials=True)
+@pytest.mark.parametrize(("base", "key", "value", "path"), _CORRUPTIONS.values(), ids=_CORRUPTIONS)
+def test_config_error_starts_with_its_field_path(base, key, value, path):
+    valid = {**SMALL_DOC, **base}
+    SweepConfig.from_json_dict(valid)
+    with pytest.raises(ValueError) as exc:
+        SweepConfig.from_json_dict({**valid, key: value})
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 # ---------------------------------------------------------------------------

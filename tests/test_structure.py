@@ -100,3 +100,28 @@ def test_only_core_branches_on_a_model():
             if isinstance(node, ast.Compare):
                 operands = [node.left, *node.comparators]
                 assert not any(map(names_a_model, operands)), f"{name}.py:{node.lineno} compares with a model"
+
+
+def _method(tree, cls_name: str, name: str):
+    cls = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls_name)
+    return next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_config_fields_are_checked_only_in_constructors():
+    trees = _trees()
+    for name in ("random_k", "simple_k", "fixed", "majority_default"):
+        method = _method(trees["mechanisms"], "MechanismSpec", name)
+        raises = [n.lineno for n in ast.walk(method) if isinstance(n, ast.Raise)]
+        assert not raises, f"MechanismSpec.{name} raises at line {raises[0]}; checks belong in __post_init__"
+
+    def is_number(node):
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    # a range check orders values, so no ordering and no numeric operand
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    loader = _method(trees["montecarlo"], "SweepConfig", "from_json_dict")
+    for node in ast.walk(loader):
+        if isinstance(node, ast.Compare):
+            numeric = any(map(is_number, [node.left, *node.comparators]))
+            ordered = any(isinstance(op, ordering) for op in node.ops)
+            assert not (numeric or ordered), f"montecarlo.py:{node.lineno} compares with a number"

@@ -30,9 +30,7 @@ from impsel.verify import (
     check_sample_constant,
     check_strong_sample,
     format_witness,
-    iter_multi_profiles,
     iter_profiles,
-    iter_single_profiles,
     measure_additive_gap_exhaustive,
     named_oracle,
     profile_count,
@@ -88,7 +86,7 @@ def test_iterators_match_counts_and_are_unique():
 
 def test_single_iterator_is_exhaustive():
     # every single-model profile on 3 vertices, by hand
-    got = {p.out for p in iter_single_profiles(3)}
+    got = {p.out for p in iter_profiles(3, SINGLE)}
     want = {
         ((a,), (b,), (c,))
         for a in (1, 2)
