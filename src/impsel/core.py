@@ -9,6 +9,8 @@ where every vertex abstains is a perfectly valid multi-model profile.
 
 This module is the one owner of those rules: ``out_degrees(model, n)``
 says what each model allows, and only ``NominationProfile`` checks a row.
+It also owns the check of every integer input in the package,
+``checked_int``.
 
 Profiles are immutable values.  Anything that "modifies" one, such as
 ``profile.apply_deviation(u, new_out)``, returns a new profile.
@@ -28,6 +30,7 @@ __all__ = [
     "MULTI",
     "MODELS",
     "out_degrees",
+    "checked_int",
     "PROFILE_MAGIC",
     "ModelViolation",
     "ProfileFormatError",
@@ -35,7 +38,6 @@ __all__ = [
     "parse_profile",
     "format_profile",
     "load_profile",
-    "save_profile",
 ]
 
 SINGLE = "single"
@@ -67,10 +69,22 @@ def out_degrees(model: str, n: int) -> range:
     return _OUT_DEGREES[model](n)
 
 
-def _vertex_count(n) -> int:
-    if type(n) is not int:
-        raise ModelViolation(f"vertex count {n!r} is not an int")
-    return n
+def checked_int(
+    value, what: str, least: int = 0, most: int | None = None, error: type[ValueError] = ValueError
+) -> int:
+    """``value`` if it is an int (a bool is not) in ``least..most``, else ``error``.
+
+    ``most`` None means no upper end.  The three messages are ``<what> <v!r>
+    is not an int``, ``<what> <v> out of range <least>..<most>`` and ``<what>
+    must be at least <least>, got <v>`` (``must be non-negative`` for 0).
+    """
+    if type(value) is not int:
+        raise error(f"{what} {value!r} is not an int")
+    if most is not None and not least <= value <= most:
+        raise error(f"{what} {value} out of range {least}..{most}")
+    if value < least:
+        raise error(f"{what} must be {f'at least {least}' if least else 'non-negative'}, got {value}")
+    return value
 
 
 def _normalize_out(vertex: int, nominees: Iterable[int], n: int, degrees: range) -> tuple[int, ...]:
@@ -104,10 +118,8 @@ class NominationProfile:
     out: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = _vertex_count(self.n)
+        n = checked_int(self.n, "vertex count", 2, error=ModelViolation)
         degrees = out_degrees(self.model, n)
-        if n < 2:
-            raise ModelViolation(f"need at least 2 vertices, got {n}")
         if len(self.out) != n:
             raise ModelViolation(f"out has {len(self.out)} entries for n={n}")
         normalized = tuple(_normalize_out(u, nominees, n, degrees) for u, nominees in enumerate(self.out))
@@ -127,7 +139,7 @@ class NominationProfile:
         out_sets: Mapping[int, Iterable[int]] | Sequence[Iterable[int]] = (),
     ) -> "NominationProfile":
         """Build a multi-model profile; vertices missing from ``out_sets`` abstain."""
-        n = _vertex_count(n)  # before the padding needs it
+        n = checked_int(n, "vertex count", 2, error=ModelViolation)  # before the padding needs it
         if isinstance(out_sets, Mapping):
             rows = [tuple(out_sets.get(u, ())) for u in range(n)]
         else:
@@ -182,8 +194,7 @@ class NominationProfile:
 
     def apply_deviation(self, u: int, new_out: Iterable[int]) -> "NominationProfile":
         """Return the profile where vertex ``u`` replaced its out-set with ``new_out``."""
-        if type(u) is not int or not 0 <= u < self.n:
-            raise ValueError(f"vertex {u!r} out of range 0..{self.n - 1}")
+        checked_int(u, "vertex", 0, self.n - 1)
         rows = list(self.out)
         rows[u] = new_out
         return NominationProfile(self.n, self.model, tuple(rows))
@@ -254,8 +265,7 @@ def parse_profile(text: str) -> NominationProfile:
         row.add(v)
     # only now, so a duplicate or bad line anywhere wins over a bad source
     for u in rows:
-        if not 0 <= u < n:
-            raise ModelViolation(f"edge source {u} out of range 0..{n - 1}")
+        checked_int(u, "edge source", 0, n - 1, ModelViolation)
     return NominationProfile(n, model, tuple(rows.get(u, ()) for u in range(n)))
 
 
@@ -270,9 +280,3 @@ def load_profile(path) -> NominationProfile:
     """Read a profile file; raises ProfileFormatError / ModelViolation."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_profile(fh.read())
-
-
-def save_profile(profile: NominationProfile, path) -> None:
-    """Write a profile file; loading it back yields an equal profile."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_profile(profile))

@@ -30,7 +30,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import NominationProfile
+from .core import NominationProfile, checked_int
 from .mechanisms import (  # noqa: F401  (the guarantee formulas are also read from here)
     KINDS,
     BoundReport,
@@ -98,8 +98,7 @@ class WinnerDistribution:
             prob = Fraction(prob)
             if prob < 0:
                 raise ValueError(f"negative probability for vertex {u}")
-            if not 0 <= u < self.n:
-                raise ValueError(f"vertex {u} out of range 0..{self.n - 1}")
+            checked_int(u, "vertex", 0, self.n - 1)
             if prob:
                 cleaned[u] = prob
         object.__setattr__(self, "p", cleaned)
@@ -110,17 +109,8 @@ class WinnerDistribution:
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
-    @classmethod
-    def point_mass(cls, n: int, winner: int | None) -> "WinnerDistribution":
-        if winner is None:
-            return cls(n, {}, Fraction(1))
-        return cls(n, {winner: Fraction(1)}, Fraction(0))
-
     def probability(self, u: int) -> Fraction:
         return self.p.get(u, Fraction(0))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.p))
 
     def to_json_dict(self) -> dict:
         """JSON-safe form; rationals as "num/den" strings to stay exact."""
@@ -135,12 +125,13 @@ def checked_sample_size(spec: MechanismSpec, n: int, model: str, budget: int) ->
     """Sample size k of randomized ``spec`` on n-vertex ``model`` profiles.
 
     Raises ModelMismatch when the kind is not defined for ``model``, then
+    ValueError unless ``budget`` is a non-negative int, then
     EnumerationTooLarge when n^k exceeds ``budget``, without building n^k.
     """
     check_model(spec.kind, model)
     k = resolve_k(spec, n)
     # n >= 2, so n^k exceeds the budget once k reaches the budget's bit length
-    if n ** min(k, budget.bit_length()) > budget:
+    if n ** min(k, checked_int(budget, "budget").bit_length()) > budget:
         raise EnumerationTooLarge(n, k, budget)
     return k
 
@@ -297,12 +288,9 @@ def pr_top_in_nominated(n: int, k: int, delta: int) -> Fraction:
     the first event each draw is uniform over the other n-1 vertices, so the
     value is exactly (1 - (1 - delta/(n-1))^k) * (1 - 1/n)^k.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-    if k < 1:
-        raise ValueError(f"sample size must be at least 1, got {k}")
-    if not 1 <= delta <= n - 1:
-        raise ValueError(f"in-degree {delta} out of range 1..{n - 1}")
+    n = checked_int(n, "vertex count", 2)
+    checked_int(k, "sample size", 1)
+    checked_int(delta, "in-degree", 1, n - 1)
     miss_all_nominators = (1 - Fraction(delta, n - 1)) ** k
     escape_sample = (1 - Fraction(1, n)) ** k
     return (1 - miss_all_nominators) * escape_sample

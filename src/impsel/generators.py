@@ -16,7 +16,7 @@ import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
-from .core import MULTI, SINGLE, NominationProfile
+from .core import MULTI, SINGLE, NominationProfile, checked_int
 from .mechanisms import DrawStream, MechanismSpec, resolve_k, rks_worst_delta
 
 __all__ = [
@@ -42,10 +42,8 @@ def gen_single_worst(n: int, delta: int) -> NominationProfile:
     For delta >= 2 vertex 0 is the unique maximum; for delta = 1 the
     profile is a single n-cycle and every vertex ties at in-degree 1.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-    if not 1 <= delta <= n - 1:
-        raise ValueError(f"in-degree target {delta} out of range 1..{n - 1}")
+    n = checked_int(n, "vertex count", 2)
+    checked_int(delta, "in-degree target", 1, n - 1)
     nominees = [0] * n
     if delta == n - 1:
         nominees[0] = 1
@@ -63,10 +61,8 @@ def gen_fixed_sample_adversary(n: int, v: int) -> NominationProfile:
     Against a hard-coded sample {v} the winner is v's nominee, whose
     in-degree is 1 while v sits at n-1, so the gap is n-2.
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 vertices, got {n}")
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} out of range 0..{n - 1}")
+    n = checked_int(n, "vertex count", 3)
+    checked_int(v, "vertex", 0, n - 1)
     nominees = [v] * n
     nominees[v] = (v + 1) % n
     return NominationProfile.single(nominees)
@@ -79,8 +75,7 @@ def gen_sqrt_adversary(n: int) -> NominationProfile:
     integer n that equals isqrt(n-1)//2 + 1, which avoids any float
     evaluation near the boundary.
     """
-    if n < 4:
-        raise ValueError(f"need at least 4 vertices, got {n}")
+    checked_int(n, "vertex count", 4)
     delta = math.isqrt(n - 1) // 2 + 1
     return gen_single_worst(n, delta)
 
@@ -92,16 +87,14 @@ def gen_bound_stress(n: int, k: int) -> NominationProfile:
 
 def gen_random_single(n: int, seed: int) -> NominationProfile:
     """Each vertex nominates one uniformly random other vertex."""
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
+    checked_int(n, "vertex count", 2)
     draws = DrawStream(seed).draws(n, n - 1)
     return NominationProfile.single([r if r < u else r + 1 for u, r in enumerate(draws)])
 
 
 def gen_random_multi(n: int, p: float, seed: int) -> NominationProfile:
     """Each ordered non-self pair is an edge independently with probability p."""
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
+    checked_int(n, "vertex count", 2)
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability {p} out of range [0, 1]")
     stream = DrawStream(seed)
@@ -192,13 +185,10 @@ class GeneratorSpec:
             if key not in keys:
                 raise ValueError(f"family {self.family} requires parameter {key!r}")
         for key, value in params:
-            kind, least, _ = PARAMS[key]
-            valid = isinstance(value, (int, kind)) and not isinstance(value, bool)
-            if key == "p":
-                if not (valid and least <= value <= 1):
-                    raise ValueError(f"edge probability {value!r} out of range [0, 1]")
-            elif not (valid and value >= least):
-                raise ValueError(f"parameter {key} must be an integer >= {least}, got {value!r}")
+            if key != "p":
+                checked_int(value, f"parameter {key}", PARAMS[key][1])
+            elif isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+                raise ValueError(f"edge probability {value!r} out of range [0, 1]")
 
     @classmethod
     def from_mapping(cls, family: str, params: Mapping[str, object] = ()) -> "GeneratorSpec":

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import MODELS, SINGLE, NominationProfile
+from .core import MODELS, SINGLE, NominationProfile, checked_int
 
 __all__ = [
     "DrawStream",
@@ -252,8 +252,6 @@ def parse_mechanism(text: str) -> MechanismSpec:
     try:
         return MechanismSpec(kind, **{param: _PARAMS[param].parse(arg)})
     except ValueError as exc:
-        if "mechanism" in str(exc):
-            raise
         raise ValueError(f"bad mechanism argument in {text!r}: {exc}") from None
 
 
@@ -314,10 +312,7 @@ def multiset_winner(profile: NominationProfile, counts: Mapping[int, int]) -> in
 
 def fixed_sample_winner(profile: NominationProfile, fixed_set: Sequence[int]) -> int | None:
     """Winner when the sample is ``fixed_set``, each member counted once."""
-    sample = sorted(set(fixed_set))
-    for v in sample:
-        if not 0 <= v < profile.n:
-            raise ValueError(f"fixed sample vertex {v} out of range 0..{profile.n - 1}")
+    sample = sorted({checked_int(v, "fixed sample vertex", 0, profile.n - 1) for v in fixed_set})
     if len(sample) >= profile.n:
         raise ValueError("fixed sample must leave at least one candidate")
     return multiset_winner(profile, dict.fromkeys(sample, 1))
@@ -325,9 +320,7 @@ def fixed_sample_winner(profile: NominationProfile, fixed_set: Sequence[int]) ->
 
 def majority_default_winner(profile: NominationProfile, default_vertex: int) -> int:
     """Winner under the majority rule with default ``default_vertex``."""
-    d = default_vertex
-    if not 0 <= d < profile.n:
-        raise ValueError(f"default vertex {d} out of range 0..{profile.n - 1}")
+    d = checked_int(default_vertex, "default vertex", 0, profile.n - 1)
     threshold = (profile.n + 1) // 2
     degs = profile.in_degrees
     for v in range(profile.n):
@@ -353,7 +346,7 @@ def resolve_k(spec: MechanismSpec, n: int) -> int:
     sample_size = KINDS[spec.kind].sample_size
     if sample_size is None:
         raise ValueError(f"{spec.kind} has no sample size")
-    return sample_size(spec.k, n)
+    return sample_size(spec.k, checked_int(n, "vertex count", 2))
 
 
 def run_mechanism(
@@ -385,10 +378,7 @@ def rks_gap_lower_bound(n: int, k: int) -> float:
     expected winner degree: E >= delta - (2(k-1) + (n+1)/(k+1)) on every
     single-model profile.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"sample size {k} out of range 1..{n - 1}")
+    checked_int(k, "sample size", 1, checked_int(n, "vertex count", 2) - 1)
     return 2 * (k - 1) + (n + 1) / (k + 1)
 
 
@@ -398,6 +388,8 @@ def rks_worst_delta(n: int, k: int) -> int:
     Nearest integer to (n - 1 + 2k^2)/(k + 1), clamped to the feasible
     in-degree range.
     """
+    checked_int(n, "vertex count", 2)
+    checked_int(k, "sample size", 1)
     target = round(Fraction(n - 1 + 2 * k * k, k + 1))
     return max(1, min(target, n - 1))
 
@@ -412,8 +404,7 @@ def sks_sample_size(n: int) -> int:
     every integer n >= 2 the value is irrational, so it is never an integer
     that rounding could push across.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
+    checked_int(n, "vertex count", 2)
     ctx = _DECIMAL60
     value = ctx.exp(ctx.divide(ctx.ln(ctx.multiply(4 * n * n, ctx.ln(n))), 3))
     return _clamp_k(int(value.to_integral_value(rounding=decimal.ROUND_CEILING)), n)
@@ -421,8 +412,7 @@ def sks_sample_size(n: int) -> int:
 
 def sks_gap_upper_bound(n: int, k: float) -> float:
     """Guaranteed ceiling on delta - E[winner degree] for the multiset sample rule."""
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
+    checked_int(n, "vertex count", 2)
     if k < 1:
         raise ValueError(f"sample size must be at least 1, got {k}")
     return 2 * k + n * n * math.exp(-(k**3) / (2 * n * n))
@@ -430,9 +420,7 @@ def sks_gap_upper_bound(n: int, k: float) -> float:
 
 def mwd_gap_upper_bound(n: int) -> int:
     """Guaranteed ceiling on delta - winner degree for the majority-default rule."""
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-    return (n + 1) // 2
+    return (checked_int(n, "vertex count", 2) + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -463,17 +451,10 @@ def compute_bound(spec: MechanismSpec, n: int) -> BoundReport:
 # ----- the kinds -----
 
 
-def _int_at_least(value, least: int, what: str) -> int:
-    """``value`` if it is an int (a bool is not) of at least ``least``."""
-    if type(value) is not int:
-        raise ValueError(f"{what} {value!r} is not an int")
-    if value < least:
-        raise ValueError(f"{what} must be {f'at least {least}' if least else 'non-negative'}, got {value}")
-    return value
-
-
 def _fixed_set(sample) -> tuple[int, ...]:
-    members = {_int_at_least(v, 0, "fixed sample vertex") for v in sample or ()}
+    if not isinstance(sample, Iterable | None):
+        raise ValueError(f"fixed sample {sample!r} is not a collection of vertices")
+    members = {checked_int(v, "fixed sample vertex") for v in sample or ()}
     if not members:
         raise ValueError("fixed sample must be non-empty")
     return tuple(sorted(members))
@@ -487,14 +468,14 @@ class _Param(NamedTuple):
 
 _PARAMS: dict[str, _Param] = {
     "k": _Param(
-        lambda k: None if k is None else _int_at_least(k, 1, "sample size"),
+        lambda k: None if k is None else checked_int(k, "sample size", 1),
         lambda arg: None if arg == "auto" else int(arg),
         lambda k: "auto" if k is None else str(k),
     ),
     "fixed_set": _Param(
         _fixed_set, lambda arg: tuple(int(v) for v in arg.split(",")), lambda s: ",".join(map(str, s))
     ),
-    "default_vertex": _Param(lambda d: _int_at_least(d, 0, "default vertex"), int, str),
+    "default_vertex": _Param(lambda d: checked_int(d, "default vertex"), int, str),
 }
 
 

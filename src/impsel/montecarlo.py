@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
-from .core import NominationProfile
+from .core import NominationProfile, checked_int
 from .generators import GeneratorSpec
 from .mechanisms import (
     KINDS,
@@ -56,8 +56,7 @@ class TrialPlan:
     master_seed: int
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        checked_int(self.trials, "trials", 1)
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,8 @@ class SweepConfig:
                 raise ValueError(f"{path}: {message}")
 
         require(isinstance(self.generator, GeneratorSpec), "/generator", "must be a GeneratorSpec")
-        require(all(type(n) is int for n in self.n_values), "/n_values", "must be a list of integers")
+        ints = isinstance(self.n_values, Iterable) and all(type(n) is int for n in self.n_values)
+        require(ints, "/n_values", "must be a list of integers")
         require(type(self.trials) is int and self.trials >= 1, "/trials", "must be an integer >= 1")
         require(type(self.master_seed) is int, "/master_seed", "must be an integer")
         require(type(self.instances) is int and self.instances >= 1, "/instances", "must be an integer >= 1")
@@ -185,6 +185,7 @@ class SweepConfig:
         )
         for n in self.n_values:
             require(n >= 2, "/n_values", f"every n must be at least 2, got {n}")
+        require(isinstance(self.mechanisms, Iterable), "/mechanisms", "must be a list of MechanismSpecs")
         for i, mech in enumerate(self.mechanisms):
             require(isinstance(mech, MechanismSpec), f"/mechanisms[{i}]", "must be a MechanismSpec")
             try:
@@ -267,8 +268,7 @@ def sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRow]:
     seed derives from the row seed at a reserved index, so no stream
     overlaps any other.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    checked_int(jobs, "jobs", 1)
     tasks = []
     row_index = 0
     for mech in config.mechanisms:
@@ -303,8 +303,7 @@ def fit_scaling(rows: Iterable[SweepRow]) -> ScalingFit:
         for row in rows
         if row.report.gap > 0
     ]
-    if len(points) < 3:
-        raise ValueError(f"need at least 3 rows with positive gap, got {len(points)}")
+    checked_int(len(points), "rows with positive gap", 3)
     xs = [x for x, _ in points]
     ys = [y for _, y in points]
     slope, intercept = statistics.linear_regression(xs, ys)

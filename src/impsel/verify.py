@@ -39,6 +39,7 @@ from .core import (
     MULTI,
     SINGLE,
     NominationProfile,
+    checked_int,
     format_profile,
     out_degrees,
 )
@@ -159,9 +160,8 @@ def profile_count(n: int, model: str) -> int:
 def _require_space(n: int, model: str, max_n: int | None, defaults: dict) -> None:
     if model not in defaults:
         raise ValueError(f"unknown model {model!r}")
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-    ceiling = max_n if max_n is not None else defaults[model]
+    checked_int(n, "vertex count", 2)
+    ceiling = checked_int(max_n, "max_n") if max_n is not None else defaults[model]
     if n > ceiling:
         raise ProfileSpaceTooLarge(n, model, max_n)
 
@@ -248,8 +248,7 @@ def _sample_of(g, profile: NominationProfile) -> frozenset[int]:
     if not sample:
         raise EmptySampleError(f"sample function returned an empty set on:\n{format_profile(profile)}")
     for v in sample:
-        if not 0 <= v < profile.n:
-            raise ValueError(f"sample function returned out-of-range vertex {v}")
+        checked_int(v, "sample vertex", 0, profile.n - 1)
     return sample
 
 
@@ -390,23 +389,18 @@ def named_oracle(name: str) -> Callable[[NominationProfile], int]:
         if sep:
             raise ValueError("plurality takes no argument")
         return lambda profile: profile.max_degree()[1][0]
+    vertex = {"dictator": "dictator vertex", "majority-default-ext": "default vertex"}.get(base)
+    if vertex is None:
+        raise ValueError(f"unknown oracle {name!r}; known: {', '.join(ORACLE_NAMES)}")
+    if not sep:
+        raise ValueError(f"{base} needs ':<vertex>'")
+    try:
+        d = checked_int(int(arg), vertex)
+    except ValueError as exc:
+        raise ValueError(f"bad oracle argument in {name!r}: {exc}") from None
     if base == "dictator":
-        if not sep:
-            raise ValueError("dictator needs ':<vertex>'")
-        d = int(arg)
-
-        def dictator(profile: NominationProfile) -> int:
-            if d >= profile.n:
-                raise ValueError(f"dictator vertex {d} out of range 0..{profile.n - 1}")
-            return d
-
-        return dictator
-    if base == "majority-default-ext":
-        if not sep:
-            raise ValueError("majority-default-ext needs ':<vertex>'")
-        d = int(arg)
-        return lambda profile: majority_default_winner(profile, d)
-    raise ValueError(f"unknown oracle {name!r}; known: {', '.join(ORACLE_NAMES)}")
+        return lambda profile: checked_int(d, vertex, 0, profile.n - 1)
+    return lambda profile: majority_default_winner(profile, d)
 
 
 ORACLE_NAMES = ("dictator:<v>", "plurality", "majority-default-ext:<v>")

@@ -95,14 +95,14 @@ def test_gen_bound_stress_rejects_k_zero(capsys):
     assert main(["gen", "--family", "bound-stress", "--n", "8", "--k", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "parameter k must be an integer >= 1, got 0" in captured.err
+    assert "parameter k must be at least 1, got 0" in captured.err
 
 
 def test_gen_single_worst_rejects_delta_zero(capsys):
     assert main(["gen", "--family", "single-worst", "--n", "5", "--delta", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "parameter delta must be an integer >= 1, got 0" in captured.err
+    assert "parameter delta must be at least 1, got 0" in captured.err
 
 
 def test_gen_to_file(tmp_path):
@@ -292,6 +292,37 @@ def test_exact_checks_model_before_budget(tmp_path, capsys, command):
     assert captured.out == ""
     assert "random_k_sample is defined for the single model, profile is multi" in captured.err
     assert "budget" not in captured.err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (
+            ["run", "--mech", "random-k:mechanism", "--trials", "1", "--seed", "1", "--profile"],
+            "bad mechanism argument in 'random-k:mechanism': invalid literal for int() with base 10: 'mechanism'",
+        ),
+        (
+            ["verify", "impartial", "--n", "3", "--oracle", "dictator:x"],
+            "bad oracle argument in 'dictator:x': invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            ["verify", "impartial", "--n", "3", "--oracle", "majority-default-ext:x"],
+            "bad oracle argument in 'majority-default-ext:x': invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            ["verify", "impartial", "--n", "3", "--oracle", "dictator:-1"],
+            "bad oracle argument in 'dictator:-1': dictator vertex must be non-negative, got -1",
+        ),
+    ],
+    ids=["mechanism-word", "dictator-x", "majority-default-ext-x", "dictator-negative"],
+)
+def test_bad_mechanism_and_oracle_arguments_name_the_argument(tri_path, capsys, argv, message):
+    if argv[-1] == "--profile":
+        argv = [*argv, tri_path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("k, space", [(15, "14348907"), (10**9, "3^1000000000")])

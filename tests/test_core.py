@@ -3,6 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from impsel import (
+    MechanismSpec,
+    TrialPlan,
+    check_impartial,
+    exact_distribution,
+    fixed_sample_winner,
+    gen_single_worst,
+    majority_default_winner,
+    rks_gap_lower_bound,
+)
 from impsel.core import (
     MODELS,
     MULTI,
@@ -10,11 +20,11 @@ from impsel.core import (
     ModelViolation,
     NominationProfile,
     ProfileFormatError,
+    checked_int,
     format_profile,
     load_profile,
     out_degrees,
     parse_profile,
-    save_profile,
 )
 
 
@@ -123,6 +133,77 @@ def test_non_int_ids_are_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    ("value", "least", "most", "message"),
+    [
+        (True, 0, None, "count True is not an int"),
+        (False, 0, None, "count False is not an int"),
+        (1.0, 0, None, "count 1.0 is not an int"),
+        ("1", 0, None, "count '1' is not an int"),
+        (None, 0, None, "count None is not an int"),
+        (True, 0, 5, "count True is not an int"),
+        (-1, 0, None, "count must be non-negative, got -1"),
+        (1, 2, None, "count must be at least 2, got 1"),
+        (1, 2, 5, "count 1 out of range 2..5"),
+        (6, 2, 5, "count 6 out of range 2..5"),
+        (-1, 0, -1, "count -1 out of range 0..-1"),
+        (0, 0, None, None),
+        (10**30, 2, None, None),
+        (2, 2, 5, None),
+        (5, 2, 5, None),
+    ],
+)
+def test_checked_int(value, least, most, message):
+    if message is None:
+        assert checked_int(value, "count", least, most) is value
+        return
+    for error in (ValueError, ModelViolation):
+        with pytest.raises(error) as caught:
+            checked_int(value, "count", least, most, error)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+
+_TRIANGLE = NominationProfile.single([1, 2, 0])
+
+
+@pytest.mark.parametrize(
+    ("probe", "error", "message"),
+    [
+        (lambda: majority_default_winner(_TRIANGLE, True), ValueError, "default vertex True is not an int"),
+        (lambda: gen_single_worst(4, True), ValueError, "in-degree target True is not an int"),
+        (lambda: TrialPlan(True, 0), ValueError, "trials True is not an int"),
+        (lambda: rks_gap_lower_bound(5, 2.5), ValueError, "sample size 2.5 is not an int"),
+        (lambda: fixed_sample_winner(_TRIANGLE, [0.0]), ValueError, "fixed sample vertex 0.0 is not an int"),
+        (lambda: gen_single_worst(4, 2.0), ValueError, "in-degree target 2.0 is not an int"),
+        (lambda: check_impartial(MechanismSpec.random_k(2), 3.0, SINGLE), ValueError, "vertex count 3.0 is not an int"),
+        (
+            lambda: exact_distribution(MechanismSpec.random_k(2), _TRIANGLE, budget=1e7),
+            ValueError,
+            "budget 10000000.0 is not an int",
+        ),
+        # the vertex count is checked before the model
+        (lambda: NominationProfile(1, "bogus", ()), ModelViolation, "vertex count must be at least 2, got 1"),
+    ],
+    ids=[
+        "majority-default-bool",
+        "single-worst-bool",
+        "trial-plan-bool",
+        "rks-bound-float",
+        "fixed-sample-float",
+        "single-worst-float",
+        "check-impartial-float",
+        "exact-budget-float",
+        "profile-n-before-model",
+    ],
+)
+def test_integer_inputs_are_checked_at_every_entry(probe, error, message):
+    with pytest.raises(error) as caught:
+        probe()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_equality_ignores_input_order():
     a = NominationProfile(3, MULTI, [(2, 1), (), (0,)])
     b = NominationProfile(3, MULTI, [(1, 2), (), (0,)])
@@ -188,8 +269,11 @@ def test_deviation_must_respect_model():
         p.apply_deviation(0, (1, 2))
     with pytest.raises(ModelViolation, match="is not an int$"):
         p.apply_deviation(0, (1.0,))
-    for u in (7, -1, True, 1.0):
-        with pytest.raises(ValueError, match="out of range 0..2$"):
+    for u in (7, -1):
+        with pytest.raises(ValueError, match=f"^vertex {u} out of range 0..2$"):
+            p.apply_deviation(u, (1,))
+    for u in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^vertex {u} is not an int$"):
             p.apply_deviation(u, (1,))
 
 
@@ -392,7 +476,7 @@ def test_parse_matches_the_two_pass_reference(text):
 def test_save_and_load(tmp_path):
     p = NominationProfile.single([3, 0, 0, 1])
     path = tmp_path / "profile.txt"
-    save_profile(p, path)
+    path.write_text(format_profile(p), encoding="utf-8")
     assert load_profile(path) == p
 
 

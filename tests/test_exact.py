@@ -48,18 +48,18 @@ def test_distribution_must_sum_to_one():
 
 def test_distribution_strips_zero_entries():
     d = WinnerDistribution(3, {0: Fraction(1), 1: Fraction(0)}, Fraction(0))
-    assert d.support() == (0,)
+    assert d.p == {0: 1}
     assert d.probability(1) == 0
     assert d.probability(0) == 1
 
 
 def test_point_mass():
-    d = WinnerDistribution.point_mass(4, 2)
+    d = WinnerDistribution(4, {2: 1}, 0)
     assert d.probability(2) == 1
     assert d.p_none == 0
-    none = WinnerDistribution.point_mass(4, None)
+    none = WinnerDistribution(4, {}, 1)
     assert none.p_none == 1
-    assert none.support() == ()
+    assert none.p == {}
 
 
 def test_to_json_dict_uses_exact_strings():
@@ -118,7 +118,7 @@ def test_random_k_rejects_multi_model():
 
 
 def test_expected_degree_checks_profile():
-    d = WinnerDistribution.point_mass(3, 0)
+    d = WinnerDistribution(3, {0: 1}, 0)
     with pytest.raises(ValueError):
         expected_winner_degree(d, NominationProfile.single([1, 2, 3, 0]))
 
@@ -139,7 +139,10 @@ def test_budget_exceeded():
 def test_budget_refuses_exactly_when_n_to_the_k_exceeds_it(budget):
     for n in (2, 3, 7):
         for k in range(1, 30):
-            if n**k > budget:
+            if budget < 0:  # a negative budget is refused as such, whatever n^k is
+                with pytest.raises(ValueError, match=f"^budget must be non-negative, got {budget}$"):
+                    checked_sample_size(MechanismSpec.random_k(k), n, SINGLE, budget)
+            elif n**k > budget:
                 with pytest.raises(EnumerationTooLarge):
                     checked_sample_size(MechanismSpec.random_k(k), n, SINGLE, budget)
             else:

@@ -125,6 +125,7 @@ class TestMechanismSpec:
             (lambda: MechanismSpec.majority_default(False), "default vertex False is not an int"),
             (lambda: MechanismSpec.fixed([0, -1]), "fixed sample vertex must be non-negative, got -1"),
             (lambda: MechanismSpec.fixed([1.0]), "fixed sample vertex 1.0 is not an int"),
+            (lambda: MechanismSpec("fixed_sample", fixed_set=5), "fixed sample 5 is not a collection of vertices"),
             (lambda: MechanismSpec("plurality"), "unknown mechanism kind 'plurality'"),
             (lambda: MechanismSpec(["fixed_sample"]), "unknown mechanism kind ['fixed_sample']"),
         ],

@@ -224,6 +224,11 @@ def test_config_constructor_checks_the_converted_fields():
         dataclasses.replace(config, mechanisms=("random-k:2",))
     with pytest.raises(ValueError, match=r"^/generator: must be a GeneratorSpec$"):
         dataclasses.replace(config, generator="random-single")
+    # a container that is not iterable at all is named by its field too
+    with pytest.raises(ValueError, match=r"^/n_values: must be a list of integers$"):
+        dataclasses.replace(config, n_values=5)
+    with pytest.raises(ValueError, match=r"^/mechanisms: must be a list of MechanismSpecs$"):
+        dataclasses.replace(config, mechanisms=5)
 
 
 def test_config_rejects_exact_budget():
@@ -232,12 +237,12 @@ def test_config_rejects_exact_budget():
 
 
 def test_config_rejects_bound_stress_k_zero():
-    with pytest.raises(ValueError, match="^/generator: parameter k must be an integer >= 1"):
+    with pytest.raises(ValueError, match="^/generator: parameter k must be at least 1, got 0$"):
         small_config(generator={"family": "bound-stress", "k": 0}, instances=1)
 
 
 def test_config_rejects_single_worst_delta_zero():
-    with pytest.raises(ValueError, match="^/generator: parameter delta must be an integer >= 1"):
+    with pytest.raises(ValueError, match="^/generator: parameter delta must be at least 1, got 0$"):
         small_config(generator={"family": "single-worst", "delta": 0}, instances=1)
 
 

@@ -102,6 +102,18 @@ def test_only_core_branches_on_a_model():
                 assert not any(map(names_a_model, operands)), f"{name}.py:{node.lineno} compares with a model"
 
 
+def test_only_core_words_an_integer_check():
+    """``core.checked_int`` owns the integer-input messages; p's real range ``[0, 1]`` is its own."""
+    shape = re.compile(r"is not an int|need at least|out of range (?!\[)")
+    for name, tree in _trees().items():
+        if name == "core":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found = shape.search(node.value)
+                assert not found, f"{name}.py:{node.lineno} words an integer check: {node.value!r}"
+
+
 def _method(tree, cls_name: str, name: str):
     cls = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls_name)
     return next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == name)

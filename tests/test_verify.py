@@ -53,6 +53,11 @@ def table_oracle(answers, default=0):
     return oracle
 
 
+def _point_mass(n, winner):
+    """A deterministic answer as a distribution: ``winner`` surely, or nobody."""
+    return WinnerDistribution(n, {} if winner is None else {winner: 1}, int(winner is None))
+
+
 # ---------------------------------------------------------------------------
 # profile enumeration
 
@@ -172,7 +177,7 @@ def reference_engines(subject, n, model):
 
     def distribution(profile):
         if callable(subject):
-            return WinnerDistribution.point_mass(n, subject(profile))
+            return _point_mass(n, subject(profile))
         method = "sequences" if subject.is_randomized else "auto"
         return exact_distribution(subject, profile, method=method)
 
@@ -521,7 +526,7 @@ def test_every_engine_rejects_an_answer_that_is_not_a_vertex_id(answer):
 
 
 def test_every_engine_rejects_a_distribution_over_the_wrong_n():
-    wrong = WinnerDistribution.point_mass(2, 0)
+    wrong = WinnerDistribution(2, {0: 1}, 0)
     for where, call in _answer_check_calls(lambda p: wrong).items():
         with pytest.raises(ValueError) as caught:
             call()
@@ -554,7 +559,7 @@ def test_validate_witness_matches_a_fraction_derivation(model, n):
             dists = {p: exact_distribution(subject, p) for p in profiles}
         else:
             dists = {p: subject(p) for p in profiles}
-            dists = {p: d if isinstance(d, WinnerDistribution) else WinnerDistribution.point_mass(n, d)
+            dists = {p: d if isinstance(d, WinnerDistribution) else _point_mass(n, d)
                      for p, d in dists.items()}
         for p in profiles:
             got = validate_witness(Witness("additivity_violation", p), subject)
