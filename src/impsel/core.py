@@ -8,9 +8,9 @@ name any subset of the others, including nobody (abstention).  A profile
 where every vertex abstains is a perfectly valid multi-model profile.
 
 This module is the one owner of those rules: ``out_degrees(model, n)``
-says what each model allows, and only ``NominationProfile`` checks a row.
-It also owns the check of every integer input in the package,
-``checked_int``.
+says what each model allows, and only ``NominationProfile`` checks a row
+(its private ``_trusted`` skips that for rows verify enumerates).  It also
+owns ``checked_int``, the check of every integer input in the package.
 
 Profiles are immutable values.  Anything that "modifies" one, such as
 ``profile.apply_deviation(u, new_out)``, returns a new profile.
@@ -22,8 +22,12 @@ equal graphs compare and hash equal regardless of construction order.
 from __future__ import annotations
 
 import functools
+import json
+import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain, groupby, islice
+from operator import contains, eq, itemgetter, lt
 
 __all__ = [
     "SINGLE",
@@ -70,19 +74,18 @@ def out_degrees(model: str, n: int) -> range:
 
 
 def checked_int(
-    value, what: str, least: int = 0, most: int | None = None, error: type[ValueError] = ValueError
+    value, what: str, least: int | None = 0, most: int | None = None, error: type[ValueError] = ValueError
 ) -> int:
     """``value`` if it is an int (a bool is not) in ``least..most``, else ``error``.
 
-    ``most`` None means no upper end.  The three messages are ``<what> <v!r>
-    is not an int``, ``<what> <v> out of range <least>..<most>`` and ``<what>
-    must be at least <least>, got <v>`` (``must be non-negative`` for 0).
-    """
+    ``most`` None means no upper end; ``least`` None too, any int.  The messages are
+    ``<what> <v!r> is not an int``, ``<what> <v> out of range <least>..<most>`` and
+    ``<what> must be at least <least>, got <v>`` (``must be non-negative`` for 0)."""
     if type(value) is not int:
         raise error(f"{what} {value!r} is not an int")
     if most is not None and not least <= value <= most:
         raise error(f"{what} {value} out of range {least}..{most}")
-    if value < least:
+    if least is not None and value < least:
         raise error(f"{what} must be {f'at least {least}' if least else 'non-negative'}, got {value}")
     return value
 
@@ -104,6 +107,21 @@ def _normalize_out(vertex: int, nominees: Iterable[int], n: int, degrees: range)
     return out
 
 
+def _checked_rows(rows: tuple[tuple, ...], n: int, degrees: range) -> tuple[tuple[int, ...], ...]:
+    """``rows`` sorted and deduplicated.  Type, range and self-loops, which neither changes,
+    are checked over all rows at once; on a fault ``_normalize_out`` names the first bad row."""
+    flat = [*chain.from_iterable(rows)]
+    ints = {*map(type, flat)} <= {int}
+    if ints and (not flat or 0 <= min(flat) <= max(flat) < n) and not any(map(contains, rows, range(n))):
+        lengths = {*map(len, rows)}
+        if max(lengths) > 1 and not all(all(map(lt, r, r[1:])) for r in rows if len(r) > 1):
+            rows = tuple(r if len(r) < 2 or all(map(lt, r, r[1:])) else tuple(sorted(set(r))) for r in rows)
+            lengths = {*map(len, rows)}
+        if min(lengths) in degrees and max(lengths) in degrees:
+            return rows
+    return tuple(_normalize_out(u, row, n, degrees) for u, row in enumerate(rows))
+
+
 @dataclass(frozen=True)
 class NominationProfile:
     """An immutable nomination graph.
@@ -122,15 +140,21 @@ class NominationProfile:
         degrees = out_degrees(self.model, n)
         if len(self.out) != n:
             raise ModelViolation(f"out has {len(self.out)} entries for n={n}")
-        normalized = tuple(_normalize_out(u, nominees, n, degrees) for u, nominees in enumerate(self.out))
-        object.__setattr__(self, "out", normalized)
+        object.__setattr__(self, "out", _checked_rows(tuple(map(tuple, self.out)), n, degrees))
 
     # ----- constructors -----
 
     @classmethod
+    def _trusted(cls, n: int, model: str, rows: tuple[tuple[int, ...], ...]) -> "NominationProfile":
+        """A profile of rows the package generated sorted and valid itself; nothing is checked."""
+        profile = object.__new__(cls)
+        profile.__dict__.update(n=n, model=model, out=rows)
+        return profile
+
+    @classmethod
     def single(cls, nominees: Sequence[int]) -> "NominationProfile":
         """Build a single-model profile from the list ``nominees[u] = x_u``."""
-        return cls(len(nominees), SINGLE, tuple((v,) for v in nominees))
+        return cls(len(nominees), SINGLE, tuple(zip(nominees)))
 
     @classmethod
     def multi(
@@ -211,23 +235,43 @@ class NominationProfile:
 #   2 0
 
 
-def _content_lines(text: str) -> Iterable[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+_CANONICAL_HEADER = re.compile(rf"{PROFILE_MAGIC}\nmodel ({'|'.join(MODELS)})\nn ([1-9][0-9]*)\n")
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _canonical_rows(text: str) -> tuple[int, str, list[tuple[int, ...]]] | None:
+    """``(n, model, rows)`` of a text exactly as ``format_profile`` writes it, its ints read
+    by one ``json.loads``; None for any other text, which the line reader then reads."""
+    header = _CANONICAL_HEADER.match(text)
+    # "<digits> <digits>\n" lines only: a regex over the lines would keep a frame per line
+    if not header or (body := text[header.end() :]).translate(_NO_DIGITS) != " \n" * body.count("\n"):
+        return None
+    ints = body[:-1].replace(" ", ",").replace("\n", ",")
+    try:
+        n, ends = int(header[2]), json.loads(f"[{ints}]")
+    except ValueError:  # an empty token, a leading zero, or an int too long for int()
+        return None
+    sources, targets = ends[::2], ends[1::2]
+    if len(sources) == n and all(map(eq, sources, range(n))):
+        return n, header[1], list(zip(targets))
+    edges = list(zip(sources, targets))
+    if edges and (sources[-1] >= n or not all(map(lt, edges, islice(edges, 1, None)))):
+        return None
+    rows = {u: tuple(map(itemgetter(1), row)) for u, row in groupby(edges, itemgetter(0))}
+    return n, header[1], [rows.get(u, ()) for u in range(n)]
 
 
 def parse_profile(text: str) -> NominationProfile:
     """Parse the textual profile format; see the module docstring for errors."""
-    lines = iter(_content_lines(text))
+    if canonical := _canonical_rows(text):
+        return NominationProfile(*canonical)
+    content = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    lines = ((lineno, line) for lineno, line in content if line and not line.startswith("#"))
 
     def next_line(what: str) -> tuple[int, str]:
-        try:
-            return next(lines)
-        except StopIteration:
-            raise ProfileFormatError(f"unexpected end of input, expected {what}") from None
+        for line in lines:
+            return line
+        raise ProfileFormatError(f"unexpected end of input, expected {what}")
 
     lineno, magic = next_line("magic line")
     if magic != PROFILE_MAGIC:
@@ -271,9 +315,8 @@ def parse_profile(text: str) -> NominationProfile:
 
 def format_profile(profile: NominationProfile) -> str:
     """Render a profile in the textual format, edges sorted by (from, to)."""
-    out = [PROFILE_MAGIC, f"model {profile.model}", f"n {profile.n}"]
-    out.extend(f"{u} {v}" for u, v in profile.edges())
-    return "\n".join(out) + "\n"
+    edges = [f"{u} {v}\n" for u, row in enumerate(profile.out) for v in row]
+    return f"{PROFILE_MAGIC}\nmodel {profile.model}\nn {profile.n}\n" + "".join(edges)
 
 
 def load_profile(path) -> NominationProfile:

@@ -93,6 +93,7 @@ class WinnerDistribution:
     p_none: Fraction
 
     def __post_init__(self):
+        checked_int(self.n, "vertex count", 1)
         cleaned = {}
         for u, prob in sorted(self.p.items()):
             prob = Fraction(prob)

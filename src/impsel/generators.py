@@ -88,16 +88,20 @@ def gen_bound_stress(n: int, k: int) -> NominationProfile:
 def gen_random_single(n: int, seed: int) -> NominationProfile:
     """Each vertex nominates one uniformly random other vertex."""
     checked_int(n, "vertex count", 2)
-    draws = DrawStream(seed).draws(n, n - 1)
+    draws = DrawStream(checked_int(seed, "seed", None)).draws(n, n - 1)
     return NominationProfile.single([r if r < u else r + 1 for u, r in enumerate(draws)])
+
+
+def _check_probability(p) -> None:
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
+        raise ValueError(f"edge probability {p!r} out of range [0, 1]")
 
 
 def gen_random_multi(n: int, p: float, seed: int) -> NominationProfile:
     """Each ordered non-self pair is an edge independently with probability p."""
     checked_int(n, "vertex count", 2)
-    if not 0 <= p <= 1:
-        raise ValueError(f"edge probability {p} out of range [0, 1]")
-    stream = DrawStream(seed)
+    _check_probability(p)
+    stream = DrawStream(checked_int(seed, "seed", None))
     scale = 1 << 53
     cutoff = p * scale
     rows = []
@@ -187,8 +191,8 @@ class GeneratorSpec:
         for key, value in params:
             if key != "p":
                 checked_int(value, f"parameter {key}", PARAMS[key][1])
-            elif isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
-                raise ValueError(f"edge probability {value!r} out of range [0, 1]")
+            else:
+                _check_probability(value)
 
     @classmethod
     def from_mapping(cls, family: str, params: Mapping[str, object] = ()) -> "GeneratorSpec":

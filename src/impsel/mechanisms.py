@@ -41,6 +41,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+import numbers
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -413,7 +414,7 @@ def sks_sample_size(n: int) -> int:
 def sks_gap_upper_bound(n: int, k: float) -> float:
     """Guaranteed ceiling on delta - E[winner degree] for the multiset sample rule."""
     checked_int(n, "vertex count", 2)
-    if k < 1:
+    if not isinstance(k, numbers.Real) or k < 1:
         raise ValueError(f"sample size must be at least 1, got {k}")
     return 2 * k + n * n * math.exp(-(k**3) / (2 * n * n))
 

@@ -57,6 +57,7 @@ class TrialPlan:
 
     def __post_init__(self):
         checked_int(self.trials, "trials", 1)
+        checked_int(self.master_seed, "seed", None)
 
 
 @dataclass(frozen=True)

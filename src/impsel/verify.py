@@ -149,7 +149,7 @@ def iter_profiles(n: int, model: str) -> Iterator[NominationProfile]:
     Single profiles come in lexicographic nominee order, multi profiles
     smallest out-sets first.
     """
-    return (NominationProfile(n, model, rows) for rows in _profile_rows(n, model))
+    return (NominationProfile._trusted(n, model, rows) for rows in _profile_rows(n, model))
 
 
 def profile_count(n: int, model: str) -> int:
@@ -199,7 +199,7 @@ def _subject_weights(subject, n: int, model: str, budget: int) -> tuple[Callable
         k = checked_sample_size(subject, n, model, budget)
         samples = tuple(sample_space(subject.kind, n, k))
         return (lambda rows: winner_weights(subject.kind, rows, samples)[0]), n**k
-    return (lambda rows: _evaluate(subject, NominationProfile(n, model, rows), budget)), 1
+    return (lambda rows: _evaluate(subject, NominationProfile._trusted(n, model, rows), budget)), 1
 
 
 def check_impartial(

@@ -6,12 +6,16 @@ from hypothesis import given, settings, strategies as st
 from impsel import (
     MechanismSpec,
     TrialPlan,
+    WinnerDistribution,
     check_impartial,
     exact_distribution,
     fixed_sample_winner,
+    gen_random_multi,
+    gen_random_single,
     gen_single_worst,
     majority_default_winner,
     rks_gap_lower_bound,
+    sks_gap_upper_bound,
 )
 from impsel.core import (
     MODELS,
@@ -20,6 +24,8 @@ from impsel.core import (
     ModelViolation,
     NominationProfile,
     ProfileFormatError,
+    _canonical_rows,
+    _normalize_out,
     checked_int,
     format_profile,
     load_profile,
@@ -151,6 +157,10 @@ def test_non_int_ids_are_rejected(build):
         (10**30, 2, None, None),
         (2, 2, 5, None),
         (5, 2, 5, None),
+        # no lower end: any int, however negative; still no bool or float
+        (-(2**70), None, None, None),
+        (1.5, None, None, "count 1.5 is not an int"),
+        (True, None, None, "count True is not an int"),
     ],
 )
 def test_checked_int(value, least, most, message):
@@ -184,6 +194,11 @@ _TRIANGLE = NominationProfile.single([1, 2, 0])
         ),
         # the vertex count is checked before the model
         (lambda: NominationProfile(1, "bogus", ()), ModelViolation, "vertex count must be at least 2, got 1"),
+        (lambda: TrialPlan(3, 1.5), ValueError, "seed 1.5 is not an int"),
+        (lambda: TrialPlan(3, True), ValueError, "seed True is not an int"),
+        (lambda: gen_random_single(4, 1.5), ValueError, "seed 1.5 is not an int"),
+        (lambda: gen_random_multi(4, 0.5, "1"), ValueError, "seed '1' is not an int"),
+        (lambda: WinnerDistribution(2.5, {0: 1}, 0), ValueError, "vertex count 2.5 is not an int"),
     ],
     ids=[
         "majority-default-bool",
@@ -195,12 +210,39 @@ _TRIANGLE = NominationProfile.single([1, 2, 0])
         "check-impartial-float",
         "exact-budget-float",
         "profile-n-before-model",
+        "trial-plan-seed-float",
+        "trial-plan-seed-bool",
+        "random-single-seed-float",
+        "random-multi-seed-str",
+        "distribution-n-float",
     ],
 )
 def test_integer_inputs_are_checked_at_every_entry(probe, error, message):
     with pytest.raises(error) as caught:
         probe()
     assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_negative_and_huge_seeds_are_masked_to_64_bits():
+    assert gen_random_single(6, -1) == gen_random_single(6, 2**64 - 1)
+    assert gen_random_multi(5, 0.5, 2**64 + 3) == gen_random_multi(5, 0.5, 3)
+    assert TrialPlan(1, -(2**80)).master_seed == -(2**80)
+
+
+@pytest.mark.parametrize(
+    ("probe", "message"),
+    [
+        (lambda: gen_random_multi(4, "x", 1), "edge probability 'x' out of range [0, 1]"),
+        (lambda: gen_random_multi(4, 1.5, 1), "edge probability 1.5 out of range [0, 1]"),
+        (lambda: sks_gap_upper_bound(4, "x"), "sample size must be at least 1, got x"),
+        (lambda: sks_gap_upper_bound(4, 0.5), "sample size must be at least 1, got 0.5"),
+    ],
+    ids=["p-str", "p-range", "sks-k-str", "sks-k-range"],
+)
+def test_real_valued_inputs_raise_value_error(probe, message):
+    with pytest.raises(ValueError) as caught:
+        probe()
     assert str(caught.value) == message
 
 
@@ -495,3 +537,126 @@ def test_text_round_trip_multi(p):
 @given(multi_profiles())
 def test_degree_totals_match_edge_count(p):
     assert sum(p.in_degrees) == p.edge_count
+
+
+# ---------------------------------------------------------------------------
+# the bulk paths: canonical files and the row check
+
+
+def _format_edges(n, model, edges):
+    """A profile text in ``format_profile``'s shape: header, then "u v" lines."""
+    return f"impsel 1\nmodel {model}\nn {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+# faults on the edge set that keep the canonical shape (the edges are sorted again)
+_EDGE_FAULTS = ("self-loop", "target-n", "source-n", "drop-source", "n-small", "n-large")
+# faults on the text that leave the canonical shape (the line reader takes them)
+_TEXT_FAULTS = ("leading-zero", "no-final-newline", "cr-in-header", "crlf", "long-token", "unsorted", "repeated")
+
+
+@st.composite
+def _canonical_texts(draw):
+    """``format_profile(p)`` of a single or multi profile, with faults that keep
+    its canonical shape and, sometimes, one that leaves it."""
+    p = draw(st.one_of(single_profiles(2, 6), multi_profiles(2, 5)))
+    n, edges = p.n, set(p.edges())
+    for fault in draw(st.lists(st.sampled_from(_EDGE_FAULTS), max_size=3)):
+        u = draw(st.integers(0, p.n - 1))
+        if fault == "self-loop":
+            edges.add((u, u))
+        elif fault == "target-n":
+            edges.add((u, draw(st.sampled_from([n, n + 1, 10**6]))))
+        elif fault == "source-n":
+            edges.add((draw(st.sampled_from([n, n + 2, 10**6])), u))
+        elif fault == "drop-source":
+            edges = {e for e in edges if e[0] != u}
+        else:
+            n = draw(st.sampled_from([1, max(1, n - 1)])) if fault == "n-small" else n + draw(st.integers(1, 3))
+    if p.model == SINGLE and draw(st.booleans()):
+        # a single file may name two targets for one source, or none
+        edges = {e for e in edges if draw(st.integers(0, 5))}
+    text = _format_edges(n, p.model, sorted(edges))
+    lines = text.splitlines(keepends=True)
+    fault = draw(st.sampled_from((None,) * 4 + _TEXT_FAULTS))
+    at = draw(st.integers(3, max(3, len(lines) - 1)))
+    if fault == "leading-zero" and len(lines) > 3:
+        lines[at] = "0" + lines[at]
+    elif fault == "no-final-newline":
+        lines[-1] = lines[-1][:-1]
+    elif fault == "cr-in-header":
+        at = draw(st.integers(0, 2))
+        lines[at] = lines[at][:-1] + "\r\n"
+    elif fault == "crlf":
+        lines = [line[:-1] + "\r\n" for line in lines]
+    elif fault == "long-token" and len(lines) > 3:
+        lines[at] = lines[at].split()[0] + " 1" + "0" * 4300 + "\n"
+    elif fault == "unsorted" and len(lines) > 4:
+        lines[3], lines[-1] = lines[-1], lines[3]
+    elif fault == "repeated" and len(lines) > 3:
+        lines.insert(at, lines[at])
+    return "".join(lines)
+
+
+@given(_canonical_texts())
+@settings(max_examples=500)
+def test_canonical_texts_match_the_two_pass_reference(text):
+    assert _outcome(parse_profile, text) == _outcome(_two_pass_parse, text)
+
+
+def test_only_canonical_texts_are_read_in_bulk():
+    p = NominationProfile.multi(4, [(1, 3), (), (0, 1, 3)])
+    text = format_profile(p)
+    assert _canonical_rows(text) == (4, MULTI, [(1, 3), (), (0, 1, 3), ()])
+    single = format_profile(NominationProfile.single([1, 2, 0]))
+    assert _canonical_rows(single) == (3, SINGLE, [(1,), (2,), (0,)])
+    for other in (
+        text.replace("\n0 1\n", "\n00 1\n"),
+        text[:-1],
+        text.replace("\n", "\r\n"),
+        text.replace("model multi\n", "model multi\r\n"),
+        text.replace("\n", "\n# note\n", 1),
+        text.replace("2 3\n", "2 3\n2 3\n"),
+        text.replace("0 1\n0 3\n", "0 3\n0 1\n"),
+        text.replace("0 1\n", "0\t1\n"),
+        text.replace("2 3\n", "2 1" + "0" * 4300 + "\n"),
+        text.replace("2 3\n", "4 3\n"),
+        text.replace("n 4\n", "n 04\n"),
+    ):
+        assert _canonical_rows(other) is None, other
+        assert _outcome(parse_profile, other) == _outcome(_two_pass_parse, other)
+
+
+_NOMINEES = st.one_of(st.integers(-2, 7), st.booleans(), st.sampled_from([0.0, 1.0, 2.5]))
+_CONTAINERS = {"list": list, "tuple": tuple, "set": set, "generator": lambda row: (v for v in row)}
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sampled_from(MODELS),
+            st.lists(
+                st.tuples(st.sampled_from(sorted(_CONTAINERS)), st.lists(_NOMINEES, max_size=4)), min_size=n, max_size=n
+            ),
+        )
+    )
+)
+@settings(max_examples=500)
+def test_bulk_row_check_matches_the_per_row_check(case):
+    """``NominationProfile`` accepts and refuses exactly what ``_normalize_out``
+    row by row does, with the same rows and the same message."""
+    n, model, spec = case
+
+    def rows():
+        return [_CONTAINERS[kind](row) for kind, row in spec]
+
+    def per_row():
+        return tuple(_normalize_out(u, row, n, out_degrees(model, n)) for u, row in enumerate(rows()))
+
+    def outcome(build):
+        try:
+            return build()
+        except ModelViolation as exc:
+            return str(exc)
+
+    assert outcome(lambda: NominationProfile(n, model, rows()).out) == outcome(per_row)

@@ -137,3 +137,19 @@ def test_config_fields_are_checked_only_in_constructors():
             numeric = any(map(is_number, [node.left, *node.comparators]))
             ordered = any(isinstance(op, ordering) for op in node.ops)
             assert not (numeric or ordered), f"montecarlo.py:{node.lineno} compares with a number"
+
+
+def test_unchecked_profiles_are_built_only_from_enumerated_rows():
+    """``NominationProfile._trusted`` skips the row check, so only the engines
+    that pass rows of ``verify._profile_rows``'s domain may call it."""
+    allowed = {("verify", "iter_profiles"), ("verify", "_subject_weights")}
+    for name, tree in _trees().items():
+        owner = {}  # line -> innermost enclosing function
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    owner[getattr(node, "lineno", None)] = func.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+                site = (name, owner.get(node.lineno))
+                assert site in allowed, f"{name}.py:{node.lineno} builds an unchecked profile"

@@ -38,6 +38,7 @@ from impsel.verify import (
     sample_mechanism_oracle,
     validate_witness,
 )
+from impsel.verify import _profile_rows
 
 
 def multi4(out_sets):
@@ -87,6 +88,16 @@ def test_iterators_match_counts_and_are_unique():
         assert len(seen) == profile_count(n, model)
         assert len(set(seen)) == len(seen)
         assert all(p.n == n and p.model == model for p in seen)
+
+
+@pytest.mark.parametrize(
+    ("n", "model"), [(n, SINGLE) for n in range(2, 6)] + [(n, MULTI) for n in range(2, 5)]
+)
+def test_enumerated_rows_are_their_own_checked_normalisation(n, model):
+    """The engines build these profiles unchecked, so each row tuple must be
+    exactly what the checked constructor would store."""
+    for rows in _profile_rows(n, model):
+        assert NominationProfile(n, model, rows).out == rows
 
 
 def test_single_iterator_is_exhaustive():
