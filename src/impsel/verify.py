@@ -17,12 +17,16 @@ Three engines share this module.
   to be constant.
 
 * ``refute_two_additive`` replays a case analysis against any total
-  deterministic mechanism oracle on 4 vertices, cornering it into either
-  an impartiality violation or a profile where the winner's in-degree
-  trails the maximum by 3.  It never needs more than a few dozen queries.
+  deterministic mechanism oracle on 4 vertices, cornering it into an
+  impartiality violation, a profile where the winner's in-degree trails
+  the maximum by 3, or no winner.  It asks at most 9 distinct profiles.
 
 Witnesses carry the concrete profiles involved and re-validate
-independently via ``validate_witness``.
+independently via ``validate_witness``.  ``detail`` holds ``p_a``/``p_b``
+(check_impartial), ``sample_a``/``sample_b`` (the sample checks), or, from
+the refutation driver, ``winner_a``/``winner_b`` or ``delta``/
+``winner_degree`` plus the tree's ``case`` and ``queries``: oracle calls
+so far, two for each distinct profile.
 """
 
 from __future__ import annotations
@@ -409,17 +413,30 @@ ORACLE_NAMES = ("dictator:<v>", "plurality", "majority-default-ext:<v>")
 # ----- refutation driver -----
 
 
-class _OracleCache:
-    """Memoizing wrapper that asks everything twice to catch nondeterminism."""
+class _NoWinner(Exception):
+    """The oracle named no winner; ``args[0]`` is the no_winner_violation witness."""
+
+
+class _Asker:
+    """The refutation driver's one owner of oracle answers.
+
+    Asks each profile twice to catch nondeterminism, checks the answer,
+    records it by profile, and ends the game with a no_winner_violation
+    (raised as ``_NoWinner``) when the oracle names nobody.  Witnesses
+    read their winners from that record and their ``case`` from the
+    phase the driver last set.
+    """
 
     def __init__(self, oracle):
         self.oracle = oracle
-        self.memo: dict[NominationProfile, int | None] = {}
+        self.answers: dict[NominationProfile, int] = {}
         self.queries = 0
+        self.case = "empty"
 
-    def ask(self, profile: NominationProfile) -> int | None:
-        if profile in self.memo:
-            return self.memo[profile]
+    def _witness(self, kind, a, b, vertex, **detail) -> Witness:
+        return Witness(kind, a, b, vertex, {**detail, "case": self.case, "queries": self.queries})
+
+    def __call__(self, profile: NominationProfile) -> int:
         first = self.oracle(profile)
         second = self.oracle(profile)
         self.queries += 2
@@ -427,58 +444,48 @@ class _OracleCache:
             raise OracleNondeterministic(
                 f"oracle answered {first!r} then {second!r} on:\n{format_profile(profile)}"
             )
-        self.memo[profile] = _winner(first, profile.n)
+        if _winner(first, profile.n) is None:
+            raise _NoWinner(self._witness("no_winner_violation", profile, None, None))
+        self.answers[profile] = first
         return first
+
+    def impartiality(self, a, b, vertex: int) -> Witness:
+        return self._witness(
+            "impartiality_violation", a, b, vertex, winner_a=self.answers[a], winner_b=self.answers[b]
+        )
+
+    def additivity(self, profile) -> Witness:
+        degs, winner = profile.in_degrees, self.answers[profile]
+        return self._witness(
+            "additivity_violation", profile, None, winner, delta=max(degs), winner_degree=degs[winner]
+        )
 
 
 def refute_two_additive(oracle) -> Witness:
     """Corner a total deterministic 4-vertex oracle out of being 2-additive.
 
-    Plays a fixed decision tree of at most a dozen distinct profiles.  At
+    Plays a fixed decision tree of at most 9 distinct profiles.  At
     every step the oracle either contradicts impartiality across a single
     deviation (impartiality_violation), reaches a profile whose winner
     trails the maximum in-degree by 3 (additivity_violation), or declines
     to answer (no_winner_violation).  There is no fourth exit.
     """
-    asker = _OracleCache(oracle)
+    asker = _Asker(oracle)
+    try:
+        return _corner(asker)
+    except _NoWinner as stop:
+        return stop.args[0]
+
+
+def _corner(ask: _Asker) -> Witness:
+    """The decision tree: branch conditions only; ``ask`` builds every witness."""
     n = 4
 
     def multi(out_sets: dict) -> NominationProfile:
         return NominationProfile.multi(n, out_sets)
 
-    def impartiality(a, b, vertex, winner_a, winner_b, case) -> Witness:
-        return Witness(
-            "impartiality_violation",
-            a,
-            b,
-            vertex,
-            {"winner_a": winner_a, "winner_b": winner_b, "case": case, "queries": asker.queries},
-        )
-
-    def additivity(profile, winner, case) -> Witness:
-        degs = profile.in_degrees
-        return Witness(
-            "additivity_violation",
-            profile,
-            None,
-            winner,
-            {
-                "delta": max(degs),
-                "winner_degree": degs[winner],
-                "case": case,
-                "queries": asker.queries,
-            },
-        )
-
-    def no_winner(profile, case) -> Witness:
-        return Witness(
-            "no_winner_violation", profile, None, None, {"case": case, "queries": asker.queries}
-        )
-
     empty = multi({})
-    a = asker.ask(empty)
-    if a is None:
-        return no_winner(empty, "empty")
+    a = ask(empty)
     trio = [v for v in range(n) if v != a]
 
     def others(v: int) -> tuple[int, ...]:
@@ -486,107 +493,75 @@ def refute_two_additive(oracle) -> Witness:
 
     # each trio member alone nominating the other two; the empty-profile
     # winner a must keep winning, since the lone voter cannot make itself win
+    ask.case = "solo"
     solo = {v: multi({v: others(v)}) for v in trio}
     h: dict[int, int] = {}
     for v in trio:
-        win = asker.ask(solo[v])
-        if win is None:
-            return no_winner(solo[v], "solo")
-        if win == v:
-            return impartiality(empty, solo[v], v, a, win, "solo")
-        h[v] = win
+        h[v] = ask(solo[v])
+        if h[v] == v:
+            return ask.impartiality(empty, solo[v], v)
 
     favours_default = [v for v in trio if h[v] == a]
     if favours_default:
         # the default winner a held on against some lone voter cc; force a
         # to keep winning while bb and dd stack nominations on each other
+        ask.case = "held-default"
         cc = favours_default[0]
         bb, dd = (v for v in trio if v != cc)
         w = multi({cc: others(cc), a: (bb, dd)})
-        fw = asker.ask(w)
-        if fw is None:
-            return no_winner(w, "held-default")
-        if fw != a:
-            return impartiality(solo[cc], w, a, h[cc], fw, "held-default")
-
-        wp = multi({cc: others(cc), a: (bb, dd), bb: (dd,)})
-        fwp = asker.ask(wp)
-        if fwp is None:
-            return no_winner(wp, "held-default")
-        if fwp == bb:
-            return impartiality(w, wp, bb, fw, fwp, "held-default")
-        if fwp in (a, cc):
-            return additivity(wp, fwp, "held-default")
-
-        wpp = multi({cc: others(cc), a: (bb, dd), dd: (bb,)})
-        fwpp = asker.ask(wpp)
-        if fwpp is None:
-            return no_winner(wpp, "held-default")
-        if fwpp == dd:
-            return impartiality(w, wpp, dd, fw, fwpp, "held-default")
-        if fwpp in (a, cc):
-            return additivity(wpp, fwpp, "held-default")
+        if ask(w) != a:
+            return ask.impartiality(solo[cc], w, a)
+        one_sided = {}
+        for x, y in ((bb, dd), (dd, bb)):
+            one_sided[x] = multi({cc: others(cc), a: (bb, dd), x: (y,)})
+            fx = ask(one_sided[x])
+            if fx == x:
+                return ask.impartiality(w, one_sided[x], x)
+            if fx in (a, cc):
+                return ask.additivity(one_sided[x])
 
         # both one-sided extensions crowned the other vertex; merging them
         # must crown both at once, which is impossible
         t = multi({cc: others(cc), a: (bb, dd), bb: (dd,), dd: (bb,)})
-        ft = asker.ask(t)
-        if ft is None:
-            return no_winner(t, "held-default")
+        ft = ask(t)
         if ft in (a, cc):
-            return additivity(t, ft, "held-default")
-        if ft == bb:
-            return impartiality(wp, t, dd, fwp, ft, "held-default")
-        return impartiality(wpp, t, bb, fwpp, ft, "held-default")
+            return ask.additivity(t)
+        return ask.impartiality(one_sided[ft], t, dd if ft == bb else bb)
 
     # now h maps the trio into itself with no fixed point: either two
     # members crown each other, or h cycles through all three
-    mutual = None
-    for alpha in trio:
-        beta = h[alpha]
-        if h[beta] == alpha:
-            mutual = (min(alpha, beta), max(alpha, beta))
-            break
-    if mutual is not None:
+    mutual = [v for v in trio if h[h[v]] == v]
+    if mutual:
+        ask.case = "mutual-pair"
         alpha, beta = mutual
         merged = multi({alpha: others(alpha), beta: others(beta)})
-        fm = asker.ask(merged)
-        if fm is None:
-            return no_winner(merged, "mutual-pair")
-        if fm == beta:
-            return impartiality(solo[beta], merged, alpha, h[beta], fm, "mutual-pair")
-        return impartiality(solo[alpha], merged, beta, h[alpha], fm, "mutual-pair")
+        if ask(merged) == beta:
+            return ask.impartiality(solo[beta], merged, alpha)
+        return ask.impartiality(solo[alpha], merged, beta)
 
     # 3-cycle: pairing each voter with its own winner pins f on each pair
+    ask.case = "three-cycle"
     pair: dict[int, NominationProfile] = {}
     for v in trio:
         pair[v] = multi({v: others(v), h[v]: others(h[v])})
-        fp = asker.ask(pair[v])
-        if fp is None:
-            return no_winner(pair[v], "three-cycle")
+        fp = ask(pair[v])
         if fp == v:
-            return impartiality(solo[h[v]], pair[v], v, h[h[v]], fp, "three-cycle")
+            return ask.impartiality(solo[h[v]], pair[v], v)
         if fp != h[v]:
-            return impartiality(solo[v], pair[v], h[v], h[v], fp, "three-cycle")
+            return ask.impartiality(solo[v], pair[v], h[v])
 
     clique = multi({v: others(v) for v in trio})
-    fc = asker.ask(clique)
-    if fc is None:
-        return no_winner(clique, "three-cycle")
+    fc = ask(clique)
     if fc in trio:
         # fc completed pair[h[fc]] into the clique without winning there
-        v = h[fc]
-        return impartiality(pair[v], clique, fc, h[v], fc, "three-cycle")
+        return ask.impartiality(pair[h[fc]], clique, fc)
 
     # fc == a; a nominating everyone must leave a winning, at in-degree 0
     # against three vertices of in-degree 3
-    final = multi({**{v: others(v) for v in trio}, a: tuple(sorted(trio))})
-    ff = asker.ask(final)
-    if ff is None:
-        return no_winner(final, "three-cycle")
-    if ff != a:
-        return impartiality(clique, final, a, fc, ff, "three-cycle")
-    return additivity(final, a, "three-cycle")
+    final = multi({**{v: others(v) for v in trio}, a: tuple(trio)})
+    if ask(final) != a:
+        return ask.impartiality(clique, final, a)
+    return ask.additivity(final)
 
 
 def measure_additive_gap_exhaustive(
@@ -635,33 +610,21 @@ def validate_witness(
     For the sample-function kinds ``subject`` is the sample function g;
     for the others it is a MechanismSpec or mechanism oracle.
     """
-    kind = witness.kind
+    kind, a, b, vertex = witness.kind, witness.profile_a, witness.profile_b, witness.vertex
+    if kind in ("impartiality_violation", "strong_sample_violation") and (
+        b is None or vertex is None or not _differs_only_at(a, b, vertex)
+    ):
+        return False
     if kind == "impartiality_violation":
-        if witness.profile_b is None or witness.vertex is None:
-            return False
-        if not _differs_only_at(witness.profile_a, witness.profile_b, witness.vertex):
-            return False
-        p_a = _evaluate(subject, witness.profile_a, budget)[witness.vertex]
-        return _evaluate(subject, witness.profile_b, budget)[witness.vertex] != p_a
+        return _evaluate(subject, a, budget)[vertex] != _evaluate(subject, b, budget)[vertex]
     if kind == "additivity_violation":
-        weights = _evaluate(subject, witness.profile_a, budget)
-        return witness.profile_a.delta - sum(map(mul, weights, witness.profile_a.in_degrees)) > 2
+        return a.delta - sum(map(mul, _evaluate(subject, a, budget), a.in_degrees)) > 2
     if kind == "no_winner_violation":
-        return not any(_evaluate(subject, witness.profile_a, budget))
-    if kind == "strong_sample_violation":
-        if witness.profile_b is None or witness.vertex is None:
-            return False
-        if not _differs_only_at(witness.profile_a, witness.profile_b, witness.vertex):
-            return False
-        sample_a = _sample_of(subject, witness.profile_a)
-        if witness.vertex not in sample_a:
-            return False
-        return _sample_of(subject, witness.profile_b) != sample_a
+        return not any(_evaluate(subject, a, budget))
     if kind == "sample_not_constant":
-        if witness.profile_b is None:
-            return False
-        return _sample_of(subject, witness.profile_a) != _sample_of(subject, witness.profile_b)
-    return False
+        return b is not None and _sample_of(subject, a) != _sample_of(subject, b)
+    sample_a = _sample_of(subject, a)  # a strong_sample_violation
+    return vertex in sample_a and _sample_of(subject, b) != sample_a
 
 
 def _indent_profile(profile: NominationProfile) -> str:

@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from impsel.cli import main
 from impsel.core import MODELS, NominationProfile, format_profile, load_profile, parse_profile
 from impsel.generators import FAMILIES, PARAMS
-from impsel.montecarlo import CSV_HEADER, SweepConfig, fit_scaling, rows_to_csv, sweep
+from impsel.montecarlo import CSV_HEADER, SweepConfig, fit_scaling, rows_to_csv, rows_to_json, sweep
+from impsel.verify import check_impartial, format_witness, named_oracle
 
 
 def run_cli(*argv):
@@ -519,6 +521,9 @@ def test_sweep_fit_and_jobs(sweep_config, capsys):
     assert "# fit slope=" in solo_out
     assert main(["sweep", "--config", sweep_config, "--fit", "--jobs", "1"]) == 0
     assert capsys.readouterr().out == solo_out
+    rows = sweep(SweepConfig.from_json_dict(json.loads(Path(sweep_config).read_text())))
+    assert main(["sweep", "--config", sweep_config, "--fit", "--format", "json"]) == 0
+    assert capsys.readouterr().out == rows_to_json(rows, fit_scaling(rows)) + "\n"
 
 
 def test_sweep_fit_reports_dropped_rows(tmp_path, capsys):
@@ -604,6 +609,14 @@ def test_verify_impartial_oracle_fails(capsys):
     out = capsys.readouterr().out
     assert "FAILED" in out
     assert "impartiality_violation" in out
+
+
+def test_verify_impartial_shows_three_witnesses_then_a_count(capsys):
+    assert main(["verify", "impartial", "--oracle", "plurality", "--n", "4"]) == 1
+    witnesses = check_impartial(named_oracle("plurality"), 4, "single")
+    assert len(witnesses) == 30
+    shown = "\n".join(format_witness(w) for w in witnesses[:3])
+    assert capsys.readouterr().out == f"FAILED (81 single profiles, n=4, 30 witnesses)\n{shown}\n... and 27 more\n"
 
 
 def test_verify_strong_sample(capsys):

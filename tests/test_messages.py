@@ -1,0 +1,53 @@
+"""Error messages of the input checks that no behaviour test reaches.
+
+Each row is one call, the exception it raises and the full message, so a
+reworded or lost check shows up here by name.
+"""
+
+import pytest
+
+from impsel.core import ModelViolation, NominationProfile
+from impsel.exact import WinnerDistribution, exact_distribution
+from impsel.generators import GeneratorSpec
+from impsel.mechanisms import parse_mechanism, resolve_k
+from impsel.montecarlo import GapReport
+from impsel.verify import Witness, named_oracle
+
+STAR = NominationProfile.single([1, 0, 0])
+
+
+def _gap_report(no_winner_rate):
+    return GapReport(n=3, k=None, delta=1, mean_degree=0.5, gap=0.5, std_err=0.0, ci95=0.0,
+                     no_winner_rate=no_winner_rate, trials=1, master_seed=0, exact=False)
+
+
+ERRORS = {
+    "single-nominees-of-a-multi-profile": (
+        lambda: NominationProfile.multi(3, {0: (1,)}).single_nominees,
+        ModelViolation, "single_nominees is defined for the single model only"),
+    "resolve-k-of-a-deterministic-spec": (
+        lambda: resolve_k(parse_mechanism("fixed:0"), 4), ValueError, "fixed_sample has no sample size"),
+    "duplicate-generator-parameter": (
+        lambda: GeneratorSpec("single-worst", (("delta", 2), ("delta", 3))),
+        ValueError, "duplicate parameter for family single-worst"),
+    "unknown-exact-method": (
+        lambda: exact_distribution(parse_mechanism("fixed:0"), STAR, method="x"), ValueError, "unknown method 'x'"),
+    "negative-vertex-probability": (
+        lambda: WinnerDistribution(3, {1: -1}, 2), ValueError, "negative probability for vertex 1"),
+    "negative-no-winner-probability": (
+        lambda: WinnerDistribution(3, {1: 2}, -1), ValueError, "negative no-winner probability"),
+    "no-winner-rate-above-one": (lambda: _gap_report(1.5), ValueError, "no-winner rate 1.5 outside [0, 1]"),
+    "no-winner-rate-below-zero": (lambda: _gap_report(-0.5), ValueError, "no-winner rate -0.5 outside [0, 1]"),
+    "unknown-witness-kind": (lambda: Witness("bogus", STAR), ValueError, "unknown witness kind 'bogus'"),
+    "plurality-with-an-argument": (
+        lambda: named_oracle("plurality:1"), ValueError, "plurality takes no argument"),
+    "dictator-without-a-vertex": (lambda: named_oracle("dictator"), ValueError, "dictator needs ':<vertex>'"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", ERRORS.values(), ids=ERRORS)
+def test_error_message(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message

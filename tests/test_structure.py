@@ -153,3 +153,27 @@ def test_unchecked_profiles_are_built_only_from_enumerated_rows():
             if isinstance(node, ast.Attribute) and node.attr == "_trusted":
                 site = (name, owner.get(node.lineno))
                 assert site in allowed, f"{name}.py:{node.lineno} builds an unchecked profile"
+
+
+def test_only_the_asker_builds_refutation_witnesses():
+    """The refutation driver's no-winner exit and every witness it returns are
+    built by ``verify._Asker``, which owns the oracle's answers; the decision
+    tree (``refute_two_additive`` and ``_corner``) only branches."""
+    tree = _trees()["verify"]
+
+    def witness_builds(node):
+        return [n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Witness"]
+
+    functions = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    for name in ("refute_two_additive", "_corner"):
+        assert not witness_builds(functions[name]), f"verify.{name} builds a Witness"
+    asker = [n for n in functions["_Asker"].body if isinstance(n, ast.FunctionDef)]
+    assert [m.name for m in asker if witness_builds(m)] == ["_witness"]
+    none_checks = [n.lineno for n in ast.walk(functions["_corner"]) if isinstance(n, ast.Compare)
+                   and any(isinstance(c, ast.Constant) and c.value is None for c in n.comparators)]
+    assert not none_checks, f"verify.py:{none_checks[0]} checks for no winner outside the asker"
+    # of the functions and classes, only the asker (which raises it) and validate_witness name the kind
+    owners = {name for name, node in functions.items()
+              if any(isinstance(n, ast.Constant) and n.value == "no_winner_violation" for n in ast.walk(node))}
+    assert owners == {"_Asker", "validate_witness"}

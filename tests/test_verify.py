@@ -4,6 +4,7 @@ The driver tests steer it down every branch of its decision tree with
 scripted table-driven oracles, then re-validate each witness from scratch.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -439,6 +440,62 @@ def test_refute_held_default_merge_exit():
     assert w2.detail["winner_degree"] == 0
 
 
+# held default with a = 0: h[1] = 0 (every unlisted answer is 0), so cc = 1, bb = 2, dd = 3
+HELD = {SOLO[1]: 0}
+W = multi4({1: (2, 3), 0: (2, 3)})
+WP = multi4({1: (2, 3), 0: (2, 3), 2: (3,)})
+WPP = multi4({1: (2, 3), 0: (2, 3), 3: (2,)})
+T = multi4({1: (2, 3), 0: (2, 3), 2: (3,), 3: (2,)})
+MUTUAL = {SOLO[1]: 2, SOLO[2]: 1, SOLO[3]: 1}
+MERGED = multi4({1: (2, 3), 2: (1, 3)})
+
+
+def _impartiality(a, b, vertex, winner_a, winner_b, case, queries):
+    detail = {"winner_a": winner_a, "winner_b": winner_b, "case": case, "queries": queries}
+    return Witness("impartiality_violation", a, b, vertex, detail)
+
+
+def _no_winner(profile, case, queries):
+    return Witness("no_winner_violation", profile, None, None, {"case": case, "queries": queries})
+
+
+# every exit of the decision tree that the branch tests above leave out;
+# queries count two oracle calls per distinct profile asked
+REFUTATION_EXITS = {
+    "held-w-impartiality": ({**HELD, W: 1}, _impartiality(SOLO[1], W, 0, 0, 1, "held-default", 10)),
+    "held-wp-impartiality": ({**HELD, WP: 2}, _impartiality(W, WP, 2, 0, 2, "held-default", 12)),
+    "held-wpp-impartiality": (
+        {**HELD, WP: 3, WPP: 3}, _impartiality(W, WPP, 3, 0, 3, "held-default", 14)),
+    "held-wpp-additivity": (
+        {**HELD, WP: 3, WPP: 1},
+        Witness("additivity_violation", WPP, None, 1,
+                {"delta": 3, "winner_degree": 0, "case": "held-default", "queries": 14})),
+    "held-t-crowns-dd": (
+        {**HELD, WP: 3, WPP: 2, T: 3}, _impartiality(WPP, T, 2, 2, 3, "held-default", 16)),
+    "no-winner-w": ({**HELD, W: None}, _no_winner(W, "held-default", 10)),
+    "no-winner-wp": ({**HELD, WP: None}, _no_winner(WP, "held-default", 12)),
+    "no-winner-wpp": ({**HELD, WP: 3, WPP: None}, _no_winner(WPP, "held-default", 14)),
+    "no-winner-t": ({**HELD, WP: 3, WPP: 2, T: None}, _no_winner(T, "held-default", 16)),
+    "no-winner-merged": ({**MUTUAL, MERGED: None}, _no_winner(MERGED, "mutual-pair", 10)),
+    "no-winner-pair": ({**CYCLE, PAIR[1]: None}, _no_winner(PAIR[1], "three-cycle", 10)),
+    "no-winner-clique": (
+        {**CYCLE, **PAIR_ANSWERS, CLIQUE: None}, _no_winner(CLIQUE, "three-cycle", 16)),
+    "no-winner-final": (
+        {**CYCLE, **PAIR_ANSWERS, CLIQUE: 0, FINAL: None}, _no_winner(FINAL, "three-cycle", 18)),
+}
+
+
+@pytest.mark.parametrize("answers, expected", REFUTATION_EXITS.values(), ids=REFUTATION_EXITS)
+def test_refute_pins_every_remaining_exit(answers, expected):
+    oracle = table_oracle(answers)
+    witness = refute_two_additive(oracle)
+    assert (witness.kind, witness.detail["case"], witness.vertex) == (
+        expected.kind, expected.detail["case"], expected.vertex)
+    assert (witness.profile_a, witness.profile_b) == (expected.profile_a, expected.profile_b)
+    assert list(witness.detail.items()) == list(expected.detail.items())  # key order too
+    assert validate_witness(witness, oracle)
+
+
 def test_refute_rejects_nondeterminism():
     calls = []
 
@@ -507,6 +564,7 @@ def test_validate_rejects_gap_of_exactly_two():
     assert not validate_witness(claim, table_oracle({star: 1}))
 
 
+
 TRI = NominationProfile.single([1, 2, 0])
 # the last answer is n itself, one past the last vertex id
 BAD_ANSWERS = [True, False, -1, "0", 1.0, (0,), lambda profile: profile.n]
@@ -545,6 +603,46 @@ def test_every_engine_rejects_a_distribution_over_the_wrong_n():
             assert str(caught.value) == f"oracle returned {wrong!r}, expected a vertex id or None"
         else:
             assert str(caught.value) == "oracle returned a distribution over 2 vertices, expected 3", where
+
+
+def _self_contradicting():
+    """An oracle answering 0 and 1 by turns: any two calls in a row disagree about vertex 0."""
+    answers = itertools.cycle([0, 1])
+    return lambda profile: next(answers)
+
+
+_TRI_B = NominationProfile.single([2, 2, 0])  # TRI with vertex 0 rewired
+_TRI_C = NominationProfile.single([1, 2, 1])  # TRI with vertex 2 rewired; max-degree's sample {0} moves to {1}
+_MAX_DEGREE = SAMPLE_CATALOG["max-degree"]
+
+# each witness is refused for the one fault its id names; where the witness
+# has the shape to be checked at all, the subject would confirm the rest
+REFUSED_WITNESSES = {
+    "impartiality-without-profile-b": (Witness("impartiality_violation", TRI, None, 0), _self_contradicting),
+    "impartiality-without-vertex": (Witness("impartiality_violation", TRI, _TRI_B, None), _self_contradicting),
+    "vertex-above-range": (Witness("impartiality_violation", TRI, _TRI_B, 3), _self_contradicting),
+    "vertex-below-range": (Witness("impartiality_violation", TRI, _TRI_C, -1), lambda: table_oracle({_TRI_C: 2})),
+    "vertex-count-differs": (
+        Witness("impartiality_violation", TRI, NominationProfile.single([2, 2, 0, 2]), 0), _self_contradicting),
+    "model-differs": (
+        Witness("impartiality_violation", TRI, NominationProfile.multi(3, {0: (2,), 1: (2,), 2: (0,)}), 0),
+        _self_contradicting),
+    "equal-at-the-vertex": (Witness("impartiality_violation", TRI, TRI, 0), _self_contradicting),
+    "differs-at-a-second-vertex": (
+        Witness("impartiality_violation", TRI, NominationProfile.single([2, 0, 0]), 0), _self_contradicting),
+    "strong-sample-without-profile-b": (Witness("strong_sample_violation", TRI, None, 2), lambda: _MAX_DEGREE),
+    "strong-sample-without-vertex": (Witness("strong_sample_violation", TRI, _TRI_C, None), lambda: _MAX_DEGREE),
+    "strong-sample-differs-at-a-second-vertex": (
+        Witness("strong_sample_violation", TRI, NominationProfile.single([2, 2, 1]), 0), lambda: _MAX_DEGREE),
+    "strong-sample-vertex-outside-the-sample": (
+        Witness("strong_sample_violation", TRI, _TRI_C, 2), lambda: _MAX_DEGREE),
+    "sample-not-constant-without-profile-b": (Witness("sample_not_constant", TRI), lambda: _MAX_DEGREE),
+}
+
+
+@pytest.mark.parametrize("witness, make_subject", REFUSED_WITNESSES.values(), ids=REFUSED_WITNESSES)
+def test_validate_refuses_a_witness_of_the_wrong_shape(witness, make_subject):
+    assert validate_witness(witness, make_subject()) is False
 
 
 def _half_least_degree(profile):
