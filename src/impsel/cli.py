@@ -87,13 +87,13 @@ def cmd_run(args) -> int:
         if args.trials is not None or args.seed is not None:
             raise ValueError("--exact enumerates every draw; it takes neither --trials nor --seed")
         dist = exact_distribution(spec, profile, budget=_budget(spec, args))
-        mean = expected_winner_degree(dist, profile)
+        mean, delta = expected_winner_degree(dist, profile), profile.delta
         result = {
             "mechanism": spec.label(),
             "n": profile.n,
-            "delta": profile.delta,
+            "delta": delta,
             "mean_degree": str(mean),
-            "gap": str(profile.delta - mean),
+            "gap": str(delta - mean),
             "p_none": str(dist.p_none),
             "exact": True,
         }

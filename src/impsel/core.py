@@ -9,8 +9,10 @@ where every vertex abstains is a perfectly valid multi-model profile.
 
 This module is the one owner of those rules: ``out_degrees(model, n)``
 says what each model allows, and only ``NominationProfile`` checks a row
-(its private ``_trusted`` skips that for rows verify enumerates).  It also
-owns ``checked_int``, the check of every integer input in the package.
+(its private ``_trusted`` skips that for rows verify enumerates, and for the
+rows ``NominationProfile.single`` builds once the flat nominee list passed
+its check).  It also owns ``checked_int``, the check of every integer input
+in the package.
 
 Profiles are immutable values.  Anything that "modifies" one, such as
 ``profile.apply_deviation(u, new_out)``, returns a new profile.
@@ -26,7 +28,7 @@ import json
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import chain, groupby, islice, repeat
 from operator import contains, eq, itemgetter, lt
 
 __all__ = [
@@ -153,8 +155,15 @@ class NominationProfile:
 
     @classmethod
     def single(cls, nominees: Sequence[int]) -> "NominationProfile":
-        """Build a single-model profile from the list ``nominees[u] = x_u``."""
-        return cls(len(nominees), SINGLE, tuple(zip(nominees)))
+        """Build a single-model profile from the list ``nominees[u] = x_u``.
+
+        The flat list stands in for the row check: all ints by type, in ``0..n-1``, no
+        ``nominees[u] == u``.  On any fault the row check runs, to name the first bad row."""
+        n, rows = len(nominees), (*zip(nominees),)
+        if n > 1 and {*map(type, nominees)} <= {int} and 0 <= min(nominees) and max(nominees) < n:
+            if not any(map(eq, nominees, range(n))):
+                return cls._trusted(n, SINGLE, rows)
+        return cls(n, SINGLE, rows)
 
     @classmethod
     def multi(
@@ -239,9 +248,10 @@ _CANONICAL_HEADER = re.compile(rf"{PROFILE_MAGIC}\nmodel ({'|'.join(MODELS)})\nn
 _NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
-def _canonical_rows(text: str) -> tuple[int, str, list[tuple[int, ...]]] | None:
+def _canonical_rows(text: str) -> tuple[int, str, list] | None:
     """``(n, model, rows)`` of a text exactly as ``format_profile`` writes it, its ints read
-    by one ``json.loads``; None for any other text, which the line reader then reads."""
+    by one ``json.loads``, a single model's rows as the flat nominee list; None for any
+    other text, which the line reader then reads."""
     header = _CANONICAL_HEADER.match(text)
     # "<digits> <digits>\n" lines only: a regex over the lines would keep a frame per line
     if not header or (body := text[header.end() :]).translate(_NO_DIGITS) != " \n" * body.count("\n"):
@@ -252,8 +262,8 @@ def _canonical_rows(text: str) -> tuple[int, str, list[tuple[int, ...]]] | None:
     except ValueError:  # an empty token, a leading zero, or an int too long for int()
         return None
     sources, targets = ends[::2], ends[1::2]
-    if len(sources) == n and all(map(eq, sources, range(n))):
-        return n, header[1], list(zip(targets))
+    if header[1] == SINGLE:  # one source per vertex, in order; else the line reader names the fault
+        return (n, SINGLE, targets) if len(sources) == n and all(map(eq, sources, range(n))) else None
     edges = list(zip(sources, targets))
     if edges and (sources[-1] >= n or not all(map(lt, edges, islice(edges, 1, None)))):
         return None
@@ -264,7 +274,8 @@ def _canonical_rows(text: str) -> tuple[int, str, list[tuple[int, ...]]] | None:
 def parse_profile(text: str) -> NominationProfile:
     """Parse the textual profile format; see the module docstring for errors."""
     if canonical := _canonical_rows(text):
-        return NominationProfile(*canonical)
+        n, model, rows = canonical
+        return NominationProfile.single(rows) if model == SINGLE else NominationProfile(n, model, rows)
     content = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
     lines = ((lineno, line) for lineno, line in content if line and not line.startswith("#"))
 
@@ -315,8 +326,10 @@ def parse_profile(text: str) -> NominationProfile:
 
 def format_profile(profile: NominationProfile) -> str:
     """Render a profile in the textual format, edges sorted by (from, to)."""
-    edges = [f"{u} {v}\n" for u, row in enumerate(profile.out) for v in row]
-    return f"{PROFILE_MAGIC}\nmodel {profile.model}\nn {profile.n}\n" + "".join(edges)
+    n, out = profile.n, profile.out
+    sources = range(n) if profile.model == SINGLE else chain.from_iterable(map(repeat, range(n), map(len, out)))
+    ends = (*chain.from_iterable(zip(sources, chain.from_iterable(out))),)
+    return f"{PROFILE_MAGIC}\nmodel {profile.model}\nn {n}\n" + "%d %d\n" * (len(ends) // 2) % ends
 
 
 def load_profile(path) -> NominationProfile:

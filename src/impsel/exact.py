@@ -258,8 +258,10 @@ def exact_distribution(
     # a deterministic mechanism draws nothing: k = 0, one outcome
     k = checked_sample_size(spec, n, profile.model, budget) if spec.is_randomized else 0
     if k == 0:
-        winner = run_mechanism(spec, profile)
-        weights, none_weight = [int(v == winner) for v in range(n)], int(winner is None)
+        winner, weights = run_mechanism(spec, profile), [0] * n
+        if winner is not None:
+            weights[winner] = 1
+        none_weight = int(winner is None)
     elif method == "sequences":
         weights, none_weight = _by_sequences(spec, profile, k)
     else:
@@ -268,7 +270,7 @@ def exact_distribution(
     assert none_weight + sum(weights) == total
     return WinnerDistribution(
         n,
-        {u: Fraction(w, total) for u, w in enumerate(weights) if w},
+        {u: Fraction(weights[u], total) for u in itertools.compress(range(n), weights)},
         Fraction(none_weight, total),
     )
 

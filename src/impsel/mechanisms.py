@@ -47,6 +47,8 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import le
 from typing import NamedTuple
 
 from .core import MODELS, SINGLE, NominationProfile, checked_int
@@ -324,7 +326,8 @@ def majority_default_winner(profile: NominationProfile, default_vertex: int) -> 
     d = checked_int(default_vertex, "default vertex", 0, profile.n - 1)
     threshold = (profile.n + 1) // 2
     degs = profile.in_degrees
-    for v in range(profile.n):
+    # leaving out d's vote only lowers a degree, so only vertices at or above the threshold can win
+    for v in compress(range(profile.n), map(le, repeat(threshold), degs)):
         if v == d:
             continue
         deg = degs[v] - (1 if v in profile.out[d] else 0)

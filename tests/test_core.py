@@ -608,7 +608,9 @@ def test_only_canonical_texts_are_read_in_bulk():
     text = format_profile(p)
     assert _canonical_rows(text) == (4, MULTI, [(1, 3), (), (0, 1, 3), ()])
     single = format_profile(NominationProfile.single([1, 2, 0]))
-    assert _canonical_rows(single) == (3, SINGLE, [(1,), (2,), (0,)])
+    assert _canonical_rows(single) == (3, SINGLE, [1, 2, 0])
+    # a single-model text whose sources are not 0..n-1 in order names its fault by the line reader
+    assert _canonical_rows(single.replace("1 2\n", "")) is None
     for other in (
         text.replace("\n0 1\n", "\n00 1\n"),
         text[:-1],
@@ -660,3 +662,60 @@ def test_bulk_row_check_matches_the_per_row_check(case):
             return str(exc)
 
     assert outcome(lambda: NominationProfile(n, model, rows()).out) == outcome(per_row)
+
+
+@st.composite
+def _one_nominee_replaced(draw):
+    """A valid profile's nominee list, n = 2..6, with one entry drawn from ``_NOMINEES``."""
+    nominees = [*draw(single_profiles(2, 6)).single_nominees]
+    nominees[draw(st.integers(0, len(nominees) - 1))] = draw(_NOMINEES)
+    return nominees
+
+
+@given(st.one_of(st.lists(_NOMINEES, max_size=6), _one_nominee_replaced()))
+@settings(max_examples=500)
+def test_flat_single_check_matches_the_row_check(nominees):
+    """``NominationProfile.single`` checks the flat nominee list and builds the rows
+    unchecked; it accepts and refuses exactly what the row check does, message and all."""
+
+    def outcome(build):
+        try:
+            p = build()
+        except ModelViolation as exc:
+            return str(exc)
+        return p.n, p.model, p.out
+
+    reference = outcome(lambda: NominationProfile(len(nominees), SINGLE, tuple(zip(nominees))))
+    assert outcome(lambda: NominationProfile.single(nominees)) == reference
+
+
+@pytest.mark.parametrize(
+    ("body", "message"),
+    [("0 1\n1 1\n2 0\n", "vertex 1: self-loop is not allowed"),
+     ("0 1\n1 3\n2 0\n", "vertex 1: nominee 3 out of range 0..2")],
+)
+def test_canonical_single_faults_match_the_two_pass_reference(body, message):
+    text = f"impsel 1\nmodel single\nn 3\n{body}"
+    assert _canonical_rows(text) is not None  # read in bulk, checked on the flat list
+    assert _outcome(parse_profile, text) == _outcome(_two_pass_parse, text) == (ModelViolation, message)
+
+
+_FORMAT_CASES = [
+    NominationProfile.single([1, 0]),
+    NominationProfile.multi(2),
+    NominationProfile.multi(2, [(1,)]),
+    NominationProfile.multi(6),
+    NominationProfile.multi(6, [(), (0, 5), (), (1, 2, 4)]),
+    gen_random_single(1200, 3),
+    gen_random_multi(40, 0.2, 3),
+]
+
+
+@pytest.mark.parametrize("p", _FORMAT_CASES, ids=lambda p: f"{p.model}-n{p.n}-m{p.edge_count}")
+def test_format_matches_the_per_edge_reference(p):
+    assert format_profile(p) == _format_edges(p.n, p.model, p.edges())
+
+
+@given(st.one_of(single_profiles(2, 7), multi_profiles(2, 6)))
+def test_format_fuzz_matches_the_per_edge_reference(p):
+    assert format_profile(p) == _format_edges(p.n, p.model, p.edges())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from impsel.core import MULTI, SINGLE, NominationProfile
+from impsel.exact import WinnerDistribution, exact_distribution
 from impsel.generators import gen_random_multi, gen_random_single
 from impsel.mechanisms import (
     KINDS,
@@ -241,6 +242,45 @@ def test_majority_default_tie_prefers_least_vertex():
 def test_majority_default_vertex_range():
     with pytest.raises(ValueError):
         majority_default_winner(TRI, 3)
+
+
+def _majority_default_reference(profile, d):
+    """Every vertex in id order: the first other than d whose nominations, d's not counted, reach n/2."""
+    threshold = (profile.n + 1) // 2
+    for v in range(profile.n):
+        if v != d and profile.in_degrees[v] - (v in profile.out[d]) >= threshold:
+            return v
+    return d
+
+
+@st.composite
+def small_profiles(draw):
+    """Single and multi profiles, n = 2..7, so both odd and even thresholds occur."""
+    n = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        draws = draw(st.lists(st.integers(0, n - 2), min_size=n, max_size=n))
+        return NominationProfile.single([r if r < u else r + 1 for u, r in enumerate(draws)])
+    rows = [draw(st.sets(st.integers(0, n - 1), max_size=n)) - {u} for u in range(n)]
+    return NominationProfile.multi(n, rows)
+
+
+@given(small_profiles())
+@settings(max_examples=300)
+def test_majority_default_matches_the_per_vertex_reference(profile):
+    for d in range(profile.n):
+        assert majority_default_winner(profile, d) == _majority_default_reference(profile, d)
+
+
+@given(small_profiles(), st.data())
+@settings(max_examples=150)
+def test_deterministic_exact_distribution_is_the_point_mass_on_the_winner(profile, data):
+    n = profile.n
+    sample = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    specs = [f"majority-default:{d}" for d in range(n)] + ["fixed:" + ",".join(map(str, sorted(sample)))]
+    for spec in map(parse_mechanism, specs):
+        winner = run_mechanism(spec, profile)
+        point = {} if winner is None else {winner: 1}
+        assert exact_distribution(spec, profile) == WinnerDistribution(n, point, int(winner is None))
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,10 @@ def test_config_fields_are_checked_only_in_constructors():
 
 def test_unchecked_profiles_are_built_only_from_enumerated_rows():
     """``NominationProfile._trusted`` skips the row check, so only the engines
-    that pass rows of ``verify._profile_rows``'s domain may call it."""
-    allowed = {("verify", "iter_profiles"), ("verify", "_subject_weights")}
+    that pass rows of ``verify._profile_rows``'s domain may call it, and
+    ``NominationProfile.single`` once its flat nominee list is all ints by type,
+    in ``0..n-1`` and free of ``nominees[u] == u``, which stands in for the row check."""
+    allowed = {("verify", "iter_profiles"), ("verify", "_subject_weights"), ("core", "single")}
     for name, tree in _trees().items():
         owner = {}  # line -> innermost enclosing function
         for func in ast.walk(tree):
