@@ -1,21 +1,22 @@
 """Exact winner distributions.
 
-Sampling mechanisms draw k times with replacement, so their randomness
-space is the n^k equally likely draw sequences.  Both enumeration routes
-return one shape, ``(weights list, no-winner weight)``: how many sequences
-each vertex wins, and how many nobody wins.  :func:`exact_distribution`
-alone divides them into a rational :class:`WinnerDistribution`; a
-deterministic mechanism gives the same shape, 0/1 weights over 1.
+Every mechanism draws k times with replacement, so its randomness space is
+the n^k equally likely draw sequences; a deterministic mechanism draws
+nothing, and its one sequence of zero draws is the point mass.  Both
+enumeration routes return one shape, ``(weights list, no-winner weight)``:
+how many sequences each vertex wins, and how many nobody wins.
+:func:`exact_distribution` alone divides them into a rational
+:class:`WinnerDistribution`.
 
 The two routes are kept deliberately independent:
 
 * ``sequences`` walks all n^k draw sequences directly, the reference.
 * ``sets`` is the bitmask kernel :func:`winner_weights`, which the
-  exhaustive engines call too.  It walks the distinct sample sets (or
-  multisets) of :func:`sample_space` lazily and weights each by the
-  number of sequences that produce it: inclusion-exclusion
-  sum_j (-1)^j C(t,j) (t-j)^k for a t-element set, k!/prod(m_i!) for a
-  multiset with multiplicities m_i.
+  exhaustive engines call too.  It walks the multisets of k draws of
+  :func:`sample_space` lazily and weights each by the k!/prod(m_i!)
+  sequences that produce it, m_i its multiplicities.  random-k's rule
+  reads only which vertices were drawn, so it scores the same set once
+  per multiset that has it.
 
 Agreement between the two is a test target, so neither is expressed in
 terms of the other.
@@ -41,7 +42,6 @@ from .mechanisms import (  # noqa: F401  (the guarantee formulas are also read f
     resolve_k,
     rks_gap_lower_bound,
     rks_worst_delta,
-    run_mechanism,
     sks_gap_upper_bound,
     sks_sample_size,
 )
@@ -123,44 +123,32 @@ class WinnerDistribution:
 
 
 def checked_sample_size(spec: MechanismSpec, n: int, model: str, budget: int) -> int:
-    """Sample size k of randomized ``spec`` on n-vertex ``model`` profiles.
+    """Number of draws k of ``spec`` on n-vertex ``model`` profiles, 0 for a
+    deterministic kind.
 
-    Raises ModelMismatch when the kind is not defined for ``model``, then
-    ValueError unless ``budget`` is a non-negative int, then
+    Raises ModelMismatch when the kind is not defined for ``model``; then,
+    when k > 0, ValueError unless ``budget`` is a non-negative int, and
     EnumerationTooLarge when n^k exceeds ``budget``, without building n^k.
     """
     check_model(spec.kind, model)
     k = resolve_k(spec, n)
     # n >= 2, so n^k exceeds the budget once k reaches the budget's bit length
-    if n ** min(k, checked_int(budget, "budget").bit_length()) > budget:
+    if k and n ** min(k, checked_int(budget, "budget").bit_length()) > budget:
         raise EnumerationTooLarge(n, k, budget)
     return k
 
 
-def sample_space(kind: str, n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """The distinct samples of k draws over n vertices, one at a time.
+def sample_space(n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The multisets of k >= 1 draws over n vertices, one at a time.
 
     Yields ``(members, levels, weight)``: the distinct vertices drawn, the
-    bitmasks ``levels[j]`` of those drawn more than j times, and how many of
-    the n^k draw sequences give the sample.  random-k's winner ignores
-    multiplicity, so its samples are the sets, each with the one level.
+    bitmasks ``levels[j]`` of those drawn more than j times, and the
+    k!/prod(m!) of the n^k draw sequences that give the multiset.
     """
-    if kind == "random_k_sample":
-        for t in range(1, min(k, n) + 1):
-            # the length-k sequences over t members that use each one, by inclusion-exclusion
-            weight = sum((-1) ** j * math.comb(t, j) * (t - j) ** k for j in range(t + 1))
-            for members in itertools.combinations(range(n), t):
-                mask = 0
-                for u in members:
-                    mask |= 1 << u
-                yield members, (mask,), weight
-    elif kind == "simple_k_sample":
-        for combo in itertools.combinations_with_replacement(range(n), k):
-            mult = Counter(combo)
-            levels = tuple(sum(1 << u for u in mult if mult[u] > j) for j in range(max(mult.values())))
-            yield tuple(mult), levels, math.factorial(k) // math.prod(map(math.factorial, mult.values()))
-    else:
-        raise ValueError(f"{kind} draws no samples")
+    for combo in itertools.combinations_with_replacement(range(n), k):
+        mult = Counter(combo)
+        levels = tuple(sum(1 << u for u in mult if mult[u] > j) for j in range(max(mult.values())))
+        yield tuple(mult), levels, math.factorial(k) // math.prod(map(math.factorial, mult.values()))
 
 
 def winner_weights(kind: str, rows: Sequence[Sequence[int]], samples: Iterable[tuple]) -> tuple[list[int], int]:
@@ -216,16 +204,14 @@ def winner_weights(kind: str, rows: Sequence[Sequence[int]], samples: Iterable[t
 
 def _by_sequences(spec: MechanismSpec, profile: NominationProfile, k: int) -> tuple[list[int], int]:
     """Winning weight of each vertex, and the no-winner weight, over all n^k
-    draw sequences, applying the kind's winner rule once per distinct sample."""
+    draw sequences, applying the kind's winner rule once per multiset of draws."""
     n = profile.n
     winner_of = KINDS[spec.kind].winner
-    # random-k's winner depends on the set of draws, simple-k's on the multiset
-    sample_of = frozenset if spec.kind == "random_k_sample" else lambda seq: tuple(sorted(seq))
     weights = [0] * n
     none_weight = 0
     cache: dict = {}
     for seq in itertools.product(range(n), repeat=k):
-        key = sample_of(seq)
+        key = tuple(sorted(seq))
         if key in cache:
             winner = cache[key]
         else:
@@ -246,26 +232,19 @@ def exact_distribution(
 ) -> WinnerDistribution:
     """Exact winner distribution of ``spec`` on ``profile``.
 
-    ``method`` selects the enumeration route for sampling mechanisms:
-    ``"sequences"``, ``"sets"`` (weighted distinct sets or multisets), or
-    ``"auto"`` to pick the cheaper ``"sets"`` route.  Deterministic
-    mechanisms return a point mass and ignore both ``method`` and
-    ``budget``.
+    ``method`` selects the enumeration route: ``"sequences"``, ``"sets"``
+    (weighted multisets), or ``"auto"`` to pick the cheaper ``"sets"``
+    route.  A deterministic mechanism draws nothing, so both routes are its
+    one empty sequence, the point mass, and no budget is checked.
     """
     if method not in ("auto", "sequences", "sets"):
         raise ValueError(f"unknown method {method!r}")
     n = profile.n
-    # a deterministic mechanism draws nothing: k = 0, one outcome
-    k = checked_sample_size(spec, n, profile.model, budget) if spec.is_randomized else 0
-    if k == 0:
-        winner, weights = run_mechanism(spec, profile), [0] * n
-        if winner is not None:
-            weights[winner] = 1
-        none_weight = int(winner is None)
-    elif method == "sequences":
+    k = checked_sample_size(spec, n, profile.model, budget)
+    if method == "sequences" or k == 0:
         weights, none_weight = _by_sequences(spec, profile, k)
     else:
-        weights, none_weight = winner_weights(spec.kind, profile.out, sample_space(spec.kind, n, k))
+        weights, none_weight = winner_weights(spec.kind, profile.out, sample_space(n, k))
     total = n**k
     assert none_weight + sum(weights) == total
     return WinnerDistribution(

@@ -68,6 +68,7 @@ __all__ = [
     "majority_default_winner",
     "run_mechanism",
     "resolve_k",
+    "MAX_TRIAL_DRAWS",
     "rks_gap_lower_bound",
     "rks_worst_delta",
     "sks_sample_size",
@@ -84,6 +85,8 @@ _MUL2 = 0x94D049BB133111EB
 
 #: Lanes per packed int: 1024 lanes of 128 bits keep each temporary at 16 KB.
 _CHUNK = 1024
+#: Monte Carlo refuses a trial of more draws (an explicit random-k k is not clamped).
+MAX_TRIAL_DRAWS = 1 << 20
 #: ``memoryview.cast("Q")`` reads native-endian words.  Serialised in the
 #: host's byte order, lane i's low word is word 2i on a little-endian host
 #: and word 2(L-1-i)+1 on a big-endian one, so both are read by one slice.
@@ -346,11 +349,9 @@ def _clamp_k(k: int, n: int) -> int:
 
 
 def resolve_k(spec: MechanismSpec, n: int) -> int:
-    """Concrete sample size for a sampling mechanism on an n-vertex profile."""
+    """Number of draws ``spec`` takes on an n-vertex profile: 0 for a deterministic kind."""
     sample_size = KINDS[spec.kind].sample_size
-    if sample_size is None:
-        raise ValueError(f"{spec.kind} has no sample size")
-    return sample_size(spec.k, checked_int(n, "vertex count", 2))
+    return sample_size(spec.k, checked_int(n, "vertex count", 2)) if sample_size else 0
 
 
 def run_mechanism(
@@ -360,16 +361,15 @@ def run_mechanism(
 ) -> int | None:
     """Winner of one evaluation of ``spec``, None when nobody wins.
 
-    A randomized kind takes ``resolve_k`` draws from ``stream``, which it
-    requires; a deterministic kind ignores it.
+    It takes ``resolve_k`` draws, at most ``MAX_TRIAL_DRAWS``, from ``stream``,
+    which a randomized kind requires; a deterministic kind draws nothing.
     """
     check_model(spec.kind, profile.model)
-    kind = KINDS[spec.kind]
-    if kind.sample_size is None:
-        return kind.winner(spec, profile, None)
-    if stream is None:
+    k = resolve_k(spec, profile.n)
+    if k and stream is None:
         raise ValueError(f"{spec.kind} needs a DrawStream")
-    return kind.winner(spec, profile, stream.draws(resolve_k(spec, profile.n), profile.n))
+    draws = stream.draws(checked_int(k, "draws per trial", 1, MAX_TRIAL_DRAWS), profile.n) if k else ()
+    return KINDS[spec.kind].winner(spec, profile, draws)
 
 
 # ----- guarantee formulas -----
@@ -449,7 +449,7 @@ def compute_bound(spec: MechanismSpec, n: int) -> BoundReport:
     kind = KINDS[spec.kind]
     if kind.bound is None:
         raise ValueError(f"no closed-form guarantee for {spec.kind}")
-    return kind.bound(n, resolve_k(spec, n) if spec.is_randomized else None)
+    return kind.bound(n, resolve_k(spec, n))
 
 
 # ----- the kinds -----
@@ -489,11 +489,11 @@ class MechanismKind:
 
     ``param`` names the one spec field the kind reads (a key of
     ``_PARAMS``).  ``winner(spec, profile, draws)`` is the kind's one
-    evaluation rule: it picks the winner of a list of draws for a
-    randomized kind and gets ``None`` for a deterministic one.
-    ``sample_size(k, n)`` turns the spec's k (None for the default) into the
-    number of draws; it is None for the deterministic kinds.  ``bound(n,
-    k)`` evaluates the guarantee, None when the kind has none.
+    evaluation rule: it picks the winner of a sequence of draws, which is
+    empty for a deterministic kind.  ``sample_size(k, n)`` turns the spec's
+    k (None for the default) into the number of draws; it is None for the
+    deterministic kinds, which draw nothing.  ``bound(n, k)`` evaluates the
+    guarantee, None when the kind has none.
 
     Entries call module functions through their globals at call time, so
     a wrapper installed on a function is seen by every kind that uses it.
@@ -502,7 +502,7 @@ class MechanismKind:
     cli: str
     models: tuple[str, ...]
     param: str
-    winner: Callable[[MechanismSpec, NominationProfile, Sequence[int] | None], int | None]
+    winner: Callable[[MechanismSpec, NominationProfile, Sequence[int]], int | None]
     sample_size: Callable[[int | None, int], int] | None = None
     bound: Callable[[int, int | None], BoundReport] | None = None
 

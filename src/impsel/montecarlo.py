@@ -24,6 +24,7 @@ from .core import NominationProfile, checked_int
 from .generators import GeneratorSpec
 from .mechanisms import (
     KINDS,
+    MAX_TRIAL_DRAWS,
     DrawStream,
     MechanismSpec,
     ModelMismatch,
@@ -97,7 +98,8 @@ class GapReport:
 def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -> GapReport:
     """Run ``plan.trials`` independent evaluations and report mean winner degree.
 
-    Deterministic mechanisms are evaluated once and flagged exact.  A
+    A trial of more than ``MAX_TRIAL_DRAWS`` draws is refused before the
+    first draw.  Deterministic mechanisms are evaluated once and flagged exact.  A
     winnerless evaluation contributes degree 0, matching the expectation
     convention where the no-winner mass contributes nothing.
     """
@@ -105,13 +107,13 @@ def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -
     n = profile.n
     winner_of = KINDS[spec.kind].winner
     if spec.is_randomized:
-        k = resolve_k(spec, n)
+        k = checked_int(resolve_k(spec, n), "draws per trial", 1, MAX_TRIAL_DRAWS)
         trials, seed = plan.trials, plan.master_seed
         winners = (
             winner_of(spec, profile, DrawStream(derive_seed(seed, i)).draws(k, n)) for i in range(trials)
         )
     else:
-        k, trials, winners = len(spec.fixed_set or ()) or None, 1, (winner_of(spec, profile, None),)
+        k, trials, winners = len(spec.fixed_set or ()) or None, 1, (winner_of(spec, profile, ()),)
 
     degs = profile.in_degrees
     sum_deg = 0

@@ -162,8 +162,7 @@ def profile_count(n: int, model: str) -> int:
 
 
 def _require_space(n: int, model: str, max_n: int | None, defaults: dict) -> None:
-    if model not in defaults:
-        raise ValueError(f"unknown model {model!r}")
+    out_degrees(model, 2)  # core owns the models: ModelViolation names an unknown one
     checked_int(n, "vertex count", 2)
     ceiling = checked_int(max_n, "max_n") if max_n is not None else defaults[model]
     if n > ceiling:
@@ -180,12 +179,10 @@ def _winner(answer, n: int) -> int | None:
 def _evaluate(subject, profile: NominationProfile, budget: int) -> list:
     """Each vertex's winning probability under a MechanismSpec or an oracle: 0/1
     ints for a winner vertex or None (no winner), rationals for a WinnerDistribution."""
-    if not isinstance(subject, MechanismSpec):
-        answer = subject(profile)
-    elif subject.is_randomized:
+    if isinstance(subject, MechanismSpec):
         answer = exact_distribution(subject, profile, budget=budget)
     else:
-        answer = run_mechanism(subject, profile)
+        answer = subject(profile)
     if isinstance(answer, WinnerDistribution):
         if answer.n != profile.n:
             raise ValueError(f"oracle returned a distribution over {answer.n} vertices, expected {profile.n}")
@@ -196,13 +193,16 @@ def _evaluate(subject, profile: NominationProfile, budget: int) -> list:
 
 def _subject_weights(subject, n: int, model: str, budget: int) -> tuple[Callable, int]:
     """``subject`` as a function from out-rows to weights, v winning with
-    probability ``weights[v] / scale``: the kernel's integers over n^k for a
-    randomized spec, checked against model and budget once, else ``_evaluate``.
+    probability ``weights[v] / scale``.  A spec is checked against model and
+    budget once: k draws give the kernel's integers over n^k, and zero draws
+    (a deterministic kind) are asked like an oracle, through ``run_mechanism``.
     """
-    if isinstance(subject, MechanismSpec) and subject.is_randomized:
+    if isinstance(subject, MechanismSpec):
         k = checked_sample_size(subject, n, model, budget)
-        samples = tuple(sample_space(subject.kind, n, k))
-        return (lambda rows: winner_weights(subject.kind, rows, samples)[0]), n**k
+        if k:
+            samples = tuple(sample_space(n, k))
+            return (lambda rows: winner_weights(subject.kind, rows, samples)[0]), n**k
+        subject = functools.partial(run_mechanism, subject)
     return (lambda rows: _evaluate(subject, NominationProfile._trusted(n, model, rows), budget)), 1
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import impsel
 from impsel.cli import main
 from impsel.core import MODELS, NominationProfile, format_profile, load_profile, parse_profile
 from impsel.generators import FAMILIES, PARAMS
@@ -23,11 +24,14 @@ from impsel.verify import check_impartial, format_witness, named_oracle
 
 
 def run_cli(*argv):
+    # ``python -m`` puts its working directory first on sys.path, so the child
+    # imports the same impsel as this process, with or without PYTHONPATH
     return subprocess.run(
         [sys.executable, "-m", "impsel", *argv],
         capture_output=True,
         text=True,
         timeout=120,
+        cwd=Path(impsel.__file__).parents[1],
     )
 
 
@@ -356,11 +360,11 @@ def _mechanism_texts():
     )
 
 
-def _run_fuzz(argv):
-    """The command exits 0, 1 or 2, and prints no traceback."""
+def _run_fuzz(argv, codes=(0, 1, 2)):
+    """The command exits with one of ``codes``, and prints no traceback."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
-    assert code in (0, 1, 2), argv
+    assert code in codes, argv
     assert "Traceback" not in err.getvalue()
 
 
@@ -396,11 +400,17 @@ def test_exact_and_verify_fuzz_exit_zero_one_or_two(fuzz_profiles, command, mech
     _run_fuzz(argv)
 
 
-def _small_mechanism_texts():
-    """Mechanism spellings with k at most 64: an explicit random-k k is drawn
-    k times per trial, however large."""
+def _trial_sample_size(least):
+    """k for a Monte Carlo run: mostly ``least``..64, else past the draws-per-trial
+    ceiling, where an explicit random-k k is refused before the first draw."""
+    return _mostly(st.integers(least, 64), st.sampled_from([2**20 + 1, 10**9])).map(str)
+
+
+def _fuzz_mechanism_texts():
+    """Mechanism spellings, some malformed, with k past the draw ceiling and
+    vertex ids past n."""
     return st.one_of(
-        st.tuples(st.sampled_from(["random-k", "simple-k"]), st.integers(0, 64).map(str) | st.just("auto"))
+        st.tuples(st.sampled_from(["random-k", "simple-k"]), _trial_sample_size(0) | st.just("auto"))
         .map(":".join),
         st.lists(st.integers(0, 70), min_size=1, max_size=3).map(lambda vs: "fixed:" + ",".join(map(str, vs))),
         st.integers(0, 70).map(lambda v: f"majority-default:{v}"),
@@ -418,12 +428,12 @@ def _mostly(valid, wrong):
 
 def _valid_mechanism_texts():
     """Mechanism spellings that parse, most of them valid on the profiles used here."""
-    sampled = st.tuples(st.sampled_from(["random-k", "simple-k"]), st.integers(1, 64).map(str) | st.just("auto"))
+    sampled = st.tuples(st.sampled_from(["random-k", "simple-k"]), _trial_sample_size(1) | st.just("auto"))
     return sampled.map(":".join) | st.sampled_from(["fixed:0", "fixed:1,2", "majority-default:1"])
 
 
 @given(
-    _mostly(_valid_mechanism_texts(), _small_mechanism_texts()),
+    _mostly(_valid_mechanism_texts(), _fuzz_mechanism_texts()),
     st.integers(2, 6),
     st.sampled_from(MODELS),
     _mostly(st.integers(1, 20), st.integers(-2, 0)),
@@ -431,9 +441,18 @@ def _valid_mechanism_texts():
     st.sampled_from([[]] * 4 + [["--budget", "5"], ["--format", "json"], ["--exact"]]),
 )
 @settings(max_examples=60, deadline=None)
-def test_run_trials_fuzz_exit_zero_one_or_two(fuzz_profiles, mech, n, model, trials, seed, extra):
+def test_run_trials_fuzz_exit_zero_or_two(fuzz_profiles, mech, n, model, trials, seed, extra):
     argv = ["run", "--mech", mech, "--profile", str(fuzz_profiles[n, model])]
-    _run_fuzz(argv + ["--trials", str(trials), "--seed", str(seed)] + extra)
+    _run_fuzz(argv + ["--trials", str(trials), "--seed", str(seed)] + extra, codes=(0, 2))
+
+
+def test_run_refuses_a_trial_past_the_draw_ceiling_at_once(tri_path, capsys):
+    start = time.perf_counter()
+    assert main(["run", "--mech", "random-k:1000000000", "--profile", tri_path, "--trials", "1", "--seed", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: draws per trial 1000000000 out of range 1..1048576\n"
 
 
 def _json_values():
@@ -467,7 +486,7 @@ def _sweep_docs():
     """Sweep configs covering every field, each mostly valid and sometimes of a
     wrong type or value; now and then a field is dropped or an unknown one
     added.  n <= 64, trials <= 20 and instances <= 3 keep every run small."""
-    mechanisms = st.lists(_mostly(_valid_mechanism_texts(), _small_mechanism_texts()), min_size=1, max_size=3)
+    mechanisms = st.lists(_mostly(_valid_mechanism_texts(), _fuzz_mechanism_texts()), min_size=1, max_size=3)
     fields = st.fixed_dictionaries({
         "mechanisms": _mostly(mechanisms, _json_values()),
         "generator": _generators(),

@@ -147,6 +147,9 @@ def test_budget_refuses_exactly_when_n_to_the_k_exceeds_it(budget):
                     checked_sample_size(MechanismSpec.random_k(k), n, SINGLE, budget)
             else:
                 assert checked_sample_size(MechanismSpec.random_k(k), n, SINGLE, budget) == k
+        # a deterministic kind draws nothing, so no budget is checked, not even a negative one
+        for spec in (MechanismSpec.fixed([0]), MechanismSpec.majority_default(1)):
+            assert checked_sample_size(spec, n, SINGLE, budget) == 0
 
 
 def test_budget_refusal_never_builds_a_huge_space():

@@ -172,6 +172,9 @@ class TestMechanismSpec:
         assert resolve_k(MechanismSpec.random_k(9), 4) == 9
         # simple draws form a pool of distinct vertices, so k is clamped
         assert resolve_k(MechanismSpec.simple_k(9), 4) == 3
+        # the deterministic kinds draw nothing
+        assert resolve_k(parse_mechanism("fixed:0"), 4) == 0
+        assert resolve_k(parse_mechanism("majority-default:0"), 4) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +277,19 @@ def test_majority_default_matches_the_per_vertex_reference(profile):
 @given(small_profiles(), st.data())
 @settings(max_examples=150)
 def test_deterministic_exact_distribution_is_the_point_mass_on_the_winner(profile, data):
+    """Zero draws: every route is the one empty sequence, no budget is checked,
+    and ``run_mechanism`` leaves a stream it is given untouched."""
     n = profile.n
     sample = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
     specs = [f"majority-default:{d}" for d in range(n)] + ["fixed:" + ",".join(map(str, sorted(sample)))]
     for spec in map(parse_mechanism, specs):
-        winner = run_mechanism(spec, profile)
+        stream = DrawStream(n)
+        winner = run_mechanism(spec, profile, stream)
+        assert stream.next_raw() == DrawStream(n).next_raw()
         point = {} if winner is None else {winner: 1}
-        assert exact_distribution(spec, profile) == WinnerDistribution(n, point, int(winner is None))
+        for method in ("auto", "sets", "sequences"):
+            dist = exact_distribution(spec, profile, budget=0, method=method)
+            assert dist == WinnerDistribution(n, point, int(winner is None)), method
 
 
 # ---------------------------------------------------------------------------

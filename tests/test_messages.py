@@ -9,7 +9,7 @@ import pytest
 from impsel.core import ModelViolation, NominationProfile
 from impsel.exact import WinnerDistribution, exact_distribution
 from impsel.generators import GeneratorSpec
-from impsel.mechanisms import parse_mechanism, resolve_k
+from impsel.mechanisms import DrawStream, parse_mechanism, run_mechanism
 from impsel.montecarlo import GapReport
 from impsel.verify import Witness, named_oracle
 
@@ -25,8 +25,9 @@ ERRORS = {
     "single-nominees-of-a-multi-profile": (
         lambda: NominationProfile.multi(3, {0: (1,)}).single_nominees,
         ModelViolation, "single_nominees is defined for the single model only"),
-    "resolve-k-of-a-deterministic-spec": (
-        lambda: resolve_k(parse_mechanism("fixed:0"), 4), ValueError, "fixed_sample has no sample size"),
+    "run-mechanism-above-the-draw-ceiling": (
+        lambda: run_mechanism(parse_mechanism("random-k:1048577"), STAR, DrawStream(0)),
+        ValueError, "draws per trial 1048577 out of range 1..1048576"),
     "duplicate-generator-parameter": (
         lambda: GeneratorSpec("single-worst", (("delta", 2), ("delta", 3))),
         ValueError, "duplicate parameter for family single-worst"),

@@ -10,6 +10,7 @@ from pathlib import Path
 import impsel
 from impsel.core import MODELS
 from impsel.generators import FAMILIES
+from impsel.mechanisms import KINDS
 
 SOURCES = sorted(Path(impsel.__file__).parent.glob("*.py"))
 MODULES = ("core", "mechanisms", "exact", "generators", "montecarlo", "verify")
@@ -61,7 +62,9 @@ def test_no_private_name_crosses_modules():
 
 def test_cli_import_does_not_load_mpmath():
     code = "import sys, impsel.cli; print('mpmath' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    # ``python -c`` puts its working directory first on sys.path
+    cwd = Path(impsel.__file__).parents[1]
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=cwd)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
 
@@ -85,6 +88,20 @@ def test_family_names_are_spelled_only_in_generators():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 found = family_name.search(node.value)
                 assert not found, f"{name}.py:{node.lineno} spells family {found.group()!r}"
+
+
+def test_kind_names_are_spelled_only_in_mechanisms_and_the_kernel():
+    """Each kind is defined once, in ``mechanisms.KINDS``; outside it only
+    ``exact.winner_weights`` names one, to pick its score rule."""
+    trees = _trees()
+    kernel = next(f for f in trees["exact"].body if isinstance(f, ast.FunctionDef) and f.name == "winner_weights")
+    allowed = {id(node) for node in ast.walk(kernel)}
+    for name, tree in trees.items():
+        if name == "mechanisms":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in KINDS:
+                assert id(node) in allowed, f"{name}.py:{node.lineno} spells kind {node.value!r}"
 
 
 def test_only_core_branches_on_a_model():

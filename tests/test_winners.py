@@ -70,14 +70,10 @@ def multisets(n, largest):
 
 
 def kernel_winner(kind, profile, counts):
-    """The kernel's winner for one sample given as vertex -> multiplicity."""
+    """The kernel's winner for one sample given as vertex -> multiplicity, in
+    the one shape ``sample_space`` yields for both kinds."""
     members = tuple(sorted(counts))
-    if kind == "random_k_sample":
-        levels = (sum(1 << u for u in members),)
-    else:
-        levels = tuple(
-            sum(1 << u for u in members if counts[u] > j) for j in range(max(counts.values()))
-        )
+    levels = tuple(sum(1 << u for u in members if counts[u] > j) for j in range(max(counts.values())))
     weights, none_weight = winner_weights(kind, profile.out, [(members, levels, 1)])
     assert sum(weights) + none_weight == 1
     return None if none_weight else weights.index(1)
@@ -120,27 +116,22 @@ def test_every_multi_profile_on_three_vertices():
 
 @pytest.mark.parametrize("kind", ["random_k_sample", "simple_k_sample"])
 def test_sample_space_weights_count_draw_sequences(kind):
-    """Every distinct sample once, weighted by the draw sequences that give it."""
+    """Every multiset of draws once, weighted by the draw sequences that give
+    it, for both kinds; summed over what the kind's winner reads (random-k:
+    the set of draws), the weights still count the sequences that give it."""
+    reads = frozenset if kind == "random_k_sample" else tuple
     for n in (2, 3, 4):
         for k in (1, 2, 3, 4):
-            want = Counter(
-                frozenset(seq) if kind == "random_k_sample" else tuple(sorted(seq))
-                for seq in product(range(n), repeat=k)
-            )
+            sequences = list(product(range(n), repeat=k))
             got = Counter()
-            for members, levels, weight in sample_space(kind, n, k):
+            for members, levels, weight in sample_space(n, k):
                 assert members == tuple(sorted(set(members)))
                 assert levels[0] == sum(1 << u for u in members)
-                if kind == "random_k_sample":
-                    assert len(levels) == 1
-                    key = frozenset(members)
-                else:
-                    key = tuple(sorted(u for u in members for level in levels if level >> u & 1))
+                key = tuple(sorted(u for u in members for level in levels if level >> u & 1))
                 assert key not in got
                 got[key] = weight
-            assert got == want, (n, k)
-
-
-def test_sample_space_refuses_deterministic_kinds():
-    with pytest.raises(ValueError, match="fixed_sample draws no samples"):
-        next(sample_space("fixed_sample", 3, 1))
+            assert got == Counter(tuple(sorted(seq)) for seq in sequences), (n, k)
+            by_read = Counter()
+            for key, weight in got.items():
+                by_read[reads(key)] += weight
+            assert by_read == Counter(reads(sorted(seq)) for seq in sequences), (n, k)
