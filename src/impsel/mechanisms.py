@@ -28,8 +28,8 @@ Four mechanisms are provided.
 Everything that differs between the kinds (CLI spelling, models, sample
 size, winner rule, guarantee formula) is registered once, in :data:`KINDS`;
 the rest of the package asks the table.  A kind's ``winner`` is the only
-place it picks a winner: :func:`run_mechanism`, the Monte Carlo estimator
-and the per-sequence exact route all call it.
+place it picks a winner: :func:`run_mechanism`, the Monte Carlo estimator,
+the per-sequence exact route and verify's zero-draw subjects all call it.
 
 All randomness flows through :class:`DrawStream`, a splitmix64 generator
 written out here so results are reproducible across platforms and Python

@@ -5,11 +5,11 @@ Three engines share this module.
 * ``check_impartial`` iterates every profile on a small vertex set and
   every unilateral deviation, comparing the deviating vertex's own winning
   probability before and after, exactly.  An empty witness list is a proof
-  over that domain, not a statistical claim.  It and the gap measurement
-  compare integer weights: ``exact.winner_weights`` over n^k for a
-  randomized spec, else a 0/1 winner at scale 1 (a deterministic spec or
-  an oracle, asked once per row tuple), building rationals only for what
-  they return.
+  over that domain, not a statistical claim.  It asks each profile once,
+  into one table, and finds deviations by stride.  Every engine asks its
+  subject through ``_subject_weights``: ``exact.winner_weights`` over n^k
+  for a randomized spec, else a 0/1 winner at scale 1 (a deterministic
+  spec with no draws, or an oracle); rationals only for what is returned.
 
 * ``check_strong_sample`` / ``check_sample_constant`` test sample
   functions g: a strong g is one no sample member can alter, and the
@@ -31,7 +31,6 @@ so far, two for each distinct profile.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Callable, Iterator
@@ -51,11 +50,10 @@ from .exact import (
     DEFAULT_SEQUENCE_BUDGET,
     WinnerDistribution,
     checked_sample_size,
-    exact_distribution,
     sample_space,
     winner_weights,
 )
-from .mechanisms import MechanismSpec, majority_default_winner, nominated_winner, run_mechanism
+from .mechanisms import KINDS, MechanismSpec, majority_default_winner, nominated_winner
 
 __all__ = [
     "WITNESS_KINDS",
@@ -176,34 +174,29 @@ def _winner(answer, n: int) -> int | None:
     return answer
 
 
-def _evaluate(subject, profile: NominationProfile, budget: int) -> list:
-    """Each vertex's winning probability under a MechanismSpec or an oracle: 0/1
-    ints for a winner vertex or None (no winner), rationals for a WinnerDistribution."""
-    if isinstance(subject, MechanismSpec):
-        answer = exact_distribution(subject, profile, budget=budget)
-    else:
-        answer = subject(profile)
-    if isinstance(answer, WinnerDistribution):
-        if answer.n != profile.n:
-            raise ValueError(f"oracle returned a distribution over {answer.n} vertices, expected {profile.n}")
-        return [answer.probability(v) for v in range(profile.n)]
-    winner = _winner(answer, profile.n)
-    return [int(v == winner) for v in range(profile.n)]
-
-
 def _subject_weights(subject, n: int, model: str, budget: int) -> tuple[Callable, int]:
     """``subject`` as a function from out-rows to weights, v winning with
-    probability ``weights[v] / scale``.  A spec is checked against model and
-    budget once: k draws give the kernel's integers over n^k, and zero draws
-    (a deterministic kind) are asked like an oracle, through ``run_mechanism``.
+    probability ``weights[v] / scale``: verify's one evaluator.  A spec is
+    checked against model and budget once: k draws give the kernel's integers
+    over n^k, and zero draws ask the kind's winner rule with no draws.
     """
     if isinstance(subject, MechanismSpec):
         k = checked_sample_size(subject, n, model, budget)
         if k:
             samples = tuple(sample_space(n, k))
             return (lambda rows: winner_weights(subject.kind, rows, samples)[0]), n**k
-        subject = functools.partial(run_mechanism, subject)
-    return (lambda rows: _evaluate(subject, NominationProfile._trusted(n, model, rows), budget)), 1
+        spec, winner_of = subject, KINDS[subject.kind].winner
+        subject = lambda profile: winner_of(spec, profile, ())  # noqa: E731
+
+    def answer_weights(answer) -> list:
+        if isinstance(answer, WinnerDistribution):
+            if answer.n != n:
+                raise ValueError(f"oracle returned a distribution over {answer.n} vertices, expected {n}")
+            return [answer.probability(v) for v in range(n)]
+        winner = _winner(answer, n)
+        return [int(v == winner) for v in range(n)]
+
+    return (lambda rows: answer_weights(subject(NominationProfile._trusted(n, model, rows)))), 1
 
 
 def check_impartial(
@@ -220,30 +213,32 @@ def check_impartial(
     move when u alone rewires.  Each deviation class is compared against
     its first member, so a violating pair shares everything except u's
     out-set.  Empty result = impartial on this whole domain.
+
+    Every profile's weights are asked once, in ``_profile_rows`` order, into
+    one flat table: ``table[i * n + u]`` is u's weight in profile i.  u's
+    choice in profile i is ``i // S_u % c_u``, S_u the product of the choice
+    counts after u, so u's deviations from a base i (digit 0) are i + j*S_u.
     """
     _require_space(n, model, max_n, DEFAULT_CHECK_MAX_N)
     weights_of, scale = _subject_weights(subject, n, model, budget)
-    weights = functools.cache(weights_of)  # by out-rows; freed on return
+    table = list(itertools.chain.from_iterable(map(weights_of, _profile_rows(n, model))))
+    choices = [_vertex_choices(n, u, model) for u in range(n)]
+    strides = [math.prod(map(len, choices[u + 1 :])) for u in range(n)]
+
+    def profile(i: int) -> NominationProfile:
+        return NominationProfile(n, model, [own[i // s % len(own)] for own, s in zip(choices, strides)])
+
     witnesses: list[Witness] = []
-    for u in range(n):
-        own_choices = _vertex_choices(n, u, model)
-        other_choices = [_vertex_choices(n, w, model) for w in range(n) if w != u]
-        for rest in itertools.product(*other_choices):
-            base = rest[:u] + (own_choices[0],) + rest[u:]
-            base_w = weights(base)[u]
-            for choice in own_choices[1:]:
-                alt = rest[:u] + (choice,) + rest[u:]
-                alt_w = weights(alt)[u]
-                if alt_w != base_w:
-                    witnesses.append(
-                        Witness(
-                            "impartiality_violation",
-                            NominationProfile(n, model, base),
-                            NominationProfile(n, model, alt),
-                            u,
-                            {"p_a": Fraction(base_w, scale), "p_b": Fraction(alt_w, scale)},
-                        )
-                    )
+    for u, (own, stride) in enumerate(zip(choices, strides)):
+        block = stride * len(own)
+        for start in range(0, len(table) // n, block):
+            for base in range(start, start + stride):
+                base_w = table[base * n + u]
+                for alt in range(base + stride, start + block, stride):
+                    alt_w = table[alt * n + u]
+                    if alt_w != base_w:
+                        detail = {"p_a": Fraction(base_w, scale), "p_b": Fraction(alt_w, scale)}
+                        witnesses.append(Witness("impartiality_violation", profile(base), profile(alt), u, detail))
     return witnesses
 
 
@@ -615,12 +610,14 @@ def validate_witness(
         b is None or vertex is None or not _differs_only_at(a, b, vertex)
     ):
         return False
-    if kind == "impartiality_violation":
-        return _evaluate(subject, a, budget)[vertex] != _evaluate(subject, b, budget)[vertex]
-    if kind == "additivity_violation":
-        return a.delta - sum(map(mul, _evaluate(subject, a, budget), a.in_degrees)) > 2
-    if kind == "no_winner_violation":
-        return not any(_evaluate(subject, a, budget))
+    if kind in ("impartiality_violation", "additivity_violation", "no_winner_violation"):
+        weights_of, scale = _subject_weights(subject, a.n, a.model, budget)
+        weights = weights_of(a.out)
+        if kind == "impartiality_violation":
+            return weights[vertex] != weights_of(b.out)[vertex]
+        if kind == "additivity_violation":
+            return (a.delta - 2) * scale > sum(map(mul, weights, a.in_degrees))
+        return not any(weights)
     if kind == "sample_not_constant":
         return b is not None and _sample_of(subject, a) != _sample_of(subject, b)
     sample_a = _sample_of(subject, a)  # a strong_sample_violation

@@ -184,6 +184,18 @@ def test_c03_impartiality_exhaustive():
     assert elapsed < C3_MAX_SECONDS
 
 
+
+def test_c03_impartiality_one_size_further():
+    """C3's sampling mechanisms on single n = 6, past the default ceiling."""
+    started = time.perf_counter()
+    specs = [MechanismSpec.random_k(k) for k in (1, 2, 3)] + [MechanismSpec.simple_k(k) for k in (1, 2)]
+    dirty = [spec.label() for spec in specs if check_impartial(spec, 6, SINGLE, max_n=6)]
+    elapsed = time.perf_counter() - started
+    ok = not dirty and elapsed < C3_MAX_SECONDS
+    _report("C3+", "exhaustive impartiality, single n=6", ok, f"{len(specs)} domains, dirty={dirty}, {elapsed:.1f}s")
+    assert not dirty
+    assert elapsed < C3_MAX_SECONDS
+
 def test_c04_sqrt_scaling_with_bound():
     started = time.perf_counter()
     config = SweepConfig.from_json_dict(

@@ -196,3 +196,17 @@ def test_only_the_asker_builds_refutation_witnesses():
     owners = {name for name, node in functions.items()
               if any(isinstance(n, ast.Constant) and n.value == "no_winner_violation" for n in ast.walk(node))}
     assert owners == {"_Asker", "validate_witness"}
+
+
+def test_verify_asks_every_subject_through_subject_weights():
+    """Only ``verify._subject_weights`` turns a spec or an oracle into weights,
+    so the names it evaluates with occur nowhere else in ``verify``."""
+    tree = _trees()["verify"]
+    evaluator = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_subject_weights")
+    inside = {id(node) for node in ast.walk(evaluator)}
+    names = {"checked_sample_size", "sample_space", "winner_weights", "KINDS", "WinnerDistribution"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in names:
+            assert id(node) in inside, f"verify.py:{node.lineno} uses {node.id} outside _subject_weights"
+    imported = {name for _, taken in _package_imports(tree) for name in taken}
+    assert not imported & {"exact_distribution", "run_mechanism"}

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from impsel import exact, mechanisms
 from impsel.core import MULTI, SINGLE, NominationProfile
 from impsel.exact import (
     EnumerationTooLarge,
@@ -212,26 +213,55 @@ def reference_engines(subject, n, model):
     return witnesses, alpha, worst
 
 
+_ENGINE_ORACLES = ("plurality", "dictator:0", "majority-default-ext:0")
 ENGINE_CASES = (
     [(f"random-k:{k}", SINGLE, n) for k in (1, 2, 3) for n in (3, 4, 5)]
     + [(f"simple-k:{k}", model, n) for k in (1, 2) for model in (MULTI, SINGLE) for n in (3, 4)]
     + [(mech, model, 3) for mech in ("fixed:0", "majority-default:0", "plurality") for model in (SINGLE, MULTI)]
-    + [("plurality", SINGLE, 4)]
+    + [(name, model, n) for name in _ENGINE_ORACLES[1:] for model in (SINGLE, MULTI) for n in (3, 4)]
+    + [("plurality", model, 4) for model in (SINGLE, MULTI)]
 )
+# witness counts of the cases that have any: plurality is not impartial, nor is
+# the majority rule on multi n = 4; every other case is a proof
+ENGINE_WITNESS_COUNTS = {
+    ("plurality", SINGLE, 3): 2,
+    ("plurality", MULTI, 3): 44,
+    ("plurality", SINGLE, 4): 30,
+    ("plurality", MULTI, 4): 3120,
+    ("majority-default-ext:0", MULTI, 4): 704,
+}
 
 
 @pytest.mark.parametrize("subject, model, n", ENGINE_CASES)
 def test_engines_match_the_sequences_reference(subject, model, n):
     name = subject
-    subject = named_oracle(name) if name == "plurality" else parse_mechanism(name)
+    subject = named_oracle(name) if name in _ENGINE_ORACLES else parse_mechanism(name)
     want_witnesses, want_alpha, want_worst = reference_engines(subject, n, model)
     witnesses = check_impartial(subject, n, model)
     alpha, worst = measure_additive_gap_exhaustive(subject, n, model)
     assert witnesses == want_witnesses
-    assert bool(witnesses) == (name == "plurality")  # every mechanism here is impartial
+    assert len(witnesses) == ENGINE_WITNESS_COUNTS.get((name, model, n), 0)
     assert all(type(w.detail["p_a"]) is type(w.detail["p_b"]) is Fraction for w in witnesses)
     assert (alpha, worst) == (want_alpha, want_worst)
     assert type(alpha) is Fraction
+
+
+@pytest.mark.parametrize("engine, spec, n, model", [
+    (measure_additive_gap_exhaustive, "majority-default:0", 5, SINGLE),
+    (check_impartial, "fixed:0", 4, MULTI),
+])
+def test_engines_check_a_deterministic_spec_once(monkeypatch, engine, spec, n, model):
+    """The model check and k are settled once per run, not once per profile."""
+    calls = Counter()
+    for name in ("check_model", "resolve_k"):
+        def counted(*args, _name=name, _wrapped=getattr(mechanisms, name)):
+            calls[_name] += 1
+            return _wrapped(*args)
+
+        for module in (mechanisms, exact):
+            monkeypatch.setattr(module, name, counted)
+    engine(parse_mechanism(spec), n, model)
+    assert calls == {"check_model": 1, "resolve_k": 1}
 
 
 @pytest.mark.parametrize("engine", [check_impartial, measure_additive_gap_exhaustive])
