@@ -24,6 +24,8 @@ Four mechanisms are provided.
     A designated default vertex d wins unless some other vertex is
     nominated by at least ceil(n/2) of the vertices other than d, in which
     case the lowest such vertex wins.  Deterministic, always has a winner.
+    Impartial on single profiles, where only one vertex can qualify; not on
+    multi ones (``check_impartial`` finds 704 witnesses at n = 4).
 
 Everything that differs between the kinds (CLI spelling, models, sample
 size, winner rule, guarantee formula) is registered once, in :data:`KINDS`;
@@ -33,7 +35,8 @@ the per-sequence exact route and verify's zero-draw subjects all call it.
 
 All randomness flows through :class:`DrawStream`, a splitmix64 generator
 written out here so results are reproducible across platforms and Python
-versions.  Nothing in this package touches global RNG state.
+versions; :func:`trial_draws` gives many seeded streams' draws at once.
+Nothing in this package touches global RNG state.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import math
 import numbers
 import sys
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
@@ -56,6 +59,7 @@ from .core import MODELS, SINGLE, NominationProfile, checked_int
 __all__ = [
     "DrawStream",
     "derive_seed",
+    "trial_draws",
     "MechanismSpec",
     "MechanismKind",
     "KINDS",
@@ -109,21 +113,37 @@ def _rejection_limit(n: int) -> int:
     return (1 << 64) - ((1 << 64) % n)
 
 
-@functools.lru_cache(maxsize=16)
-def _lanes(count: int) -> tuple[int, int, int, int]:
+@functools.lru_cache(maxsize=32)
+def _lanes(count: int) -> tuple[int, int]:
     """Constants for ``count`` 64-bit lanes packed 128 bits apart in one int.
 
-    ``ones`` has a 1 at the bottom of each lane, ``masks`` the low 64 bits
-    of each lane, ``steps`` holds ``GOLDEN * (i + 1) mod 2^64`` in lane i,
-    and ``carries`` bit 64 of each lane.  The 64 spare bits per lane take
-    a full 64 x 64-bit product, so no lane carries into the next.
+    ``ones`` has a 1 at the bottom of each lane and ``masks`` the low 64
+    bits of each lane.  The 64 spare bits per lane take a full 64 x 64-bit
+    product, so no lane carries into the next.
     """
     ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
-    steps = int.from_bytes(
-        b"".join(((_GOLDEN * i) & _MASK64).to_bytes(16, "little") for i in range(1, count + 1)),
-        "little",
-    )
-    return ones, ones * _MASK64, steps, ones << 64
+    return ones, ones * _MASK64
+
+
+@functools.lru_cache(maxsize=32)
+def _steps(k: int, runs: int = 1) -> int:
+    """``GOLDEN * (j + 1) mod 2^64`` in lane j of each of ``runs`` runs of k lanes."""
+    run = b"".join(((_GOLDEN * j) & _MASK64).to_bytes(16, "little") for j in range(1, k + 1))
+    return int.from_bytes(run * runs, "little")
+
+
+def _mixed_words(z: int, lanes: int, excess: int) -> memoryview | None:
+    """splitmix64's mix on each lane of ``z``, laid out as ``_lanes(lanes)``: the lanes'
+    words in order, or None if one is rejected (at or above ``2^64 - excess``)."""
+    ones, masks = _lanes(lanes)
+    z &= masks
+    z = ((z ^ (z >> 30)) & masks) * _MUL1 & masks
+    z = ((z ^ (z >> 27)) & masks) * _MUL2 & masks
+    z = (z ^ (z >> 31)) & masks
+    # a lane at or above the limit carries into bit 64 once excess is added
+    if excess and (limited := z + ones * excess) & masks != limited:
+        return None
+    return memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[_LOW_WORDS]
 
 
 class DrawStream:
@@ -159,22 +179,14 @@ class DrawStream:
         below count * n / 2^64) the rest of the request replays one draw at
         a time, so the bytes never depend on the batching.
         """
-        # a lane at or above the limit carries into bit 64 once this is added
         excess = (1 << 64) - _rejection_limit(n)
         out: list[int] = []
         while count > 0:
             lanes = min(count, _CHUNK)
-            ones, masks, steps, carries = _lanes(lanes)
-            z = (self._state * ones + steps) & masks
-            z = (z ^ (z >> 30)) & masks
-            z = (z * _MUL1) & masks
-            z = (z ^ (z >> 27)) & masks
-            z = (z * _MUL2) & masks
-            z = (z ^ (z >> 31)) & masks
-            if excess and (z + ones * excess) & carries:
+            words = _mixed_words(self._state * _lanes(lanes)[0] + _steps(lanes), lanes, excess)
+            if words is None:
                 out.extend(self.next_below(n) for _ in range(count))
                 return out
-            words = memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[_LOW_WORDS]
             out += [w % n for w in words]
             self._state = (self._state + _GOLDEN * lanes) & _MASK64
             count -= lanes
@@ -182,8 +194,32 @@ class DrawStream:
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Stateless child seed: trial i of a run can be computed in isolation."""
+    """Stateless child seed: raw value ``index`` of ``DrawStream(master)``."""
     return _mix64((master + _GOLDEN * (index + 1)) & _MASK64)
+
+
+def trial_draws(master: int, trials: int, k: int, n: int) -> Iterator[list[int]]:
+    """``DrawStream(derive_seed(master, i)).draws(k, n)`` for each trial i below ``trials``.
+
+    The seeds are the first ``trials`` raw values of ``DrawStream(master)``.  A block of
+    ``_CHUNK // k`` trials draws on one lane pass; a block with a rejected lane, and each
+    trial of more than ``_CHUNK // 2`` draws, draws through its own stream instead.
+    """
+    seeds = DrawStream(master).draws(trials, 1 << 64)
+    excess = (1 << 64) - _rejection_limit(n)
+    per_block = _CHUNK // k
+    if per_block < 2:
+        yield from (DrawStream(seed).draws(k, n) for seed in seeds)
+        return
+    for start in range(0, trials, per_block):
+        block = seeds[start : start + per_block]
+        base = int.from_bytes(b"".join([s.to_bytes(16, "little") * k for s in block]), "little")
+        words = _mixed_words(base + _steps(k, len(block)), len(block) * k, excess)
+        if words is None:
+            yield from (DrawStream(seed).draws(k, n) for seed in block)
+        else:
+            values = [w % n for w in words]
+            yield from (values[i : i + k] for i in range(0, len(values), k))
 
 
 class ModelMismatch(ValueError):

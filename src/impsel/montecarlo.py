@@ -3,9 +3,12 @@
 Determinism contract: every result is a pure function of the plan or
 config, independent of scheduling.  Trial i draws from a stream seeded by
 ``derive_seed(master_seed, i)``, so trials can run in any order or split
-across processes.  Winner degrees are integers, and the estimator
-accumulates exact integer sums, so not even float rounding depends on
-ordering; floats appear once, in the final mean/variance division.
+across processes.  ``estimate`` draws a block of trials on one lane pass
+(``trial_draws``) and replays a block with a rejected lane trial by trial,
+so each trial's values are its own stream's.  Winner degrees are
+integers, and the estimator accumulates exact integer sums, so not even
+float rounding depends on ordering; floats appear once, in the final
+mean/variance division.
 """
 
 from __future__ import annotations
@@ -25,13 +28,13 @@ from .generators import GeneratorSpec
 from .mechanisms import (
     KINDS,
     MAX_TRIAL_DRAWS,
-    DrawStream,
     MechanismSpec,
     ModelMismatch,
     check_model,
     derive_seed,
     parse_mechanism,
     resolve_k,
+    trial_draws,
 )
 
 __all__ = [
@@ -108,10 +111,8 @@ def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -
     winner_of = KINDS[spec.kind].winner
     if spec.is_randomized:
         k = checked_int(resolve_k(spec, n), "draws per trial", 1, MAX_TRIAL_DRAWS)
-        trials, seed = plan.trials, plan.master_seed
-        winners = (
-            winner_of(spec, profile, DrawStream(derive_seed(seed, i)).draws(k, n)) for i in range(trials)
-        )
+        trials, draws = plan.trials, trial_draws(plan.master_seed, plan.trials, k, n)
+        winners = (winner_of(spec, profile, sample) for sample in draws)
     else:
         k, trials, winners = len(spec.fixed_set or ()) or None, 1, (winner_of(spec, profile, ()),)
 

@@ -1,8 +1,10 @@
-"""The batched draw kernel against the one-draw-at-a-time stream.
+"""The batched draw kernels against the one-draw-at-a-time stream.
 
 ``DrawStream.draws`` computes a whole request on packed 64-bit lanes; it
 must return exactly what the same number of ``next_below`` calls return
 and leave the stream in the same state, rejections included.
+``trial_draws`` packs several trials' draws into one int; it must return
+exactly what one ``DrawStream`` per trial returns.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from impsel.core import format_profile
 from impsel.generators import gen_random_multi, gen_random_single
-from impsel.mechanisms import DrawStream, derive_seed
+from impsel.mechanisms import DrawStream, MechanismSpec, derive_seed, resolve_k, trial_draws
 
 COUNTS = (0, 1, 63, 1023, 1024, 1025, 3000)
 # 3 * 2^62 rejects a quarter of raw values, so nearly every request replays;
@@ -71,6 +73,69 @@ def test_bound_out_of_range_is_rejected(n):
         DrawStream(0).draws(5, n)
     with pytest.raises(ValueError, match="bound"):
         DrawStream(0).draws(0, n)
+
+
+def per_trial(master, trials, k, n):
+    return [DrawStream(derive_seed(master, i)).draws(k, n) for i in range(trials)]
+
+
+# (k, n) of the C4 (random-k:auto) and C5 (simple-k:auto) sweep rows
+C4_SHAPES = tuple((resolve_k(MechanismSpec.random_k(), n), n) for n in (64, 128, 256, 512, 1024, 2048, 4096))
+C5_SHAPES = tuple((resolve_k(MechanismSpec.simple_k(), n), n) for n in (128, 256, 512, 1024, 2048, 4096))
+# 2^63 + 1 rejects nearly half of all raw values, so every block replays
+HALF_REJECTING = 2**63 + 1
+
+
+def blocks_of(k):
+    """Trials per packed block: 1024 lanes' worth, one when a trial needs more than 512."""
+    return max(1024 // k, 1)
+
+
+@pytest.mark.parametrize("k, n", C4_SHAPES + C5_SHAPES)
+def test_trial_draws_match_one_stream_per_trial(k, n):
+    size = blocks_of(k)
+    # one trial; one whole block; a partial last block
+    for trials in (1, size, 2 * size + 3):
+        for bound in (n, HALF_REJECTING, BOUNDS[-1]):
+            for master in SEEDS[:4]:
+                got = list(trial_draws(master, trials, k, bound))
+                assert got == per_trial(master, trials, k, bound), (master, trials, k, bound)
+
+
+def test_trial_draws_reject_in_a_later_block():
+    # BOUNDS[-1] rejects one raw value in 3000, so the first rejection can
+    # come after a whole block of k = 8 trials drew cleanly
+    n, k = BOUNDS[-1], 8
+    limit = 2**64 - 2**64 % n
+
+    def rejects(seed):
+        stream = DrawStream(seed)
+        return any(stream.next_raw() >= limit for _ in range(k))
+
+    firsts = {master: next(i for i in range(10**4) if rejects(derive_seed(master, i))) for master in SEEDS}
+    later = {master: first for master, first in firsts.items() if first >= blocks_of(k)}
+    assert later
+    for master, first in later.items():
+        trials = first + blocks_of(k)
+        assert list(trial_draws(master, trials, k, n)) == per_trial(master, trials, k, n)
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 1100).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 3 * blocks_of(k) + 2))),
+    st.one_of(st.integers(1, 5000), st.integers(1, 2**64)),
+)
+@settings(max_examples=60, deadline=None)
+def test_trial_draws_match_one_stream_per_trial_property(master, shape, n):
+    k, trials = shape
+    assert list(trial_draws(master, trials, k, n)) == per_trial(master, trials, k, n)
+
+
+@pytest.mark.parametrize("master", SEEDS + (-5, 2**70 + 3))
+def test_derive_seed_is_the_masters_raw_stream(master):
+    # trial_draws computes a block's seeds as consecutive raw values of DrawStream(master)
+    stream = DrawStream(master)
+    assert [stream.next_raw() for _ in range(300)] == [derive_seed(master, i) for i in range(300)]
 
 
 @pytest.mark.parametrize("order", ("little", "big"))

@@ -219,16 +219,17 @@ ENGINE_CASES = (
     + [(f"simple-k:{k}", model, n) for k in (1, 2) for model in (MULTI, SINGLE) for n in (3, 4)]
     + [(mech, model, 3) for mech in ("fixed:0", "majority-default:0", "plurality") for model in (SINGLE, MULTI)]
     + [(name, model, n) for name in _ENGINE_ORACLES[1:] for model in (SINGLE, MULTI) for n in (3, 4)]
-    + [("plurality", model, 4) for model in (SINGLE, MULTI)]
+    + [(mech, model, 4) for mech in ("plurality", "majority-default:0") for model in (SINGLE, MULTI)]
 )
 # witness counts of the cases that have any: plurality is not impartial, nor is
-# the majority rule on multi n = 4; every other case is a proof
+# the majority rule (either spelling) on multi n = 4; every other case is a proof
 ENGINE_WITNESS_COUNTS = {
     ("plurality", SINGLE, 3): 2,
     ("plurality", MULTI, 3): 44,
     ("plurality", SINGLE, 4): 30,
     ("plurality", MULTI, 4): 3120,
     ("majority-default-ext:0", MULTI, 4): 704,
+    ("majority-default:0", MULTI, 4): 704,
 }
 
 
