@@ -36,7 +36,8 @@ the per-sequence exact route and verify's zero-draw subjects all call it.
 All randomness flows through :class:`DrawStream`, a splitmix64 generator
 written out here so results are reproducible across platforms and Python
 versions; :func:`trial_draws` gives many seeded streams' draws at once.
-Nothing in this package touches global RNG state.
+Both compute their draws on one lane pass, ``_lane_draws``.  Nothing in
+this package touches global RNG state.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import le
 from typing import NamedTuple
 
@@ -113,37 +114,37 @@ def _rejection_limit(n: int) -> int:
     return (1 << 64) - ((1 << 64) % n)
 
 
-@functools.lru_cache(maxsize=32)
-def _lanes(count: int) -> tuple[int, int]:
-    """Constants for ``count`` 64-bit lanes packed 128 bits apart in one int.
+@functools.lru_cache(maxsize=64)
+def _lanes(k: int, runs: int) -> tuple[int, int, int]:
+    """Constants for ``runs`` runs of k 64-bit lanes packed 128 bits apart in one int.
 
-    ``ones`` has a 1 at the bottom of each lane and ``masks`` the low 64
-    bits of each lane.  The 64 spare bits per lane take a full 64 x 64-bit
-    product, so no lane carries into the next.
+    ``ones`` has a 1 at the bottom of each lane, ``masks`` the low 64 bits of
+    each lane, and ``steps`` ``GOLDEN * (j + 1) mod 2^64`` in lane j of each
+    run.  The 64 spare bits per lane take a full 64 x 64-bit product, so no
+    lane carries into the next.
     """
-    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
-    return ones, ones * _MASK64
-
-
-@functools.lru_cache(maxsize=32)
-def _steps(k: int, runs: int = 1) -> int:
-    """``GOLDEN * (j + 1) mod 2^64`` in lane j of each of ``runs`` runs of k lanes."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * (k * runs), "little")
     run = b"".join(((_GOLDEN * j) & _MASK64).to_bytes(16, "little") for j in range(1, k + 1))
-    return int.from_bytes(run * runs, "little")
+    return ones, ones * _MASK64, int.from_bytes(run * runs, "little")
 
 
-def _mixed_words(z: int, lanes: int, excess: int) -> memoryview | None:
-    """splitmix64's mix on each lane of ``z``, laid out as ``_lanes(lanes)``: the lanes'
-    words in order, or None if one is rejected (at or above ``2^64 - excess``)."""
-    ones, masks = _lanes(lanes)
-    z &= masks
+def _lane_draws(states: Sequence[int], k: int, n: int, excess: int) -> list[int] | None:
+    """The first k draws below n of each state's stream, one state after another,
+    or None if a raw value is rejected (at or above ``2^64 - excess``).
+
+    Raw value j of a stream is ``mix(state + GOLDEN * (j + 1))`` with no
+    dependence on earlier values, so all of them are computed at once on the
+    lanes of ``_lanes(k, len(states))``.
+    """
+    ones, masks, steps = _lanes(k, len(states))
+    z = (int.from_bytes(b"".join([s.to_bytes(16, "little") * k for s in states]), "little") + steps) & masks
     z = ((z ^ (z >> 30)) & masks) * _MUL1 & masks
     z = ((z ^ (z >> 27)) & masks) * _MUL2 & masks
     z = (z ^ (z >> 31)) & masks
     # a lane at or above the limit carries into bit 64 once excess is added
     if excess and (limited := z + ones * excess) & masks != limited:
         return None
-    return memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[_LOW_WORDS]
+    return [w % n for w in memoryview(z.to_bytes(16 * k * len(states), sys.byteorder)).cast("Q")[_LOW_WORDS]]
 
 
 class DrawStream:
@@ -173,21 +174,19 @@ class DrawStream:
         """``count`` draws below n, the same values and end state as that many
         ``next_below(n)`` calls.
 
-        Raw value j of the stream is ``mix(state + GOLDEN * (j + 1))`` with no
-        dependence on earlier values, so a chunk of raw values is computed at
-        once on 64-bit lanes of one int.  If any lane is rejected (chance
-        below count * n / 2^64) the rest of the request replays one draw at
-        a time, so the bytes never depend on the batching.
+        Up to ``_CHUNK`` draws take one lane pass.  If any lane is rejected
+        (chance below count * n / 2^64) the rest of the request replays one
+        draw at a time, so the bytes never depend on the batching.
         """
         excess = (1 << 64) - _rejection_limit(n)
         out: list[int] = []
         while count > 0:
             lanes = min(count, _CHUNK)
-            words = _mixed_words(self._state * _lanes(lanes)[0] + _steps(lanes), lanes, excess)
-            if words is None:
+            values = _lane_draws((self._state,), lanes, n, excess)
+            if values is None:
                 out.extend(self.next_below(n) for _ in range(count))
                 return out
-            out += [w % n for w in words]
+            out += values
             self._state = (self._state + _GOLDEN * lanes) & _MASK64
             count -= lanes
         return out
@@ -201,24 +200,19 @@ def derive_seed(master: int, index: int) -> int:
 def trial_draws(master: int, trials: int, k: int, n: int) -> Iterator[list[int]]:
     """``DrawStream(derive_seed(master, i)).draws(k, n)`` for each trial i below ``trials``.
 
-    The seeds are the first ``trials`` raw values of ``DrawStream(master)``.  A block of
-    ``_CHUNK // k`` trials draws on one lane pass; a block with a rejected lane, and each
-    trial of more than ``_CHUNK // 2`` draws, draws through its own stream instead.
+    The seeds are the first ``trials`` raw values of ``DrawStream(master)``, drawn up to
+    ``_CHUNK`` at a time.  A block of ``_CHUNK // k`` trials draws on one lane pass; a block
+    with a rejected lane, and each trial of more than ``_CHUNK`` draws, draws through its
+    own stream instead.
     """
-    seeds = DrawStream(master).draws(trials, 1 << 64)
     excess = (1 << 64) - _rejection_limit(n)
-    per_block = _CHUNK // k
-    if per_block < 2:
-        yield from (DrawStream(seed).draws(k, n) for seed in seeds)
-        return
-    for start in range(0, trials, per_block):
-        block = seeds[start : start + per_block]
-        base = int.from_bytes(b"".join([s.to_bytes(16, "little") * k for s in block]), "little")
-        words = _mixed_words(base + _steps(k, len(block)), len(block) * k, excess)
-        if words is None:
+    seeder = DrawStream(master)
+    seeds = chain.from_iterable(seeder.draws(min(_CHUNK, trials - i), 1 << 64) for i in range(0, trials, _CHUNK))
+    while block := list(islice(seeds, _CHUNK // k or 1)):
+        values = _lane_draws(block, k, n, excess) if k <= _CHUNK else None
+        if values is None:
             yield from (DrawStream(seed).draws(k, n) for seed in block)
         else:
-            values = [w % n for w in words]
             yield from (values[i : i + k] for i in range(0, len(values), k))
 
 

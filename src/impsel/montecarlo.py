@@ -5,10 +5,11 @@ config, independent of scheduling.  Trial i draws from a stream seeded by
 ``derive_seed(master_seed, i)``, so trials can run in any order or split
 across processes.  ``estimate`` draws a block of trials on one lane pass
 (``trial_draws``) and replays a block with a rejected lane trial by trial,
-so each trial's values are its own stream's.  Winner degrees are
-integers, and the estimator accumulates exact integer sums, so not even
-float rounding depends on ordering; floats appear once, in the final
-mean/variance division.
+so each trial's values are its own stream's; the trial seeds are drawn up
+to 1,024 at a time, so memory does not grow with the trial count.  Winner
+degrees are integers, and the estimator accumulates exact integer sums, so
+not even float rounding depends on ordering; floats appear once, in the
+final mean/variance division.
 """
 
 from __future__ import annotations

@@ -9,13 +9,15 @@ exactly what one ``DrawStream`` per trial returns.
 
 import hashlib
 import struct
+import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from impsel.core import format_profile
 from impsel.generators import gen_random_multi, gen_random_single
-from impsel.mechanisms import DrawStream, MechanismSpec, derive_seed, resolve_k, trial_draws
+from impsel.mechanisms import DrawStream, MechanismSpec, _lanes, derive_seed, resolve_k, trial_draws
 
 COUNTS = (0, 1, 63, 1023, 1024, 1025, 3000)
 # 3 * 2^62 rejects a quarter of raw values, so nearly every request replays;
@@ -82,6 +84,8 @@ def per_trial(master, trials, k, n):
 # (k, n) of the C4 (random-k:auto) and C5 (simple-k:auto) sweep rows
 C4_SHAPES = tuple((resolve_k(MechanismSpec.random_k(), n), n) for n in (64, 128, 256, 512, 1024, 2048, 4096))
 C5_SHAPES = tuple((resolve_k(MechanismSpec.simple_k(), n), n) for n in (128, 256, 512, 1024, 2048, 4096))
+# either side of one trial per block (k > 512) and of one trial per lane pass (k > 1024)
+EDGE_SHAPES = tuple((k, 4096) for k in (512, 513, 1024, 1025))
 # 2^63 + 1 rejects nearly half of all raw values, so every block replays
 HALF_REJECTING = 2**63 + 1
 
@@ -91,7 +95,7 @@ def blocks_of(k):
     return max(1024 // k, 1)
 
 
-@pytest.mark.parametrize("k, n", C4_SHAPES + C5_SHAPES)
+@pytest.mark.parametrize("k, n", C4_SHAPES + C5_SHAPES + EDGE_SHAPES)
 def test_trial_draws_match_one_stream_per_trial(k, n):
     size = blocks_of(k)
     # one trial; one whole block; a partial last block
@@ -100,6 +104,46 @@ def test_trial_draws_match_one_stream_per_trial(k, n):
             for master in SEEDS[:4]:
                 got = list(trial_draws(master, trials, k, bound))
                 assert got == per_trial(master, trials, k, bound), (master, trials, k, bound)
+
+
+def test_trial_draws_blocks_straddle_seed_chunks():
+    # seeds are drawn 1024 at a time and k = 3 packs 341 trials per block, so
+    # block 4 takes seeds from chunks 1 and 2, and the partial block 7 from
+    # chunk 2 and the partial chunk 3
+    k, trials = 3, 2 * 1024 + 7
+    for n in (10, HALF_REJECTING, BOUNDS[-1]):
+        for master in SEEDS[:4]:
+            assert list(trial_draws(master, trials, k, n)) == per_trial(master, trials, k, n), (master, n)
+
+
+def test_trial_draws_hold_one_seed_chunk_at_a_time():
+    draws = trial_draws(5, 10**6, 8, 64)
+    tracemalloc.start()
+    try:
+        next(draws), next(draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a seed chunk, a block's draws and their lane constants take about 200 KB;
+    # a million seeds held at once would take over 30 MB
+    assert peak < 2**19, peak
+
+
+def test_lane_constants_fit_the_cache_across_sweeps():
+    """Three rounds of the C4, C5 single and C5 multi sweeps' draws, at more trials
+    than one seed chunk, build every lane constant in the first round only."""
+    trials = 1024 + 5
+    _lanes.cache_clear()
+    misses = []
+    for _ in range(3):
+        for k, n in C4_SHAPES + C5_SHAPES:
+            deque(trial_draws(46, trials, k, n), 0)
+        # the multi rows' trials have the shapes of C5's first two rows, so only
+        # their profiles' draws add lane constants
+        for n in (128, 256):
+            gen_random_multi(n, 0.05, 48)
+        misses.append(_lanes.cache_info().misses)
+    assert misses[0] == misses[1] == misses[2], misses
 
 
 def test_trial_draws_reject_in_a_later_block():

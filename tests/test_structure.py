@@ -214,18 +214,20 @@ def test_verify_asks_every_subject_through_subject_weights():
 
 def test_one_lane_kernel_and_one_monte_carlo_draw_path():
     """The splitmix multipliers are read by the scalar mix and one lane function
-    only, and Monte Carlo draws its trials through ``trial_draws``, never a
-    ``DrawStream`` of its own."""
-    readers = set()
+    only, the lane word slice by that lane function alone, and Monte Carlo draws
+    its trials through ``trial_draws``, never a ``DrawStream`` of its own."""
+    readers = {"_MUL1": set(), "_MUL2": set(), "_LOW_WORDS": set()}
     for name, tree in _trees().items():
         owner = {}  # node -> innermost enclosing function (ast.walk visits outer functions first)
         for func in ast.walk(tree):
             if isinstance(func, ast.FunctionDef):
                 owner.update((id(node), func.name) for node in ast.walk(func))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and node.id in ("_MUL1", "_MUL2") and isinstance(node.ctx, ast.Load):
-                readers.add((name, owner.get(id(node))))
-    assert readers == {("mechanisms", "_mix64"), ("mechanisms", "_mixed_words")}
+            if isinstance(node, ast.Name) and node.id in readers and isinstance(node.ctx, ast.Load):
+                readers[node.id].add((name, owner.get(id(node))))
+    kernel = ("mechanisms", "_lane_draws")
+    mixes = {("mechanisms", "_mix64"), kernel}
+    assert readers == {"_MUL1": mixes, "_MUL2": mixes, "_LOW_WORDS": {kernel}}
     montecarlo = _trees()["montecarlo"]
     assert not [n.lineno for n in ast.walk(montecarlo) if isinstance(n, ast.Name) and n.id == "DrawStream"]
     assert "trial_draws" in {name for _, taken in _package_imports(montecarlo) for name in taken}
