@@ -9,16 +9,18 @@ where every vertex abstains is a perfectly valid multi-model profile.
 
 This module is the one owner of those rules: ``out_degrees(model, n)``
 says what each model allows, and only ``NominationProfile`` checks a row
-(its private ``_trusted`` skips that for rows verify enumerates, and for the
-rows ``NominationProfile.single`` builds once the flat nominee list passed
-its check).  It also owns ``checked_int``, the check of every integer input
+(its private ``_trusted`` skips that for rows verify enumerates, and its
+private ``_flat`` for the nominee list ``NominationProfile.single`` checked
+itself).  It also owns ``checked_int``, the check of every integer input
 in the package.
 
 Profiles are immutable values.  Anything that "modifies" one, such as
 ``profile.apply_deviation(u, new_out)``, returns a new profile.
 
 Vertices are the ints ``0 .. n-1``.  Out-sets are stored sorted and deduplicated so
-equal graphs compare and hash equal regardless of construction order.
+equal graphs compare and hash equal regardless of construction order.  A profile from
+``NominationProfile.single`` keeps only its flat nominee tuple and builds the rows on
+first read; in-degrees, the edge count, ``row(u)`` and ``format_profile`` read the tuple.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ class NominationProfile:
 
     ``out[u]`` is the sorted tuple of vertices nominated by ``u``.  Equality
     and hashing follow ``(n, model, out)``, so structurally equal profiles
-    are interchangeable as dictionary keys.
+    are interchangeable as dictionary keys.  A profile from ``single`` holds
+    the flat ``single_nominees`` tuple and builds ``out`` on first read.
     """
 
     n: int
@@ -154,16 +157,24 @@ class NominationProfile:
         return profile
 
     @classmethod
+    def _flat(cls, nominees: tuple[int, ...]) -> "NominationProfile":
+        """A single-model profile of a nominee tuple ``single`` checked; its rows wait for a reader."""
+        profile = object.__new__(cls)
+        profile.__dict__.update(n=len(nominees), model=SINGLE, single_nominees=nominees)
+        return profile
+
+    @classmethod
     def single(cls, nominees: Sequence[int]) -> "NominationProfile":
         """Build a single-model profile from the list ``nominees[u] = x_u``.
 
         The flat list stands in for the row check: all ints by type, in ``0..n-1``, no
-        ``nominees[u] == u``.  On any fault the row check runs, to name the first bad row."""
-        n, rows = len(nominees), (*zip(nominees),)
+        ``nominees[u] == u``.  The profile keeps it as one tuple and builds its one-element
+        rows on first read.  On any fault the row check runs, to name the first bad row."""
+        n = len(nominees)
         if n > 1 and {*map(type, nominees)} <= {int} and 0 <= min(nominees) and max(nominees) < n:
             if not any(map(eq, nominees, range(n))):
-                return cls._trusted(n, SINGLE, rows)
-        return cls(n, SINGLE, rows)
+                return cls._flat(tuple(nominees))
+        return cls(n, SINGLE, (*zip(nominees),))
 
     @classmethod
     def multi(
@@ -186,7 +197,8 @@ class NominationProfile:
     def in_degrees(self) -> tuple[int, ...]:
         """In-degree of every vertex, counting all edges."""
         degs = [0] * self.n
-        for nominees in self.out:
+        # a flat profile counts its nominee tuple as one row, so its rows stay unbuilt
+        for nominees in self.__dict__.get("out") or (self.single_nominees,):
             for v in nominees:
                 degs[v] += 1
         return tuple(degs)
@@ -202,6 +214,10 @@ class NominationProfile:
         if self.model != SINGLE:
             raise ModelViolation("single_nominees is defined for the single model only")
         return tuple(row[0] for row in self.out)
+
+    def row(self, u: int) -> tuple[int, ...]:
+        """``out[u]``, read from the flat nominee tuple while the rows are not built."""
+        return self.out[u] if "out" in self.__dict__ else (self.single_nominees[u],)
 
     def max_degree(self) -> tuple[int, tuple[int, ...]]:
         """Return ``(delta, argmax)`` with the argmax vertices in ascending order.
@@ -221,7 +237,7 @@ class NominationProfile:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nominees) for nominees in self.out)
+        return self.n if self.model == SINGLE else sum(map(len, self.out))
 
     # ----- deviations -----
 
@@ -231,6 +247,11 @@ class NominationProfile:
         rows = list(self.out)
         rows[u] = new_out
         return NominationProfile(self.n, self.model, tuple(rows))
+
+
+# after the dataclass, so ``out`` stays a field with no default; a profile's own ``out`` shadows it
+NominationProfile.out = functools.cached_property(lambda profile: (*zip(profile.single_nominees),))
+NominationProfile.out.__set_name__(NominationProfile, "out")
 
 
 # ----- file format -----
@@ -326,10 +347,11 @@ def parse_profile(text: str) -> NominationProfile:
 
 def format_profile(profile: NominationProfile) -> str:
     """Render a profile in the textual format, edges sorted by (from, to)."""
-    n, out = profile.n, profile.out
-    sources = range(n) if profile.model == SINGLE else chain.from_iterable(map(repeat, range(n), map(len, out)))
-    ends = (*chain.from_iterable(zip(sources, chain.from_iterable(out))),)
-    return f"{PROFILE_MAGIC}\nmodel {profile.model}\nn {n}\n" + "%d %d\n" * (len(ends) // 2) % ends
+    n, model = profile.n, profile.model
+    sources = range(n) if model == SINGLE else chain.from_iterable(map(repeat, range(n), map(len, profile.out)))
+    targets = profile.single_nominees if model == SINGLE else chain.from_iterable(profile.out)
+    ends = (*chain.from_iterable(zip(sources, targets)),)
+    return f"{PROFILE_MAGIC}\nmodel {model}\nn {n}\n" + "%d %d\n" * (len(ends) // 2) % ends
 
 
 def load_profile(path) -> NominationProfile:

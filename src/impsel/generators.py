@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from operator import add, le
 
 from .core import MULTI, SINGLE, NominationProfile, checked_int
 from .mechanisms import DrawStream, MechanismSpec, resolve_k, rks_worst_delta
@@ -49,8 +50,7 @@ def gen_single_worst(n: int, delta: int) -> NominationProfile:
         nominees[0] = 1
     else:
         nominees[0] = delta + 1
-        for v in range(delta + 1, n - 1):
-            nominees[v] = v + 1
+        nominees[delta + 1 : n - 1] = range(delta + 2, n)
         nominees[n - 1] = 1
     return NominationProfile.single(nominees)
 
@@ -89,7 +89,8 @@ def gen_random_single(n: int, seed: int) -> NominationProfile:
     """Each vertex nominates one uniformly random other vertex."""
     checked_int(n, "vertex count", 2)
     draws = DrawStream(checked_int(seed, "seed", None)).draws(n, n - 1)
-    return NominationProfile.single([r if r < u else r + 1 for u, r in enumerate(draws)])
+    # draw r for vertex u skips u: r if r < u else r + 1
+    return NominationProfile.single((*map(add, draws, map(le, range(n), draws)),))
 
 
 def _check_probability(p) -> None:

@@ -363,7 +363,7 @@ def majority_default_winner(profile: NominationProfile, default_vertex: int) -> 
     for v in compress(range(profile.n), map(le, repeat(threshold), degs)):
         if v == d:
             continue
-        deg = degs[v] - (1 if v in profile.out[d] else 0)
+        deg = degs[v] - (1 if v in profile.row(d) else 0)
         if deg >= threshold:
             return v
     return d

@@ -1,5 +1,8 @@
 """Profile construction, model rules, degree queries, deviations, and the file format."""
 
+from collections import Counter
+from itertools import chain, islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +17,7 @@ from impsel import (
     gen_random_single,
     gen_single_worst,
     majority_default_winner,
+    parse_mechanism,
     rks_gap_lower_bound,
     sks_gap_upper_bound,
 )
@@ -32,6 +36,7 @@ from impsel.core import (
     out_degrees,
     parse_profile,
 )
+from impsel.verify import iter_profiles
 
 
 def single_profiles(min_n=2, max_n=7):
@@ -675,8 +680,8 @@ def _one_nominee_replaced(draw):
 @given(st.one_of(st.lists(_NOMINEES, max_size=6), _one_nominee_replaced()))
 @settings(max_examples=500)
 def test_flat_single_check_matches_the_row_check(nominees):
-    """``NominationProfile.single`` checks the flat nominee list and builds the rows
-    unchecked; it accepts and refuses exactly what the row check does, message and all."""
+    """``NominationProfile.single`` checks the flat nominee list and keeps it without
+    the row check; it accepts and refuses exactly what the row check does, message and all."""
 
     def outcome(build):
         try:
@@ -719,3 +724,67 @@ def test_format_matches_the_per_edge_reference(p):
 @given(st.one_of(single_profiles(2, 7), multi_profiles(2, 6)))
 def test_format_fuzz_matches_the_per_edge_reference(p):
     assert format_profile(p) == _format_edges(p.n, p.model, p.edges())
+
+
+# ---------------------------------------------------------------------------
+# the flat store of the single model
+
+
+@st.composite
+def _single_builds(draw):
+    """One single profile, n = 2..5, built from rows through the checked constructor,
+    through ``single``, by ``parse_profile`` of canonical and of line-reader text, and
+    as the unchecked rows ``verify.iter_profiles`` yields."""
+    n = draw(st.integers(2, 5))
+    enumerated = next(islice(iter_profiles(n, SINGLE), draw(st.integers(0, (n - 1) ** n - 1)), None))
+    nominees = enumerated.single_nominees
+    canonical = format_profile(NominationProfile.single(nominees))
+    lines = draw(st.permutations(canonical.splitlines()[3:]))
+    line_reader = "\n".join(["# any comment leaves the canonical shape", *canonical.splitlines()[:3], *lines])
+    assert _canonical_rows(line_reader) is None
+    return [
+        NominationProfile(n, SINGLE, tuple(zip(nominees))),
+        NominationProfile.single(list(nominees)),
+        parse_profile(canonical),
+        parse_profile(line_reader),
+        enumerated,
+    ]
+
+
+@given(_single_builds())
+@settings(max_examples=200)
+def test_every_build_of_a_single_profile_is_the_same_value(builds):
+    reference = builds[0]
+    for p in builds:
+        assert [p.row(u) for u in range(p.n)] == list(reference.out)  # before any reads ``out``
+        assert (p.in_degrees, p.edge_count, format_profile(p)) == (
+            reference.in_degrees, reference.edge_count, format_profile(reference))
+        assert p == reference and hash(p) == hash(reference)
+        assert p.out == reference.out and p.single_nominees == reference.single_nominees
+
+
+def _read_back(p):
+    q = parse_profile(format_profile(p))
+    assert "out" not in vars(q)
+    return q
+
+
+def test_a_single_profile_read_from_text_builds_no_rows():
+    p = _read_back(gen_random_single(10_000, 11))
+    reads = (p.in_degrees, p.delta, format_profile(p), p.edge_count, p.row(7))
+    assert exact_distribution(parse_mechanism("majority-default:0"), p).n == p.n
+    assert "out" not in vars(p)
+    # the flat reads agree with what the rows give once they are built
+    degrees = Counter(chain.from_iterable(p.out))
+    from_rows = (tuple(map(degrees.__getitem__, range(p.n))), max(degrees.values()),
+                 _format_edges(p.n, p.model, p.edges()), sum(map(len, p.out)), p.out[7])
+    assert reads == from_rows
+
+
+def test_majority_default_reads_one_row_of_a_flat_profile():
+    """A vertex past the threshold makes the rule ask the default's nominee, not every row."""
+    p = _read_back(gen_single_worst(10_000, 6_000))
+    assert majority_default_winner(p, 1) == 0 and majority_default_winner(p, 0) == 0
+    assert exact_distribution(parse_mechanism("majority-default:1"), p).p == {0: 1}
+    assert "out" not in vars(p)
+    assert p.out[1] == (0,)  # so the rule left the default's vote for 0 out

@@ -158,20 +158,34 @@ def test_config_fields_are_checked_only_in_constructors():
 
 def test_unchecked_profiles_are_built_only_from_enumerated_rows():
     """``NominationProfile._trusted`` skips the row check, so only the engines
-    that pass rows of ``verify._profile_rows``'s domain may call it, and
-    ``NominationProfile.single`` once its flat nominee list is all ints by type,
-    in ``0..n-1`` and free of ``nominees[u] == u``, which stands in for the row check."""
-    allowed = {("verify", "iter_profiles"), ("verify", "_subject_weights"), ("core", "single")}
-    for name, tree in _trees().items():
+    that pass rows of ``verify._profile_rows``'s domain may call it.  ``_flat``
+    skips it for a single model's nominee tuple, so only ``NominationProfile.single``
+    may call it, inside its check that the flat list is all ints by type, in
+    ``0..n-1`` and free of ``nominees[u] == u``.  No other code makes a profile
+    with ``__new__``, which would skip the check as well."""
+    allowed = {
+        "_trusted": {("verify", "iter_profiles"), ("verify", "_subject_weights")},
+        "_flat": {("core", "single")},
+        "__new__": {("core", "_trusted"), ("core", "_flat")},
+    }
+    trees, seen = _trees(), set()
+    for name, tree in trees.items():
         owner = {}  # line -> innermost enclosing function
         for func in ast.walk(tree):
             if isinstance(func, ast.FunctionDef):
                 for node in ast.walk(func):
                     owner[getattr(node, "lineno", None)] = func.name
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+            if isinstance(node, ast.Attribute) and node.attr in allowed:
                 site = (name, owner.get(node.lineno))
-                assert site in allowed, f"{name}.py:{node.lineno} builds an unchecked profile"
+                assert site in allowed[node.attr], f"{name}.py:{node.lineno} builds an unchecked profile"
+                seen.add((node.attr, site))
+    assert seen == {(attr, site) for attr, sites in allowed.items() for site in sites}
+    single = _method(trees["core"], "NominationProfile", "single")
+    checked = [node for test in ast.walk(single) if isinstance(test, ast.If)
+               for stmt in test.body for node in ast.walk(stmt)]
+    flat_calls = [node for node in ast.walk(single) if isinstance(node, ast.Attribute) and node.attr == "_flat"]
+    assert flat_calls and all(node in checked for node in flat_calls), "single builds a flat profile unchecked"
 
 
 def test_only_the_asker_builds_refutation_witnesses():
