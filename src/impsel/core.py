@@ -14,8 +14,8 @@ private ``_flat`` for the nominee list ``NominationProfile.single`` checked
 itself).  It also owns ``checked_int``, the check of every integer input
 in the package.
 
-Profiles are immutable values.  Anything that "modifies" one, such as
-``profile.apply_deviation(u, new_out)``, returns a new profile.
+Profiles are immutable values: a changed graph is a new profile, built
+through the same checked constructor.
 
 Vertices are the ints ``0 .. n-1``.  Out-sets are stored sorted and deduplicated so
 equal graphs compare and hash equal regardless of construction order.  A profile from
@@ -238,15 +238,6 @@ class NominationProfile:
     @property
     def edge_count(self) -> int:
         return self.n if self.model == SINGLE else sum(map(len, self.out))
-
-    # ----- deviations -----
-
-    def apply_deviation(self, u: int, new_out: Iterable[int]) -> "NominationProfile":
-        """Return the profile where vertex ``u`` replaced its out-set with ``new_out``."""
-        checked_int(u, "vertex", 0, self.n - 1)
-        rows = list(self.out)
-        rows[u] = new_out
-        return NominationProfile(self.n, self.model, tuple(rows))
 
 
 # after the dataclass, so ``out`` stays a field with no default; a profile's own ``out`` shadows it

@@ -14,7 +14,8 @@ Three engines share this module.
 * ``check_strong_sample`` / ``check_sample_constant`` test sample
   functions g: a strong g is one no sample member can alter, and the
   shipped catalog exercises the fact that strong plus impartial forces g
-  to be constant.
+  to be constant.  The strong-sample check also asks g once per profile.
+  Both walks find deviations by the strides ``_space`` owns.
 
 * ``refute_two_additive`` replays a case analysis against any total
   deterministic mechanism oracle on 4 vertices, cornering it into an
@@ -92,15 +93,24 @@ DEFAULT_MEASURE_MAX_N = {SINGLE: 6, MULTI: 4}
 class ProfileSpaceTooLarge(ValueError):
     """Exhaustive iteration over this profile space was refused.
 
-    ``count`` is the number of profiles that would have to be visited.
-    Pass a larger ``max_n`` to override the ceiling in force.
+    ``count`` is the number of profiles that would have to be visited.  As
+    ``EnumerationTooLarge.required``, it is None once n times the bit length
+    of a vertex's choice count passes 8192 (about 2,466 digits), and the
+    message then leaves it out.  Pass a larger ``max_n`` to override the
+    ceiling in force.
     """
 
     def __init__(self, n: int, model: str, max_n: int | None):
-        self.count = profile_count(n, model)
+        base = 0  # a vertex's choice count, summed only while it can fit
+        for r in out_degrees(model, n):
+            base += math.comb(n - 1, r)
+            if n * base.bit_length() > 8192:
+                break
+        self.count = base**n if n * base.bit_length() <= 8192 else None
+        count = "" if self.count is None else f"{self.count} "
         ceiling = "the default ceiling" if max_n is None else f"the ceiling max_n={max_n}"
         super().__init__(
-            f"exhaustive check over {self.count} {model}-model profiles on {n} vertices "
+            f"exhaustive check over {count}{model}-model profiles on {n} vertices "
             f"exceeds {ceiling}; pass max_n={n} to allow it"
         )
 
@@ -157,6 +167,19 @@ def iter_profiles(n: int, model: str) -> Iterator[NominationProfile]:
 def profile_count(n: int, model: str) -> int:
     """Number of n-vertex profiles of ``model``: each vertex picks an allowed out-set."""
     return sum(math.comb(n - 1, r) for r in out_degrees(model, n)) ** n
+
+
+def _space(n: int, model: str) -> tuple[list, list[int], Callable[[int], NominationProfile]]:
+    """Each vertex's choices, the strides S_u, and the checked profile at index i of
+    ``_profile_rows`` order.  u's choice in profile i is ``i // S_u % c_u``, S_u the
+    product of the choice counts c after u, so u's rewirings of i lie S_u apart."""
+    choices = [_vertex_choices(n, u, model) for u in range(n)]
+    strides = [math.prod(map(len, choices[u + 1 :])) for u in range(n)]
+
+    def profile(i: int) -> NominationProfile:
+        return NominationProfile(n, model, [own[i // s % len(own)] for own, s in zip(choices, strides)])
+
+    return choices, strides, profile
 
 
 def _require_space(n: int, model: str, max_n: int | None, defaults: dict) -> None:
@@ -216,18 +239,13 @@ def check_impartial(
 
     Every profile's weights are asked once, in ``_profile_rows`` order, into
     one flat table: ``table[i * n + u]`` is u's weight in profile i.  u's
-    choice in profile i is ``i // S_u % c_u``, S_u the product of the choice
-    counts after u, so u's deviations from a base i (digit 0) are i + j*S_u.
+    deviations from a base i where u makes its first choice are i + j*S_u,
+    the strides of ``_space``.
     """
     _require_space(n, model, max_n, DEFAULT_CHECK_MAX_N)
     weights_of, scale = _subject_weights(subject, n, model, budget)
     table = list(itertools.chain.from_iterable(map(weights_of, _profile_rows(n, model))))
-    choices = [_vertex_choices(n, u, model) for u in range(n)]
-    strides = [math.prod(map(len, choices[u + 1 :])) for u in range(n)]
-
-    def profile(i: int) -> NominationProfile:
-        return NominationProfile(n, model, [own[i // s % len(own)] for own, s in zip(choices, strides)])
-
+    choices, strides, profile = _space(n, model)
     witnesses: list[Witness] = []
     for u, (own, stride) in enumerate(zip(choices, strides)):
         block = stride * len(own)
@@ -257,32 +275,23 @@ def check_strong_sample(
     """Violations of the rule that no sample member can change the sample.
 
     For each single-model profile and each u in g(x), every rewiring of u
-    must leave g unchanged.
+    must leave g unchanged.  g is asked once per profile, in ``_profile_rows``
+    order; u's rewirings of profile i lie ``S_u`` apart, from the one where u
+    makes its first choice.  Witnesses come by profile, then u, then choice.
     """
     _require_space(n, SINGLE, max_n, DEFAULT_CHECK_MAX_N)
+    choices, strides, profile = _space(n, SINGLE)
+    shared: dict[frozenset[int], frozenset[int]] = {}  # equal samples share one object
+    samples = [shared.setdefault(s, s) for s in map(_sample_of, itertools.repeat(g), iter_profiles(n, SINGLE))]
     witnesses: list[Witness] = []
-    for profile in iter_profiles(n, SINGLE):
-        sample = _sample_of(g, profile)
+    for i, sample in enumerate(samples):
         for u in sorted(sample):
-            current = profile.single_nominees[u]
-            for alt in range(n):
-                if alt == u or alt == current:
-                    continue
-                deviated = profile.apply_deviation(u, (alt,))
-                new_sample = _sample_of(g, deviated)
-                if new_sample != sample:
-                    witnesses.append(
-                        Witness(
-                            "strong_sample_violation",
-                            profile,
-                            deviated,
-                            u,
-                            {
-                                "sample_a": tuple(sorted(sample)),
-                                "sample_b": tuple(sorted(new_sample)),
-                            },
-                        )
-                    )
+            stride, count = strides[u], len(choices[u])
+            first = i - i // stride % count * stride
+            for alt in range(first, first + count * stride, stride):
+                if samples[alt] != sample:
+                    detail = {"sample_a": tuple(sorted(sample)), "sample_b": tuple(sorted(samples[alt]))}
+                    witnesses.append(Witness("strong_sample_violation", profile(i), profile(alt), u, detail))
     return witnesses
 
 
@@ -298,16 +307,8 @@ def check_sample_constant(
         if first_sample is None:
             first_profile, first_sample = profile, sample
         elif sample != first_sample:
-            return False, Witness(
-                "sample_not_constant",
-                first_profile,
-                profile,
-                None,
-                {
-                    "sample_a": tuple(sorted(first_sample)),
-                    "sample_b": tuple(sorted(sample)),
-                },
-            )
+            detail = {"sample_a": tuple(sorted(first_sample)), "sample_b": tuple(sorted(sample))}
+            return False, Witness("sample_not_constant", first_profile, profile, None, detail)
     return True, None
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import impsel
 from impsel.cli import main
-from impsel.core import MODELS, NominationProfile, format_profile, load_profile, parse_profile
+from impsel.core import MODELS, SINGLE, NominationProfile, format_profile, load_profile, parse_profile
 from impsel.generators import FAMILIES, PARAMS
 from impsel.montecarlo import CSV_HEADER, SweepConfig, fit_scaling, rows_to_csv, rows_to_json, sweep
 from impsel.verify import check_impartial, format_witness, named_oracle
@@ -665,6 +665,31 @@ def test_verify_ceiling_message_names_the_ceiling_in_force(capsys):
     assert capsys.readouterr().err == (
         "error: exhaustive check over 8 single-model profiles on 3 vertices "
         "exceeds the ceiling max_n=2; pass max_n=3 to allow it\n"
+    )
+
+
+_HUGE_SPACE_COMMANDS = [
+    *([command, "--mech", mech, "--model", model] for command, mech in
+      [("impartial", "random-k:1"), ("impartial", "simple-k:1"), ("gap", "random-k:1")] for model in MODELS),
+    ["strong-sample", "--g", "const-0"],  # single-model profiles, with no --model
+]
+
+
+@pytest.mark.parametrize("n", [121, 2000, 3000, 30000, 1000000])
+@pytest.mark.parametrize("command", _HUGE_SPACE_COMMANDS, ids=" ".join)
+def test_verify_refuses_a_huge_space_at_once(capsys, command, n):
+    """The refusal builds no count wider than 8192 bits and leaves such a count
+    out; printed in full, it would overrun int-to-text conversion."""
+    model = command[-1] if "--model" in command else SINGLE
+    start = time.perf_counter()
+    assert main(["verify", *command, "--n", str(n)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    count = f"{120**121} " if (model, n) == (SINGLE, 121) else ""  # the one count within 8192 bits
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: exhaustive check over {count}{model}-model profiles on {n} vertices "
+        f"exceeds the default ceiling; pass max_n={n} to allow it\n"
     )
 
 

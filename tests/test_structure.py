@@ -245,3 +245,19 @@ def test_one_lane_kernel_and_one_monte_carlo_draw_path():
     montecarlo = _trees()["montecarlo"]
     assert not [n.lineno for n in ast.walk(montecarlo) if isinstance(n, ast.Name) and n.id == "DrawStream"]
     assert "trial_draws" in {name for _, taken in _package_imports(montecarlo) for name in taken}
+
+
+def test_only_space_computes_strides_and_profiles_by_index():
+    """``verify._space`` owns the index arithmetic of the profile space: only it
+    takes ``math.prod`` over the choice counts, and only it builds a profile
+    from an index; the engines read its strides and its ``profile(i)``."""
+    tree = _trees()["verify"]
+    owner = {id(node): top.name for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+             for node in ast.walk(top)}  # node -> enclosing top-level function or class
+    prods = {owner.get(id(node)) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "prod"}
+    indexed = {owner.get(id(node)) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "NominationProfile"
+               and any(isinstance(op, ast.FloorDiv) for op in ast.walk(node))}
+    assert prods == {"_space"}
+    assert indexed == {"_space"}

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from impsel import exact, mechanisms
-from impsel.core import MULTI, SINGLE, NominationProfile
+from impsel.core import MULTI, SINGLE, NominationProfile, format_profile
 from impsel.exact import (
     EnumerationTooLarge,
     WinnerDistribution,
@@ -45,6 +45,11 @@ from impsel.verify import _profile_rows
 
 def multi4(out_sets):
     return NominationProfile.multi(4, out_sets)
+
+
+def deviate(profile, u, new_out):
+    """``profile`` with u's out-set replaced by ``new_out``, through the checked constructor."""
+    return NominationProfile(profile.n, profile.model, (*profile.out[:u], new_out, *profile.out[u + 1 :]))
 
 
 def table_oracle(answers, default=0):
@@ -121,6 +126,18 @@ def test_space_ceiling():
         check_strong_sample(SAMPLE_CATALOG["const-0"], 7, max_n=6)
     # an explicit ceiling unlocks the larger domain
     assert check_strong_sample(SAMPLE_CATALOG["const-0"], 6, max_n=6) == []
+
+
+@pytest.mark.parametrize("n, model, fits", [(819, SINGLE, True), (820, SINGLE, False), (90, MULTI, True),
+                                             (91, MULTI, False)])
+def test_space_refusal_counts_only_within_8192_bits(n, model, fits):
+    """As ``EnumerationTooLarge.required``: the count once n times the bit length
+    of a vertex's choice count (n - 1 single, 2^(n-1) multi) is at most 8192, else None."""
+    refusal = ProfileSpaceTooLarge(n, model, None)
+    assert refusal.count == (profile_count(n, model) if fits else None)
+    count = f"{refusal.count} " if fits else ""
+    assert str(refusal) == (f"exhaustive check over {count}{model}-model profiles on {n} vertices "
+                            f"exceeds the default ceiling; pass max_n={n} to allow it")
 
 
 @pytest.mark.parametrize("engine, n, count", [(check_impartial, 6, 5**6), (measure_additive_gap_exhaustive, 7, 6**7)])
@@ -203,7 +220,7 @@ def reference_engines(subject, n, model):
                 continue
             p_a = dists[base].probability(u)
             for choice in choices[1:]:
-                alt = base.apply_deviation(u, choice)
+                alt = deviate(base, u, choice)
                 p_b = dists[alt].probability(u)
                 if p_a != p_b:
                     witnesses.append(Witness("impartiality_violation", base, alt, u, {"p_a": p_a, "p_b": p_b}))
@@ -323,9 +340,51 @@ def test_degree_dependent_samplers_are_not_strong(name):
         assert validate_witness(w, g)
 
 
+def reference_strong_sample(g, n):
+    """``check_strong_sample`` walked profile by profile: g asked again on every
+    rewiring of every sampled vertex, each rebuilt by the checked constructor."""
+    witnesses = []
+    for profile in iter_profiles(n, SINGLE):
+        sample = frozenset(g(profile))
+        for u in sorted(sample):
+            for alt in range(n):
+                if alt in (u, profile.single_nominees[u]):
+                    continue
+                deviated = deviate(profile, u, (alt,))
+                new_sample = frozenset(g(deviated))
+                if new_sample != sample:
+                    detail = {"sample_a": tuple(sorted(sample)), "sample_b": tuple(sorted(new_sample))}
+                    witnesses.append(Witness("strong_sample_violation", profile, deviated, u, detail))
+    return witnesses
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", sorted(SAMPLE_CATALOG))
+def test_strong_sample_matches_the_profile_walk_and_asks_g_once_per_profile(name, n):
+    g, asked = SAMPLE_CATALOG[name], []
+
+    def counted(profile):
+        asked.append(profile)
+        return g(profile)
+
+    assert check_strong_sample(counted, n) == reference_strong_sample(g, n)
+    assert asked == list(iter_profiles(n, SINGLE))
+    assert len(asked) == profile_count(n, SINGLE)
+
+
 def test_empty_sample_rejected():
     with pytest.raises(EmptySampleError):
         check_strong_sample(lambda p: frozenset(), 3)
+
+
+def test_empty_sample_error_names_the_first_empty_profile_in_order():
+    """g is asked on every profile before any rewiring is compared: vertex 0
+    rewires profile 0 into profile 4, yet profile 1 is the one named."""
+    profiles = list(iter_profiles(3, SINGLE))
+    empty = {profiles[1], profiles[4]}
+    with pytest.raises(EmptySampleError) as caught:
+        check_strong_sample(lambda p: frozenset() if p in empty else frozenset({0}), 3)
+    assert str(caught.value) == f"sample function returned an empty set on:\n{format_profile(profiles[1])}"
 
 
 def test_sample_mechanism_oracle_winner_rule():
@@ -603,7 +662,7 @@ BAD_ANSWERS = [True, False, -1, "0", 1.0, (0,), lambda profile: profile.n]
 
 def _answer_check_calls(oracle):
     """Every entry point that asks ``oracle`` about 3- or 4-vertex profiles."""
-    tri_b = TRI.apply_deviation(0, (2,))
+    tri_b = deviate(TRI, 0, (2,))
     return {
         "check_impartial": lambda: check_impartial(oracle, 3, SINGLE),
         "measure_additive_gap_exhaustive": lambda: measure_additive_gap_exhaustive(oracle, 3, SINGLE),
@@ -712,7 +771,7 @@ def test_validate_witness_matches_a_fraction_derivation(model, n):
                 for choice in choices[u]:
                     if choice == p.out[u]:
                         continue
-                    alt = p.apply_deviation(u, choice)
+                    alt = deviate(p, u, choice)
                     got = validate_witness(Witness("impartiality_violation", p, alt, u), subject)
                     assert got == (dists[p].probability(u) != dists[alt].probability(u))
                     outcomes["impartiality", got] += 1
