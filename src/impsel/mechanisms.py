@@ -30,8 +30,8 @@ Four mechanisms are provided.
 Everything that differs between the kinds (CLI spelling, models, sample
 size, winner rule, guarantee formula) is registered once, in :data:`KINDS`;
 the rest of the package asks the table.  A kind's ``winner`` is the only
-place it picks a winner: :func:`run_mechanism`, the Monte Carlo estimator,
-the per-sequence exact route and verify's zero-draw subjects all call it.
+place it picks a winner: the Monte Carlo estimator, the per-sequence exact
+route and verify's zero-draw subjects all call it.
 
 All randomness flows through :class:`DrawStream`, a splitmix64 generator
 written out here so results are reproducible across platforms and Python
@@ -71,7 +71,6 @@ __all__ = [
     "multiset_winner",
     "fixed_sample_winner",
     "majority_default_winner",
-    "run_mechanism",
     "resolve_k",
     "MAX_TRIAL_DRAWS",
     "rks_gap_lower_bound",
@@ -90,7 +89,7 @@ _MUL2 = 0x94D049BB133111EB
 
 #: Lanes per packed int: 1024 lanes of 128 bits keep each temporary at 16 KB.
 _CHUNK = 1024
-#: Monte Carlo refuses a trial of more draws (an explicit random-k k is not clamped).
+#: ``trial_draws`` refuses a trial of more draws (an explicit random-k k is not clamped).
 MAX_TRIAL_DRAWS = 1 << 20
 #: ``memoryview.cast("Q")`` reads native-endian words.  Serialised in the
 #: host's byte order, lane i's low word is word 2i on a little-endian host
@@ -203,8 +202,9 @@ def trial_draws(master: int, trials: int, k: int, n: int) -> Iterator[list[int]]
     The seeds are the first ``trials`` raw values of ``DrawStream(master)``, drawn up to
     ``_CHUNK`` at a time.  A block of ``_CHUNK // k`` trials draws on one lane pass; a block
     with a rejected lane, and each trial of more than ``_CHUNK`` draws, draws through its
-    own stream instead.
+    own stream instead.  A k outside ``1..MAX_TRIAL_DRAWS`` is refused before any seed.
     """
+    checked_int(k, "draws per trial", 1, MAX_TRIAL_DRAWS)
     excess = (1 << 64) - _rejection_limit(n)
     seeder = DrawStream(master)
     seeds = chain.from_iterable(seeder.draws(min(_CHUNK, trials - i), 1 << 64) for i in range(0, trials, _CHUNK))
@@ -382,24 +382,6 @@ def resolve_k(spec: MechanismSpec, n: int) -> int:
     """Number of draws ``spec`` takes on an n-vertex profile: 0 for a deterministic kind."""
     sample_size = KINDS[spec.kind].sample_size
     return sample_size(spec.k, checked_int(n, "vertex count", 2)) if sample_size else 0
-
-
-def run_mechanism(
-    spec: MechanismSpec,
-    profile: NominationProfile,
-    stream: DrawStream | None = None,
-) -> int | None:
-    """Winner of one evaluation of ``spec``, None when nobody wins.
-
-    It takes ``resolve_k`` draws, at most ``MAX_TRIAL_DRAWS``, from ``stream``,
-    which a randomized kind requires; a deterministic kind draws nothing.
-    """
-    check_model(spec.kind, profile.model)
-    k = resolve_k(spec, profile.n)
-    if k and stream is None:
-        raise ValueError(f"{spec.kind} needs a DrawStream")
-    draws = stream.draws(checked_int(k, "draws per trial", 1, MAX_TRIAL_DRAWS), profile.n) if k else ()
-    return KINDS[spec.kind].winner(spec, profile, draws)
 
 
 # ----- guarantee formulas -----

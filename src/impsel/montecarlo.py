@@ -28,7 +28,6 @@ from .core import NominationProfile, checked_int
 from .generators import GeneratorSpec
 from .mechanisms import (
     KINDS,
-    MAX_TRIAL_DRAWS,
     MechanismSpec,
     ModelMismatch,
     check_model,
@@ -102,7 +101,7 @@ class GapReport:
 def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -> GapReport:
     """Run ``plan.trials`` independent evaluations and report mean winner degree.
 
-    A trial of more than ``MAX_TRIAL_DRAWS`` draws is refused before the
+    ``trial_draws`` refuses a trial of more than ``MAX_TRIAL_DRAWS`` draws before the
     first draw.  Deterministic mechanisms are evaluated once and flagged exact.  A
     winnerless evaluation contributes degree 0, matching the expectation
     convention where the no-winner mass contributes nothing.
@@ -111,7 +110,7 @@ def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -
     n = profile.n
     winner_of = KINDS[spec.kind].winner
     if spec.is_randomized:
-        k = checked_int(resolve_k(spec, n), "draws per trial", 1, MAX_TRIAL_DRAWS)
+        k = resolve_k(spec, n)
         trials, draws = plan.trials, trial_draws(plan.master_seed, plan.trials, k, n)
         winners = (winner_of(spec, profile, sample) for sample in draws)
     else:

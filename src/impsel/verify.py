@@ -93,20 +93,13 @@ DEFAULT_MEASURE_MAX_N = {SINGLE: 6, MULTI: 4}
 class ProfileSpaceTooLarge(ValueError):
     """Exhaustive iteration over this profile space was refused.
 
-    ``count`` is the number of profiles that would have to be visited.  As
-    ``EnumerationTooLarge.required``, it is None once n times the bit length
-    of a vertex's choice count passes 8192 (about 2,466 digits), and the
-    message then leaves it out.  Pass a larger ``max_n`` to override the
-    ceiling in force.
+    ``count`` is the number of profiles that would have to be visited, the
+    ``profile_count``; where that is None the message leaves it out.  Pass a
+    larger ``max_n`` to override the ceiling in force.
     """
 
     def __init__(self, n: int, model: str, max_n: int | None):
-        base = 0  # a vertex's choice count, summed only while it can fit
-        for r in out_degrees(model, n):
-            base += math.comb(n - 1, r)
-            if n * base.bit_length() > 8192:
-                break
-        self.count = base**n if n * base.bit_length() <= 8192 else None
+        self.count = profile_count(n, model)
         count = "" if self.count is None else f"{self.count} "
         ceiling = "the default ceiling" if max_n is None else f"the ceiling max_n={max_n}"
         super().__init__(
@@ -164,9 +157,16 @@ def iter_profiles(n: int, model: str) -> Iterator[NominationProfile]:
     return (NominationProfile._trusted(n, model, rows) for rows in _profile_rows(n, model))
 
 
-def profile_count(n: int, model: str) -> int:
-    """Number of n-vertex profiles of ``model``: each vertex picks an allowed out-set."""
-    return sum(math.comb(n - 1, r) for r in out_degrees(model, n)) ** n
+def profile_count(n: int, model: str) -> int | None:
+    """Number of n-vertex profiles of ``model``: each vertex picks an allowed out-set.
+    As ``EnumerationTooLarge.required``, None once n times the bit length of a vertex's
+    choice count passes 8192 (about 2,466 digits)."""
+    base = 0  # a vertex's choice count, summed only while the count can fit
+    for r in out_degrees(model, n):
+        base += math.comb(n - 1, r)
+        if n * base.bit_length() > 8192:
+            return None
+    return base**n
 
 
 def _space(n: int, model: str) -> tuple[list, list[int], Callable[[int], NominationProfile]]:

@@ -706,6 +706,14 @@ def test_refute_validates(capsys):
     assert "additivity_violation" in out
 
 
+def test_refute_exits_one_when_the_witness_fails_revalidation(monkeypatch, capsys):
+    monkeypatch.setattr("impsel.cli.validate_witness", lambda witness, oracle: False)
+    assert main(["refute", "--oracle", "dictator:0"]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("witness FAILED re-validation\n")
+    assert "witness validates" not in out
+
+
 # ---------------------------------------------------------------------------
 # subprocess round trips
 

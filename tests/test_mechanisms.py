@@ -1,4 +1,4 @@
-"""Draw streams, winner rules, and the mechanism dispatcher."""
+"""Draw streams, winner rules, and the mechanism kinds."""
 
 import re
 from collections import Counter
@@ -21,7 +21,6 @@ from impsel.mechanisms import (
     nominated_winner,
     parse_mechanism,
     resolve_k,
-    run_mechanism,
 )
 from impsel.montecarlo import TrialPlan, estimate
 
@@ -277,15 +276,12 @@ def test_majority_default_matches_the_per_vertex_reference(profile):
 @given(small_profiles(), st.data())
 @settings(max_examples=150)
 def test_deterministic_exact_distribution_is_the_point_mass_on_the_winner(profile, data):
-    """Zero draws: every route is the one empty sequence, no budget is checked,
-    and ``run_mechanism`` leaves a stream it is given untouched."""
+    """Zero draws: every route is the one empty sequence and no budget is checked."""
     n = profile.n
     sample = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
     specs = [f"majority-default:{d}" for d in range(n)] + ["fixed:" + ",".join(map(str, sorted(sample)))]
     for spec in map(parse_mechanism, specs):
-        stream = DrawStream(n)
-        winner = run_mechanism(spec, profile, stream)
-        assert stream.next_raw() == DrawStream(n).next_raw()
+        winner = KINDS[spec.kind].winner(spec, profile, ())
         point = {} if winner is None else {winner: 1}
         for method in ("auto", "sets", "sequences"):
             dist = exact_distribution(spec, profile, budget=0, method=method)
@@ -297,38 +293,38 @@ def test_deterministic_exact_distribution_is_the_point_mass_on_the_winner(profil
 
 
 def test_run_random_k_sample_trace_fields():
-    draws = DrawStream(5).draws(2, 3)
+    spec = MechanismSpec.random_k(2)
+    draws = DrawStream(5).draws(resolve_k(spec, 3), 3)
     assert len(draws) == 2
     assert all(0 <= v < 3 for v in draws)
     pool, winner = nominated_winner(TRI, draws)
     assert winner is None or winner in pool
-    assert run_mechanism(MechanismSpec.random_k(2), TRI, DrawStream(5)) == winner
+    assert KINDS[spec.kind].winner(spec, TRI, draws) == winner
 
 
 def test_run_random_k_sample_single_only():
     p = NominationProfile.multi(3, {0: [1, 2]})
     with pytest.raises(ModelMismatch):
-        run_mechanism(MechanismSpec.random_k(1), p, DrawStream(0))
+        estimate(MechanismSpec.random_k(1), p, TrialPlan(1, 0))
 
 
 def test_run_random_k_sample_k_validation():
-    with pytest.raises(ValueError):
-        run_mechanism(MechanismSpec.random_k(0), TRI, DrawStream(0))
+    with pytest.raises(ValueError, match="sample size must be at least 1, got 0"):
+        MechanismSpec.random_k(0)
 
 
 def test_run_simple_k_sample_clamps_k():
     assert resolve_k(MechanismSpec.simple_k(99), 3) == 2
-    stream = DrawStream(3)
-    winner = run_mechanism(MechanismSpec.simple_k(99), TRI, stream)
-    reference = DrawStream(3)
-    assert winner == multiset_winner(TRI, Counter(reference.draws(2, 3)))
-    assert stream.next_raw() == reference.next_raw()  # exactly two draws were taken
+    report = estimate(MechanismSpec.simple_k(99), TRI, TrialPlan(1, 3))
+    assert report.k == 2
+    winner = multiset_winner(TRI, Counter(DrawStream(derive_seed(3, 0)).draws(2, 3)))
+    assert report.mean_degree == (0 if winner is None else TRI.in_degrees[winner])
 
 
 def test_run_fixed_sample_is_deterministic():
     star = NominationProfile.single([1, 0, 0, 0, 0])
     assert fixed_sample_winner(star, (0,)) == 1
-    assert run_mechanism(MechanismSpec.fixed([0]), star) == 1
+    assert KINDS["fixed_sample"].winner(MechanismSpec.fixed([0]), star, ()) == 1
     assert estimate(MechanismSpec.fixed([0]), star, TrialPlan(5, 0)).k == 1  # the sample is the fixed set
     with pytest.raises(ValueError):
         fixed_sample_winner(star, (0, 1, 2, 3, 4))
@@ -338,34 +334,23 @@ def test_run_fixed_sample_is_deterministic():
 
 def test_run_majority_default():
     p = NominationProfile.multi(5, {1: [4], 2: [4], 3: [4]})
-    assert run_mechanism(MechanismSpec.majority_default(0), p) == 4
-    stream = DrawStream(1)
-    assert run_mechanism(MechanismSpec.majority_default(0), p, stream) == 4
-    assert stream.next_raw() == DrawStream(1).next_raw()  # nothing is sampled
+    assert KINDS["majority_default"].winner(MechanismSpec.majority_default(0), p, ()) == 4
     assert estimate(MechanismSpec.majority_default(0), p, TrialPlan(5, 0)).k is None
 
 
-def test_run_mechanism_dispatch_and_determinism():
-    spec = MechanismSpec.random_k(2)
-    a = run_mechanism(spec, TRI, DrawStream(777))
-    b = run_mechanism(spec, TRI, DrawStream(777))
-    assert a == b
-    with pytest.raises(ValueError):
-        run_mechanism(spec, TRI)  # randomized mechanisms need a stream
-
-
-def test_run_mechanism_deterministic_kinds_need_no_stream():
+def test_deterministic_kinds_draw_nothing():
     star = NominationProfile.single([1, 0, 0, 0])
-    assert run_mechanism(MechanismSpec.fixed([0]), star) == 1
-    assert run_mechanism(MechanismSpec.majority_default(1), star) == 0
+    for spec, winner in ((MechanismSpec.fixed([0]), 1), (MechanismSpec.majority_default(1), 0)):
+        assert resolve_k(spec, star.n) == 0
+        assert KINDS[spec.kind].winner(spec, star, ()) == winner
 
 
 def test_winner_degree():
-    winner = run_mechanism(MechanismSpec.fixed([0]), TRI)
+    winner = KINDS["fixed_sample"].winner(MechanismSpec.fixed([0]), TRI, ())
     assert winner == 2
     assert TRI.in_degrees[winner] == 2
     empty = NominationProfile.multi(3, {})
-    assert run_mechanism(MechanismSpec.fixed([0]), empty) is None
+    assert KINDS["fixed_sample"].winner(MechanismSpec.fixed([0]), empty, ()) is None
     assert estimate(MechanismSpec.fixed([0]), empty, TrialPlan(1, 0)).mean_degree == 0
 
 
@@ -382,12 +367,12 @@ ONE_PATH_CASES = [
 
 
 @pytest.mark.parametrize(("spec", "model"), ONE_PATH_CASES, ids=[f"{s.kind}-{m}" for s, m in ONE_PATH_CASES])
-def test_run_mechanism_matches_one_trial_estimate(spec, model):
-    """run_mechanism and estimate's trial loop are one evaluation path."""
+def test_one_trial_estimate_is_the_kind_winner_on_trial_zeros_stream(spec, model):
+    """A one-trial estimate is the kind's winner rule on ``DrawStream(derive_seed(seed, 0))``'s draws."""
     for s in range(12):
         n = 4 + s % 5
         profile = gen_random_single(n, s) if model == SINGLE else gen_random_multi(n, 0.3, s)
-        winner = run_mechanism(spec, profile, DrawStream(derive_seed(s, 0)))
+        winner = KINDS[spec.kind].winner(spec, profile, DrawStream(derive_seed(s, 0)).draws(resolve_k(spec, n), n))
         degree = 0 if winner is None else profile.in_degrees[winner]
         assert estimate(spec, profile, TrialPlan(1, s)).mean_degree == degree
 
@@ -408,9 +393,10 @@ def profile_and_seed(draw):
 @settings(max_examples=80)
 def test_random_k_winner_is_nominated_outsider(args, k):
     profile, seed = args
-    draws = DrawStream(seed).draws(k, profile.n)
+    spec = MechanismSpec.random_k(k)
+    draws = DrawStream(seed).draws(resolve_k(spec, profile.n), profile.n)
     pool, winner = nominated_winner(profile, draws)
-    assert run_mechanism(MechanismSpec.random_k(k), profile, DrawStream(seed)) == winner
+    assert KINDS[spec.kind].winner(spec, profile, draws) == winner
     sampled = set(draws)
     for u in pool:
         assert u not in sampled
@@ -425,9 +411,9 @@ def test_random_k_winner_is_nominated_outsider(args, k):
 @settings(max_examples=80)
 def test_simple_k_winner_never_sampled(args, k):
     profile, seed = args
-    k = min(k, profile.n - 1)
-    draws = DrawStream(seed).draws(k, profile.n)
-    winner = run_mechanism(MechanismSpec.simple_k(k), profile, DrawStream(seed))
+    spec = MechanismSpec.simple_k(k)  # resolve_k clamps k to n - 1
+    draws = DrawStream(seed).draws(resolve_k(spec, profile.n), profile.n)
+    winner = KINDS[spec.kind].winner(spec, profile, draws)
     if winner is not None:
         assert winner not in set(draws)
         assert any(winner in profile.out[s] for s in draws)

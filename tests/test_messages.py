@@ -9,8 +9,8 @@ import pytest
 from impsel.core import ModelViolation, NominationProfile
 from impsel.exact import WinnerDistribution, exact_distribution
 from impsel.generators import GeneratorSpec
-from impsel.mechanisms import DrawStream, parse_mechanism, run_mechanism
-from impsel.montecarlo import GapReport
+from impsel.mechanisms import MAX_TRIAL_DRAWS, parse_mechanism, trial_draws
+from impsel.montecarlo import GapReport, TrialPlan, estimate
 from impsel.verify import Witness, named_oracle
 
 STAR = NominationProfile.single([1, 0, 0])
@@ -25,9 +25,12 @@ ERRORS = {
     "single-nominees-of-a-multi-profile": (
         lambda: NominationProfile.multi(3, {0: (1,)}).single_nominees,
         ModelViolation, "single_nominees is defined for the single model only"),
-    "run-mechanism-above-the-draw-ceiling": (
-        lambda: run_mechanism(parse_mechanism("random-k:1048577"), STAR, DrawStream(0)),
+    "estimate-above-the-draw-ceiling": (
+        lambda: estimate(parse_mechanism("random-k:1048577"), STAR, TrialPlan(1, 0)),
         ValueError, "draws per trial 1048577 out of range 1..1048576"),
+    **{f"trial-draws-of-{k}-per-trial": (
+        lambda k=k: next(trial_draws(0, 1, k, 5)), ValueError, f"draws per trial {k} out of range 1..1048576")
+       for k in (0, -3, MAX_TRIAL_DRAWS + 1)},
     "duplicate-generator-parameter": (
         lambda: GeneratorSpec("single-worst", (("delta", 2), ("delta", 3))),
         ValueError, "duplicate parameter for family single-worst"),

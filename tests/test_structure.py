@@ -223,7 +223,16 @@ def test_verify_asks_every_subject_through_subject_weights():
         if isinstance(node, ast.Name) and node.id in names:
             assert id(node) in inside, f"verify.py:{node.lineno} uses {node.id} outside _subject_weights"
     imported = {name for _, taken in _package_imports(tree) for name in taken}
-    assert not imported & {"exact_distribution", "run_mechanism"}
+    assert "exact_distribution" not in imported
+
+
+def _innermost_functions(tree):
+    """node id -> name of its innermost enclosing function (ast.walk visits outer functions first)."""
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            owner.update((id(node), func.name) for node in ast.walk(func))
+    return owner
 
 
 def test_one_lane_kernel_and_one_monte_carlo_draw_path():
@@ -232,10 +241,7 @@ def test_one_lane_kernel_and_one_monte_carlo_draw_path():
     its trials through ``trial_draws``, never a ``DrawStream`` of its own."""
     readers = {"_MUL1": set(), "_MUL2": set(), "_LOW_WORDS": set()}
     for name, tree in _trees().items():
-        owner = {}  # node -> innermost enclosing function (ast.walk visits outer functions first)
-        for func in ast.walk(tree):
-            if isinstance(func, ast.FunctionDef):
-                owner.update((id(node), func.name) for node in ast.walk(func))
+        owner = _innermost_functions(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and node.id in readers and isinstance(node.ctx, ast.Load):
                 readers[node.id].add((name, owner.get(id(node))))
@@ -245,6 +251,23 @@ def test_one_lane_kernel_and_one_monte_carlo_draw_path():
     montecarlo = _trees()["montecarlo"]
     assert not [n.lineno for n in ast.walk(montecarlo) if isinstance(n, ast.Name) and n.id == "DrawStream"]
     assert "trial_draws" in {name for _, taken in _package_imports(montecarlo) for name in taken}
+
+
+def test_trial_draws_owns_the_draw_ceiling_and_the_trial_streams():
+    """``mechanisms.trial_draws`` holds the one check of the draws per trial and,
+    outside the generators, the only ``DrawStream`` calls: no second path takes
+    a spec's draws past the ceiling."""
+    assert sum(path.read_text(encoding="utf-8").count("draws per trial") for path in SOURCES) == 1
+    ceilings, streams = set(), set()
+    for name, tree in _trees().items():
+        owner = _innermost_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value == "draws per trial":
+                ceilings.add((name, owner.get(id(node))))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DrawStream":
+                streams.add(name if name == "generators" else (name, owner.get(id(node))))
+    assert ceilings == {("mechanisms", "trial_draws")}
+    assert streams == {"generators", ("mechanisms", "trial_draws")}
 
 
 def test_only_space_computes_strides_and_profiles_by_index():

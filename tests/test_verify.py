@@ -5,6 +5,7 @@ scripted table-driven oracles, then re-validate each witness from scratch.
 """
 
 import itertools
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -78,6 +79,17 @@ def test_profile_counts():
     for n in range(1, 9):
         assert profile_count(n, SINGLE) == (n - 1) ** n
         assert profile_count(n, MULTI) == 2 ** (n * (n - 1))
+
+
+def test_profile_count_is_none_past_8192_bits_at_once():
+    """Only counts within 8192 bits are built: n times the bit length of a vertex's
+    choice count (n - 1 single, 2^(n-1) multi), the choice count summed only that far."""
+    assert (profile_count(819, SINGLE), profile_count(820, SINGLE)) == (818**819, None)
+    assert (profile_count(90, MULTI), profile_count(91, MULTI)) == (2 ** (90 * 89), None)
+    start = time.perf_counter()
+    assert profile_count(20000, MULTI) is None
+    assert profile_count(10**6, SINGLE) is None
+    assert time.perf_counter() - start < 1
 
 
 def test_iteration_order():
