@@ -11,6 +11,7 @@ Exit codes: 0 on success (including an expected witness from refute),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -222,6 +223,7 @@ def cmd_refute(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impsel",

@@ -16,7 +16,8 @@ The two routes are kept deliberately independent:
   :func:`sample_space` lazily and weights each by the k!/prod(m_i!)
   sequences that produce it, m_i its multiplicities.  random-k's rule
   reads only which vertices were drawn, so it scores the same set once
-  per multiset that has it.
+  per multiset that has it.  It takes a block of profiles that differ only
+  in the last vertex's row; this route asks a block of one.
 
 Agreement between the two is a test target, so neither is expressed in
 terms of the other.
@@ -30,6 +31,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .core import NominationProfile, checked_int
 from .mechanisms import (  # noqa: F401  (the guarantee formulas are also read from here)
@@ -151,55 +153,95 @@ def sample_space(n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, .
         yield tuple(mult), levels, math.factorial(k) // math.prod(map(math.factorial, mult.values()))
 
 
-def winner_weights(kind: str, rows: Sequence[Sequence[int]], samples: Iterable[tuple]) -> tuple[list[int], int]:
-    """Integer winning weight of each vertex, and the no-winner weight.
+def winner_weights(
+    kind: str, fixed_rows: Sequence[Sequence[int]], last_choices: Iterable[Sequence[int]], samples: Iterable[tuple]
+) -> list[tuple[list[int], int]]:
+    """Integer winning weight of each vertex, and the no-winner weight, for each
+    profile of a block: ``fixed_rows``, the out-rows of vertices 0..n-2, with each
+    row of ``last_choices`` for the last vertex L in turn, one pair per choice.
 
-    ``rows[u]`` is u's out-row and ``samples`` come from :func:`sample_space`,
-    so the weights sum to n^k.  The rules of ``nominated_winner`` and
-    ``multiset_winner`` on bitmasks: the pool is the OR of the members'
-    out-rows less the sample, and a pool member v scores ``deg[v] -
-    popcount(in_mask[v] & pool)`` (random-k) or the sample's nominations,
-    one popcount per level (simple-k).  No pool, no winner; ties to the
-    lowest id.  Masks stay non-negative, where CPython's bitwise ops are
-    about twice as fast: ``(pool | s) ^ s`` is ``pool & ~s``.
+    ``samples`` come from :func:`sample_space`, so each pair's weights sum to
+    n^k.  The rules of ``nominated_winner`` and ``multiset_winner`` on
+    bitmasks: the pool is the OR of the members' out-rows less the sample,
+    and a pool member v scores ``deg[v] - popcount(in_mask[v] & pool)``
+    (random-k) or the sample's nominations, one popcount per level
+    (simple-k).  No pool, no winner; ties to the lowest id.  Masks stay
+    non-negative, where CPython's bitwise ops are about twice as fast:
+    ``(pool | s) ^ s`` is ``pool & ~s``.
+
+    The fixed rows' masks are built once per block, and a sample that does not
+    draw L is scored once: its pool is the same for every choice, simple-k reads
+    no undrawn row, and under random-k L's nominee gains one in degree and, when
+    L is in the pool, one in in-pool count.  With L outside the pool the gain
+    stands, and each choice's winner is read off the members at the best score
+    and one below.  A sample that draws L is scored per choice.
     """
-    n = len(rows)
+    n = len(fixed_rows) + 1
+    last = 1 << (n - 1)
     out_mask = [0] * n
     in_mask = [0] * n
-    for u, row in enumerate(rows):
+    for u, row in enumerate(fixed_rows):
         for v in row:
             out_mask[u] |= 1 << v
             in_mask[v] |= 1 << u
     degree = [mask.bit_count() for mask in in_mask]
     rks = kind == "random_k_sample"
-    weights = [0] * n
-    none_weight = 0
-    for members, levels, weight in samples:
-        pool = 0
-        for u in members:
-            pool |= out_mask[u]
-        pool = (pool | levels[0]) ^ levels[0]
-        if not pool:
-            none_weight += weight
-            continue
-        if not pool & (pool - 1):  # a lone candidate wins
-            weights[pool.bit_length() - 1] += weight
-            continue
-        best = -1
-        rest = pool
-        while rest:  # highest id first, so ">=" leaves a tie to the lowest
+
+    def scan(pool: int, levels: tuple[int, ...], nominees: int, bonus: int) -> tuple[int, int]:
+        """Masks of the pool members at the best score and, scanning ids from the
+        highest down, of those one below it that a gain of one could make win."""
+        best, top, near, rest = -1, 0, 0, pool
+        while rest:
             v = rest.bit_length() - 1
-            rest ^= 1 << v
+            bit = 1 << v
+            rest ^= bit
             if rks:
                 score = degree[v] - (in_mask[v] & pool).bit_count()
             else:
                 score = 0
                 for level in levels:
                     score += (in_mask[v] & level).bit_count()
-            if score >= best:
-                best, winner = score, v
-        weights[winner] += weight
-    return weights, none_weight
+            if nominees & bit:
+                score += bonus
+            if score > best:
+                best, top, near = score, bit, 0
+            elif score == best:
+                top |= bit
+            elif score == best - 1:
+                near |= bit
+        return top, near
+
+    # per choice: L's nominees as a mask, and the weights it alone decides.  [n], that
+    # is [-1], is no winner, so an empty pool's lowest bit, at -1, lands there
+    choices = [(sum(1 << v for v in row), [0] * (n + 1)) for row in last_choices]
+    common = [0] * (n + 1)
+    for members, levels, weight in samples:
+        drawn = levels[0]
+        pool = 0
+        for u in members:
+            pool |= out_mask[u]
+        tie = not rks and len(members) == 1  # simple-k's lone nominator scores its nominees alike
+        if drawn & last:
+            # L, drawn, is in no pool: its nominees gain its one nomination, or its multiplicity
+            bonus = 1 if rks else sum(level >> (n - 1) for level in levels)
+            for nominees, weights in choices:
+                top = (pool | nominees | drawn) ^ drawn
+                if top & (top - 1) and not tie:  # two candidates or more that may score apart
+                    top = scan(top, levels, nominees, bonus)[0]
+                weights[(top & -top).bit_length() - 1] += weight
+            continue
+        pool = (pool | drawn) ^ drawn
+        if tie or not pool & (pool - 1):
+            common[(pool & -pool).bit_length() - 1] += weight
+            continue
+        top, near = scan(pool, levels, 0, 0)
+        if not rks or pool & last:
+            common[(top & -top).bit_length() - 1] += weight
+            continue
+        for nominees, weights in choices:
+            won = nominees & top or top | (nominees & near)
+            weights[(won & -won).bit_length() - 1] += weight
+    return [(list(map(add, common[:n], weights)), common[n] + weights[n]) for _, weights in choices]
 
 
 def _by_sequences(spec: MechanismSpec, profile: NominationProfile, k: int) -> tuple[list[int], int]:
@@ -244,7 +286,8 @@ def exact_distribution(
     if method == "sequences" or k == 0:
         weights, none_weight = _by_sequences(spec, profile, k)
     else:
-        weights, none_weight = winner_weights(spec.kind, profile.out, sample_space(n, k))
+        rows = profile.out
+        [(weights, none_weight)] = winner_weights(spec.kind, rows[:-1], rows[-1:], sample_space(n, k))
     total = n**k
     assert none_weight + sum(weights) == total
     return WinnerDistribution(

@@ -7,8 +7,9 @@ Three engines share this module.
   probability before and after, exactly.  An empty witness list is a proof
   over that domain, not a statistical claim.  It asks each profile once,
   into one table, and finds deviations by stride.  Every engine asks its
-  subject through ``_subject_weights``: ``exact.winner_weights`` over n^k
-  for a randomized spec, else a 0/1 winner at scale 1 (a deterministic
+  subject through ``_subject_weights``, one block at a time of profiles that
+  differ only in the last vertex's row: ``exact.winner_weights`` over n^k for a
+  randomized spec, else a 0/1 winner at scale 1 per profile (a deterministic
   spec with no draws, or an oracle); rationals only for what is returned.
 
 * ``check_strong_sample`` / ``check_sample_constant`` test sample
@@ -198,7 +199,8 @@ def _winner(answer, n: int) -> int | None:
 
 
 def _subject_weights(subject, n: int, model: str, budget: int) -> tuple[Callable, int]:
-    """``subject`` as a function from out-rows to weights, v winning with
+    """``subject`` as a function from a block, the out-rows of vertices 0..n-2 and
+    the last vertex's choices, to one weights list per choice, v winning with
     probability ``weights[v] / scale``: verify's one evaluator.  A spec is
     checked against model and budget once: k draws give the kernel's integers
     over n^k, and zero draws ask the kind's winner rule with no draws.
@@ -207,7 +209,7 @@ def _subject_weights(subject, n: int, model: str, budget: int) -> tuple[Callable
         k = checked_sample_size(subject, n, model, budget)
         if k:
             samples = tuple(sample_space(n, k))
-            return (lambda rows: winner_weights(subject.kind, rows, samples)[0]), n**k
+            return (lambda fixed, last: [w for w, _ in winner_weights(subject.kind, fixed, last, samples)]), n**k
         spec, winner_of = subject, KINDS[subject.kind].winner
         subject = lambda profile: winner_of(spec, profile, ())  # noqa: E731
 
@@ -219,7 +221,8 @@ def _subject_weights(subject, n: int, model: str, budget: int) -> tuple[Callable
         winner = _winner(answer, n)
         return [int(v == winner) for v in range(n)]
 
-    return (lambda rows: answer_weights(subject(NominationProfile._trusted(n, model, rows)))), 1
+    trusted = NominationProfile._trusted
+    return (lambda fixed, last: [answer_weights(subject(trusted(n, model, (*fixed, row)))) for row in last]), 1
 
 
 def check_impartial(
@@ -237,15 +240,17 @@ def check_impartial(
     its first member, so a violating pair shares everything except u's
     out-set.  Empty result = impartial on this whole domain.
 
-    Every profile's weights are asked once, in ``_profile_rows`` order, into
-    one flat table: ``table[i * n + u]`` is u's weight in profile i.  u's
-    deviations from a base i where u makes its first choice are i + j*S_u,
-    the strides of ``_space``.
+    Every profile's weights are asked once, a block at a time in
+    ``_profile_rows`` order, into one flat table: ``table[i * n + u]`` is u's
+    weight in profile i.  u's deviations from a base i where u makes its first
+    choice are i + j*S_u, the strides of ``_space``.
     """
     _require_space(n, model, max_n, DEFAULT_CHECK_MAX_N)
     weights_of, scale = _subject_weights(subject, n, model, budget)
-    table = list(itertools.chain.from_iterable(map(weights_of, _profile_rows(n, model))))
     choices, strides, profile = _space(n, model)
+    *fixed_choices, last = choices
+    blocks = (weights_of(fixed, last) for fixed in itertools.product(*fixed_choices))
+    table = list(itertools.chain.from_iterable(itertools.chain.from_iterable(blocks)))
     witnesses: list[Witness] = []
     for u, (own, stride) in enumerate(zip(choices, strides)):
         block = stride * len(own)
@@ -572,18 +577,24 @@ def measure_additive_gap_exhaustive(
 
     Returns the maximum of delta minus expected winner degree, with the
     first profile (in iteration order) that attains it.  Gaps are compared
-    as numerators ``delta * scale - sum(weights[v] * deg[v])``.
+    as numerators ``delta * scale - sum(weights[v] * deg[v])``, with the
+    fixed rows' in-degrees counted once per block.
     """
     _require_space(n, model, max_n, DEFAULT_MEASURE_MAX_N)
     weights_of, scale = _subject_weights(subject, n, model, budget)
+    *fixed_choices, last = (_vertex_choices(n, u, model) for u in range(n))
     best = best_rows = None
-    for rows in _profile_rows(n, model):
-        degree = [0] * n
-        for v in itertools.chain.from_iterable(rows):
-            degree[v] += 1
-        gap = max(degree) * scale - sum(map(mul, weights_of(rows), degree))
-        if best is None or gap > best:
-            best, best_rows = gap, rows
+    for fixed in itertools.product(*fixed_choices):
+        fixed_degree = [0] * n
+        for v in itertools.chain.from_iterable(fixed):
+            fixed_degree[v] += 1
+        for row, weights in zip(last, weights_of(fixed, last)):
+            degree = fixed_degree[:]
+            for v in row:
+                degree[v] += 1
+            gap = max(degree) * scale - sum(map(mul, weights, degree))
+            if best is None or gap > best:
+                best, best_rows = gap, (*fixed, row)
     return Fraction(best, scale), NominationProfile(n, model, best_rows)
 
 
@@ -613,9 +624,9 @@ def validate_witness(
         return False
     if kind in ("impartiality_violation", "additivity_violation", "no_winner_violation"):
         weights_of, scale = _subject_weights(subject, a.n, a.model, budget)
-        weights = weights_of(a.out)
+        [weights] = weights_of(a.out[:-1], a.out[-1:])
         if kind == "impartiality_violation":
-            return weights[vertex] != weights_of(b.out)[vertex]
+            return weights[vertex] != weights_of(b.out[:-1], b.out[-1:])[0][vertex]
         if kind == "additivity_violation":
             return (a.delta - 2) * scale > sum(map(mul, weights, a.in_degrees))
         return not any(weights)

@@ -196,6 +196,17 @@ def test_c03_impartiality_one_size_further():
     assert not dirty
     assert elapsed < C3_MAX_SECONDS
 
+
+def test_c03_multi_impartiality_one_size_further():
+    """C3's simple-k:1 on multi n = 5, past the default ceiling: 2^20 profiles."""
+    started = time.perf_counter()
+    witnesses = check_impartial(MechanismSpec.simple_k(1), 5, MULTI, max_n=5)
+    elapsed = time.perf_counter() - started
+    ok = not witnesses and elapsed < C3_MAX_SECONDS
+    _report("C3+", "exhaustive impartiality, multi n=5", ok, f"witnesses={len(witnesses)}, {elapsed:.1f}s")
+    assert not witnesses
+    assert elapsed < C3_MAX_SECONDS
+
 def test_c04_sqrt_scaling_with_bound():
     started = time.perf_counter()
     config = SweepConfig.from_json_dict(

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import impsel
-from impsel.cli import main
+from impsel.cli import build_parser, main
 from impsel.core import MODELS, SINGLE, NominationProfile, format_profile, load_profile, parse_profile
 from impsel.generators import FAMILIES, PARAMS
 from impsel.montecarlo import CSV_HEADER, SweepConfig, fit_scaling, rows_to_csv, rows_to_json, sweep
@@ -265,6 +265,35 @@ def test_exact_text_mentions_distribution(tri_path, capsys):
     assert main(["exact", "--mech", "simple-k:1", "--profile", tri_path]) == 0
     out = capsys.readouterr().out
     assert "p_none" in out or "p(" in out
+
+
+def test_one_parser_serves_every_call_without_leaking_defaults(tri_path, capsys):
+    """``main`` reuses one parser per process; each call in a mixed sequence must
+    print, and exit with, what a freshly built parser gives for the same argv."""
+    exact = ["exact", "--mech", "random-k:1", "--profile", tri_path]
+    run = ["run", "--mech", "simple-k:1", "--profile", tri_path]
+    gap = ["verify", "gap", "--mech", "simple-k:1", "--n", "3"]
+    argvs = [
+        [*exact, "--format", "json"], exact, [*exact, "--method", "sequences"], exact,
+        [*run, "--trials", "50", "--seed", "2", "--format", "json"], [*run, "--exact"],
+        [*run, "--trials", "50"], [*gap, "--model", "multi"], gap,
+        ["exact", "--mech", "fixed:1", "--profile", tri_path, "--budget", "5"], exact,
+    ]
+
+    def outcome(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert build_parser() is build_parser()
+    reused = [outcome(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert reused[0][1] != reused[1][1] == reused[3][1] == reused[-1][1]
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0]
 
 
 @pytest.mark.parametrize(

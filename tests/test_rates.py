@@ -5,7 +5,11 @@ On ``fixed-sample-adversary`` with v = 0 (the star: every vertex nominates
 it wins; if 0 is drawn but 1 is not, 1 wins; if both are drawn nobody
 does.  With a = (1 - 1/n)^k and b = (1 - 2/n)^k the gap delta - E[winner
 degree] is therefore (n-1)(1-a) - (a-b), and the star attains the random-k
-rate Theta(sqrt n) at the default k.
+rate Theta(sqrt n) at the default k.  Where every profile can be enumerated
+it is also the worst one: the exhaustive gap of either rule at its default k
+equals the star's on single n = 3..6, and on multi n = 3, 4 simple-k's worst
+profile is the multi star, whose centre nominates nobody, at the measured
+gaps 10/9 and 111/64.
 
 On ``bound-stress`` the gap is (delta-1)(1 - pr_top_in_nominated) whenever
 some vertex always wins, which holds when k < n - delta + 1, the length of
@@ -21,9 +25,11 @@ from fractions import Fraction
 
 import pytest
 
+from impsel.core import MULTI, SINGLE, NominationProfile
 from impsel.exact import exact_distribution, expected_winner_degree, pr_top_in_nominated
 from impsel.generators import gen_bound_stress, gen_fixed_sample_adversary
 from impsel.mechanisms import MechanismSpec, resolve_k, rks_gap_lower_bound, rks_worst_delta
+from impsel.verify import measure_additive_gap_exhaustive
 
 C4_N_VALUES = (64, 128, 256, 512, 1024, 2048, 4096)
 SMALL_CASES = [(n, k) for n in range(3, 13) for k in range(1, 6) if n**k <= 10**6]
@@ -76,3 +82,19 @@ def test_star_shows_the_sqrt_rate_under_its_guarantee():
 
 def test_bound_stress_slope_explains_c4():
     assert log_log_slope(bound_stress_gap, C4_N_VALUES) == pytest.approx(0.3231, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("make", [MechanismSpec.random_k, MechanismSpec.simple_k])
+def test_star_is_the_worst_single_profile(make, n):
+    spec = make()
+    assert measure_additive_gap_exhaustive(spec, n, SINGLE) == (
+        star_gap(n, resolve_k(spec, n)),
+        gen_fixed_sample_adversary(n, 0),
+    )
+
+
+@pytest.mark.parametrize("n, gap", [(3, Fraction(10, 9)), (4, Fraction(111, 64))])
+def test_multi_star_is_the_worst_multi_profile_of_simple_k(n, gap):
+    star = NominationProfile.multi(n, {v: (0,) for v in range(1, n)})
+    assert measure_additive_gap_exhaustive(MechanismSpec.simple_k(), n, MULTI) == (gap, star)

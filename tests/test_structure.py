@@ -284,3 +284,23 @@ def test_only_space_computes_strides_and_profiles_by_index():
                and any(isinstance(op, ast.FloorDiv) for op in ast.walk(node))}
     assert prods == {"_space"}
     assert indexed == {"_space"}
+
+
+def test_one_kernel_scores_every_sample():
+    """``exact.winner_weights`` is the one sample scorer: every popcount in
+    ``src/`` is inside it, and only ``exact.exact_distribution`` and
+    ``verify._subject_weights`` call it or ``sample_space``, whose samples it
+    alone reads."""
+    trees = _trees()
+    kernel = next(f for f in trees["exact"].body if isinstance(f, ast.FunctionDef) and f.name == "winner_weights")
+    inside = {id(node) for node in ast.walk(kernel)}
+    callers = {"winner_weights": set(), "sample_space": set()}
+    for name, tree in trees.items():
+        owner = {id(node): top.name for top in tree.body if isinstance(top, ast.FunctionDef) for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "bit_count":
+                assert id(node) in inside, f"{name}.py:{node.lineno} counts bits outside the kernel"
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                callers[node.func.id].add((name, owner.get(id(node))))
+    sites = {("exact", "exact_distribution"), ("verify", "_subject_weights")}
+    assert callers == {"winner_weights": sites, "sample_space": sites}

@@ -3,8 +3,9 @@
 The references follow the definitions in the ``impsel.mechanisms``
 docstring word for word and share no code with the rules under test.
 Each sample is also fed alone to the bitmask kernel
-``impsel.exact.winner_weights``, whose one unit of weight must land on the
-same winner.
+``impsel.exact.winner_weights``, as a block of one profile, whose one unit of
+weight must land on the same winner.  The kernel's blocks are pinned, in turn,
+to the per-profile kernel it replaced, kept here as ``reference_weights``.
 """
 
 from collections import Counter
@@ -49,18 +50,23 @@ def reference_multiset(profile, counts):
     return least_best(scores)
 
 
+def single_rows(n):
+    """Each vertex's single-model out-rows."""
+    return [[(v,) for v in range(n) if v != u] for u in range(n)]
+
+
+def multi_rows(n):
+    """Each vertex's multi-model out-rows, the empty one included."""
+    return [[c for r in range(n) for c in combinations([v for v in range(n) if v != u], r)] for u in range(n)]
+
+
 def single_profiles(n):
-    choices = [[v for v in range(n) if v != u] for u in range(n)]
-    for nominees in product(*choices):
-        yield NominationProfile.single(list(nominees))
+    for rows in product(*single_rows(n)):
+        yield NominationProfile.single([v for (v,) in rows])
 
 
 def multi_profiles(n):
-    rows = [
-        [c for r in range(n) for c in combinations([v for v in range(n) if v != u], r)]
-        for u in range(n)
-    ]
-    for out in product(*rows):
+    for out in product(*multi_rows(n)):
         yield NominationProfile.multi(n, list(out))
 
 
@@ -74,7 +80,7 @@ def kernel_winner(kind, profile, counts):
     the one shape ``sample_space`` yields for both kinds."""
     members = tuple(sorted(counts))
     levels = tuple(sum(1 << u for u in members if counts[u] > j) for j in range(max(counts.values())))
-    weights, none_weight = winner_weights(kind, profile.out, [(members, levels, 1)])
+    [(weights, none_weight)] = winner_weights(kind, profile.out[:-1], profile.out[-1:], [(members, levels, 1)])
     assert sum(weights) + none_weight == 1
     return None if none_weight else weights.index(1)
 
@@ -135,3 +141,92 @@ def test_sample_space_weights_count_draw_sequences(kind):
             for key, weight in got.items():
                 by_read[reads(key)] += weight
             assert by_read == Counter(reads(sorted(seq)) for seq in sequences), (n, k)
+
+
+def reference_weights(kind, rows, samples):
+    """The kernel as it was before it took blocks: every mask built and every
+    sample scored afresh for one profile, ``rows[u]`` u's out-row."""
+    n = len(rows)
+    out_mask = [0] * n
+    in_mask = [0] * n
+    for u, row in enumerate(rows):
+        for v in row:
+            out_mask[u] |= 1 << v
+            in_mask[v] |= 1 << u
+    degree = [mask.bit_count() for mask in in_mask]
+    rks = kind == "random_k_sample"
+    weights = [0] * n
+    none_weight = 0
+    for members, levels, weight in samples:
+        pool = 0
+        for u in members:
+            pool |= out_mask[u]
+        pool = (pool | levels[0]) ^ levels[0]
+        if not pool:
+            none_weight += weight
+            continue
+        if not pool & (pool - 1):
+            weights[pool.bit_length() - 1] += weight
+            continue
+        best = -1
+        rest = pool
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            if rks:
+                score = degree[v] - (in_mask[v] & pool).bit_count()
+            else:
+                score = 0
+                for level in levels:
+                    score += (in_mask[v] & level).bit_count()
+            if score >= best:
+                best, winner = score, v
+        weights[winner] += weight
+    return weights, none_weight
+
+
+def block_paths(kind, fixed_rows, last_choices, samples):
+    """Which of the kernel's block paths each sample takes, read off the rows.
+    Under random-k plus-one, "lifted" marks a block where some choice's nominee
+    ties the best from one below with a lower id, so it wins."""
+    last = len(fixed_rows)
+    for members, _, _ in samples:
+        pool = {v for u in members if u != last for v in fixed_rows[u]} - set(members)
+        if last in members:
+            yield "last drawn"
+        elif len(pool) < 2:
+            yield "common empty or lone pool"
+        elif kind == "simple_k_sample":
+            yield "simple-k lone nominator" if len(members) == 1 else "simple-k undrawn"
+        elif last in pool:
+            yield "random-k last in pool"
+        else:
+            outside = Counter(v for u, row in enumerate(fixed_rows) if u not in pool for v in row)
+            best = max(outside[v] for v in pool)
+            first = min(v for v in pool if outside[v] == best)
+            lifted = any(v in pool and outside[v] == best - 1 and v < first for row in last_choices for v in row)
+            yield "random-k plus-one, lifted" if lifted else "random-k plus-one"
+
+
+@pytest.mark.parametrize("kind", ["random_k_sample", "simple_k_sample"])
+def test_block_kernel_matches_the_per_profile_kernel(kind):
+    """Every block of single n <= 5 and multi n <= 4, k = 1..3, and for random-k
+    of single n = 6, k = 2, the first n at which a lifted nominee wins: the block
+    kernel gives each choice of the last vertex the per-profile kernel's integers."""
+    domains = [(single_rows, n, k) for n in range(2, 6) for k in (1, 2, 3)]
+    domains += [(multi_rows, n, k) for n in range(2, 5) for k in (1, 2, 3)]
+    if kind == "random_k_sample":
+        domains.append((single_rows, 6, 2))
+    seen = Counter()
+    for rows_of, n, k in domains:
+        *fixed_choices, last = rows_of(n)
+        samples = list(sample_space(n, k))
+        for fixed in product(*fixed_choices):
+            got = winner_weights(kind, fixed, last, samples)
+            assert got == [reference_weights(kind, (*fixed, row), samples) for row in last], (n, k, fixed)
+            seen.update(block_paths(kind, fixed, last, samples))
+    common = {"last drawn", "common empty or lone pool"}
+    if kind == "simple_k_sample":
+        assert set(seen) == common | {"simple-k lone nominator", "simple-k undrawn"}
+    else:
+        assert set(seen) == common | {"random-k last in pool", "random-k plus-one", "random-k plus-one, lifted"}
