@@ -8,11 +8,11 @@ name any subset of the others, including nobody (abstention).  A profile
 where every vertex abstains is a perfectly valid multi-model profile.
 
 This module is the one owner of those rules: ``out_degrees(model, n)``
-says what each model allows, and only ``NominationProfile`` checks a row
-(its private ``_trusted`` skips that for rows verify enumerates, and its
-private ``_flat`` for the nominee list ``NominationProfile.single`` checked
-itself).  It also owns ``checked_int``, the check of every integer input
-in the package.
+says what each model allows, and only ``NominationProfile`` checks a row,
+one row at a time (its private ``_trusted`` skips that for rows verify
+enumerates, and its private ``_flat`` for the nominee list
+``NominationProfile.single`` checked itself).  It also owns ``checked_int``,
+the check of every integer input in the package.
 
 Profiles are immutable values: a changed graph is a new profile, built
 through the same checked constructor.
@@ -31,7 +31,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, groupby, islice, repeat
-from operator import contains, eq, itemgetter, lt
+from operator import eq, itemgetter, lt
 
 __all__ = [
     "SINGLE",
@@ -111,21 +111,6 @@ def _normalize_out(vertex: int, nominees: Iterable[int], n: int, degrees: range)
     return out
 
 
-def _checked_rows(rows: tuple[tuple, ...], n: int, degrees: range) -> tuple[tuple[int, ...], ...]:
-    """``rows`` sorted and deduplicated.  Type, range and self-loops, which neither changes,
-    are checked over all rows at once; on a fault ``_normalize_out`` names the first bad row."""
-    flat = [*chain.from_iterable(rows)]
-    ints = {*map(type, flat)} <= {int}
-    if ints and (not flat or 0 <= min(flat) <= max(flat) < n) and not any(map(contains, rows, range(n))):
-        lengths = {*map(len, rows)}
-        if max(lengths) > 1 and not all(all(map(lt, r, r[1:])) for r in rows if len(r) > 1):
-            rows = tuple(r if len(r) < 2 or all(map(lt, r, r[1:])) else tuple(sorted(set(r))) for r in rows)
-            lengths = {*map(len, rows)}
-        if min(lengths) in degrees and max(lengths) in degrees:
-            return rows
-    return tuple(_normalize_out(u, row, n, degrees) for u, row in enumerate(rows))
-
-
 @dataclass(frozen=True)
 class NominationProfile:
     """An immutable nomination graph.
@@ -145,7 +130,7 @@ class NominationProfile:
         degrees = out_degrees(self.model, n)
         if len(self.out) != n:
             raise ModelViolation(f"out has {len(self.out)} entries for n={n}")
-        object.__setattr__(self, "out", _checked_rows(tuple(map(tuple, self.out)), n, degrees))
+        object.__setattr__(self, "out", tuple(_normalize_out(u, row, n, degrees) for u, row in enumerate(self.out)))
 
     # ----- constructors -----
 
@@ -218,16 +203,6 @@ class NominationProfile:
     def row(self, u: int) -> tuple[int, ...]:
         """``out[u]``, read from the flat nominee tuple while the rows are not built."""
         return self.out[u] if "out" in self.__dict__ else (self.single_nominees[u],)
-
-    def max_degree(self) -> tuple[int, tuple[int, ...]]:
-        """Return ``(delta, argmax)`` with the argmax vertices in ascending order.
-
-        The designated top vertex is ``argmax[0]``, the least id among the
-        maximizers.  On an edgeless graph every vertex ties at degree 0.
-        """
-        degs = self.in_degrees
-        top = max(degs)
-        return top, tuple(u for u, d in enumerate(degs) if d == top)
 
     def edges(self) -> Iterable[tuple[int, int]]:
         """Yield edges in sorted ``(u, v)`` order."""

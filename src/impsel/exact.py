@@ -36,11 +36,8 @@ from operator import add
 from .core import NominationProfile, checked_int
 from .mechanisms import (  # noqa: F401  (the guarantee formulas are also read from here)
     KINDS,
-    BoundReport,
     MechanismSpec,
     check_model,
-    compute_bound,
-    mwd_gap_upper_bound,
     resolve_k,
     rks_gap_lower_bound,
     rks_worst_delta,

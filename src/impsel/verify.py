@@ -393,7 +393,7 @@ def named_oracle(name: str) -> Callable[[NominationProfile], int]:
     if base == "plurality":
         if sep:
             raise ValueError("plurality takes no argument")
-        return lambda profile: profile.max_degree()[1][0]
+        return lambda profile: profile.in_degrees.index(profile.delta)
     vertex = {"dictator": "dictator vertex", "majority-default-ext": "default vertex"}.get(base)
     if vertex is None:
         raise ValueError(f"unknown oracle {name!r}; known: {', '.join(ORACLE_NAMES)}")

@@ -36,7 +36,7 @@ from impsel.core import (
     out_degrees,
     parse_profile,
 )
-from impsel.verify import iter_profiles
+from impsel.verify import iter_profiles, named_oracle
 
 
 def single_profiles(min_n=2, max_n=7):
@@ -266,21 +266,21 @@ def test_in_degrees_counts_nominations():
     p = NominationProfile.single([2, 2, 0])
     assert p.in_degrees == (1, 0, 2)
     assert p.delta == 2
-    assert p.max_degree() == (2, (2,))
 
 
-def test_max_degree_breaks_ties_by_vertex_id():
-    p = NominationProfile.single([1, 0])
-    delta, argmax = p.max_degree()
-    assert delta == 1
-    assert argmax == (0, 1)
+def test_plurality_breaks_ties_by_vertex_id():
+    plurality = named_oracle("plurality")
+    assert plurality(NominationProfile.single([1, 0])) == 0
+    assert plurality(NominationProfile.single([2, 2, 0])) == 2
+    assert plurality(NominationProfile.multi(4, {0: [2, 3], 1: [3], 3: [2]})) == 2
+    assert plurality(NominationProfile.multi(3, {})) == 0
 
 
 def test_edgeless_multi_profile():
     p = NominationProfile.multi(3, {})
     assert p.delta == 0
     assert p.edge_count == 0
-    assert p.max_degree() == (0, (0, 1, 2))
+    assert p.in_degrees == (0, 0, 0)
 
 
 def test_edges_sorted():
@@ -606,7 +606,7 @@ _CONTAINERS = {"list": list, "tuple": tuple, "set": set, "generator": lambda row
     )
 )
 @settings(max_examples=500)
-def test_bulk_row_check_matches_the_per_row_check(case):
+def test_constructor_matches_the_row_check_row_by_row(case):
     """``NominationProfile`` accepts and refuses exactly what ``_normalize_out``
     row by row does, with the same rows and the same message."""
     n, model, spec = case

@@ -16,21 +16,18 @@ from hypothesis import given, settings, strategies as st
 from impsel.core import MULTI, SINGLE, NominationProfile
 from impsel.exact import (
     DEFAULT_SEQUENCE_BUDGET,
-    BoundReport,
     EnumerationTooLarge,
     WinnerDistribution,
     checked_sample_size,
-    compute_bound,
     exact_distribution,
     expected_winner_degree,
-    mwd_gap_upper_bound,
     pr_top_in_nominated,
     rks_gap_lower_bound,
     rks_worst_delta,
     sks_gap_upper_bound,
     sks_sample_size,
 )
-from impsel.mechanisms import MechanismSpec, ModelMismatch
+from impsel.mechanisms import BoundReport, MechanismSpec, ModelMismatch, compute_bound, mwd_gap_upper_bound
 
 TRI = NominationProfile.single([2, 2, 0])
 
@@ -228,7 +225,7 @@ def test_pr_top_matches_enumeration():
     # unique top vertex with degree 2 at n = 4
     p = NominationProfile.single([3, 3, 1, 2])
     top = 3
-    assert p.max_degree() == (2, (top,))
+    assert p.in_degrees == (0, 1, 1, 2) and p.in_degrees.index(p.delta) == top
     for k in (1, 2, 3):
         total = Fraction(0)
         d = Fraction(p.delta, p.n - 1)

@@ -304,3 +304,43 @@ def test_one_kernel_scores_every_sample():
                 callers[node.func.id].add((name, owner.get(id(node))))
     sites = {("exact", "exact_distribution"), ("verify", "_subject_weights")}
     assert callers == {"winner_weights": sites, "sample_space": sites}
+
+
+def test_only_normalize_out_tests_a_row_length_against_the_model():
+    """``core._normalize_out`` is the one row check: no other code in ``core``
+    tests a length against the ``out_degrees`` range (``single()`` checks its
+    flat nominee list by type, range and self-nomination only)."""
+    tree = _trees()["core"]
+    owner = _innermost_functions(tree)
+
+    def a_degrees_range(node):
+        return (isinstance(node, ast.Name) and node.id == "degrees") or (
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "out_degrees"
+        )
+
+    tests = {owner.get(id(node)) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+             and any(map(a_degrees_range, node.comparators))}
+    assert tests == {"_normalize_out"}
+
+
+def test_every_imported_name_is_used():
+    """No dead imports in ``src/``: each name a module imports is read in it or
+    listed in its ``__all__``.  The one exception is ``exact``'s ``noqa: F401``
+    line, whose unused names are the guarantee formulas callers read from there."""
+    unused = {}
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(text), text.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {node.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    and any(getattr(target, "id", None) == "__all__" for target in stmt.targets)
+                    for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = {alias.asname or alias.name.split(".")[0] for alias in node.names} - {"*"}
+                dead = bound - read - exported
+                if dead:
+                    assert "noqa: F401" in lines[node.lineno - 1], f"{path.name}:{node.lineno} imports unused {dead}"
+                    unused[path.stem] = dead
+    assert unused == {"exact": {"rks_gap_lower_bound", "rks_worst_delta", "sks_gap_upper_bound", "sks_sample_size"}}
