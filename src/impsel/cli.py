@@ -11,11 +11,12 @@ Exit codes: 0 on success (including an expected witness from refute),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 
-from .core import MODELS, SINGLE, format_profile, load_profile
+from .core import MODELS, SINGLE, format_profile, load_profile, write_profile
 from .exact import DEFAULT_SEQUENCE_BUDGET, exact_distribution, expected_winner_degree
 from .generators import FAMILIES, PARAMS, GeneratorSpec
 from .mechanisms import MechanismSpec, compute_bound, parse_mechanism
@@ -44,14 +45,16 @@ from .verify import (
 _MAX_WITNESSES_SHOWN = 3
 
 
+def _output(out: str | None):
+    """The stream a command writes to: stdout, or the --out file, opened for writing now."""
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="\n")
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    with _output(out) as fh:
+        fh.write(text)
+        if out is None and not text.endswith("\n"):
+            fh.write("\n")
 
 
 def _load_subject(args) -> "MechanismSpec | object":
@@ -77,7 +80,9 @@ def _budget(subject, args) -> int:
 def cmd_gen(args) -> int:
     params = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
     spec = GeneratorSpec.from_mapping(args.family, params)
-    _emit(format_profile(spec.build(args.n, args.seed)), args.out)
+    profile = spec.build(args.n, args.seed)  # before --out is opened, so a refusal truncates nothing
+    with _output(args.out) as fh:
+        write_profile(profile, fh)
     return 0
 
 

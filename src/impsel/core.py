@@ -21,6 +21,11 @@ Vertices are the ints ``0 .. n-1``.  Out-sets are stored sorted and deduplicated
 equal graphs compare and hash equal regardless of construction order.  A profile from
 ``NominationProfile.single`` keeps only its flat nominee tuple and builds the rows on
 first read; in-degrees, the edge count, ``row(u)`` and ``format_profile`` read the tuple.
+
+Profile text is parsed and written in bounded pieces: ``parse_profile`` reads a canonical
+text a piece of about 256 KiB at a time, and ``format_profile`` and ``write_profile``
+format it in blocks of at most 16,384 edge lines.  Memory is then about the profile plus
+one piece, not several whole-file temporaries.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ from __future__ import annotations
 import functools
 import json
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, groupby, islice, repeat
 from operator import eq, itemgetter, lt
+from typing import TextIO
 
 __all__ = [
     "SINGLE",
@@ -45,6 +51,7 @@ __all__ = [
     "NominationProfile",
     "parse_profile",
     "format_profile",
+    "write_profile",
     "load_profile",
 ]
 
@@ -233,29 +240,43 @@ NominationProfile.out.__set_name__(NominationProfile, "out")
 
 _CANONICAL_HEADER = re.compile(rf"{PROFILE_MAGIC}\nmodel ({'|'.join(MODELS)})\nn ([1-9][0-9]*)\n")
 _NO_DIGITS = str.maketrans("", "", "0123456789")
+#: Characters per piece read and edge lines per block written (see the module docstring).
+_PIECE = 1 << 18
+_LINES = 1 << 14
 
 
 def _canonical_rows(text: str) -> tuple[int, str, list] | None:
     """``(n, model, rows)`` of a text exactly as ``format_profile`` writes it, its ints read
-    by one ``json.loads``, a single model's rows as the flat nominee list; None for any
-    other text, which the line reader then reads."""
-    header = _CANONICAL_HEADER.match(text)
-    # "<digits> <digits>\n" lines only: a regex over the lines would keep a frame per line
-    if not header or (body := text[header.end() :]).translate(_NO_DIGITS) != " \n" * body.count("\n"):
+    by one ``json.loads`` per piece, a single model's rows as the flat nominee list; None
+    for any other text, which the line reader then reads."""
+    if not (header := _CANONICAL_HEADER.match(text)):
         return None
-    ints = body[:-1].replace(" ", ",").replace("\n", ",")
-    try:
-        n, ends = int(header[2]), json.loads(f"[{ints}]")
-    except ValueError:  # an empty token, a leading zero, or an int too long for int()
-        return None
-    sources, targets = ends[::2], ends[1::2]
-    if header[1] == SINGLE:  # one source per vertex, in order; else the line reader names the fault
-        return (n, SINGLE, targets) if len(sources) == n and all(map(eq, sources, range(n))) else None
+    n, model, sources, targets = int(header[2]), header[1], [], []
+    start = header.end()
+    while start < len(text):
+        # cut just after the first newline at or past _PIECE characters; with no newline left, the rest is one piece
+        end = text.find("\n", start + _PIECE - 1) + 1 or len(text)
+        piece = text[start:end]
+        # "<digits> <digits>\n" lines only: a regex over the lines would keep a frame per line
+        if piece.translate(_NO_DIGITS) != " \n" * piece.count("\n"):
+            return None
+        try:
+            ends = json.loads("[%s]" % piece[:-1].replace(" ", ",").replace("\n", ","))
+        except ValueError:  # an empty token, a leading zero, or an int too long for int()
+            return None
+        if model == MULTI:
+            sources += ends[::2]
+        elif not all(map(eq, ends[::2], range(len(targets), n))):
+            return None
+        targets += ends[1::2]
+        start = end
+    if model == SINGLE:  # one source per vertex, in order; else the line reader names the fault
+        return (n, SINGLE, targets) if len(targets) == n else None
     edges = list(zip(sources, targets))
     if edges and (sources[-1] >= n or not all(map(lt, edges, islice(edges, 1, None)))):
         return None
     rows = {u: tuple(map(itemgetter(1), row)) for u, row in groupby(edges, itemgetter(0))}
-    return n, header[1], [rows.get(u, ()) for u in range(n)]
+    return n, model, [rows.get(u, ()) for u in range(n)]
 
 
 def parse_profile(text: str) -> NominationProfile:
@@ -311,13 +332,26 @@ def parse_profile(text: str) -> NominationProfile:
     return NominationProfile(n, model, tuple(rows.get(u, ()) for u in range(n)))
 
 
-def format_profile(profile: NominationProfile) -> str:
-    """Render a profile in the textual format, edges sorted by (from, to)."""
+def _profile_text(profile: NominationProfile) -> Iterator[str]:
+    """The text of ``profile``: its header, then blocks of at most ``_LINES`` edge lines,
+    each formatted by one ``%``, edges sorted by (from, to)."""
     n, model = profile.n, profile.model
+    yield f"{PROFILE_MAGIC}\nmodel {model}\nn {n}\n"
     sources = range(n) if model == SINGLE else chain.from_iterable(map(repeat, range(n), map(len, profile.out)))
     targets = profile.single_nominees if model == SINGLE else chain.from_iterable(profile.out)
-    ends = (*chain.from_iterable(zip(sources, targets)),)
-    return f"{PROFILE_MAGIC}\nmodel {model}\nn {n}\n" + "%d %d\n" * (len(ends) // 2) % ends
+    ends = chain.from_iterable(zip(sources, targets))
+    while block := (*islice(ends, 2 * _LINES),):
+        yield "%d %d\n" * (len(block) // 2) % block
+
+
+def format_profile(profile: NominationProfile) -> str:
+    """Render a profile in the textual format, edges sorted by (from, to)."""
+    return "".join(_profile_text(profile))
+
+
+def write_profile(profile: NominationProfile, fh: TextIO) -> None:
+    """Write ``format_profile(profile)`` to the text stream ``fh``, one block at a time."""
+    fh.writelines(_profile_text(profile))
 
 
 def load_profile(path) -> NominationProfile:

@@ -14,13 +14,13 @@ final mean/variance division.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import json
 import math
 import statistics
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
@@ -290,7 +290,8 @@ def sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRow]:
                 row_index += 1
     if jobs <= 1 or len(tasks) <= 1:
         return [_sweep_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the package imports its process pool on first use, so only a run with jobs > 1 loads it
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_sweep_task, tasks))
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import impsel
 from impsel.cli import build_parser, main
 from impsel.core import MODELS, SINGLE, NominationProfile, format_profile, load_profile, parse_profile
-from impsel.generators import FAMILIES, PARAMS
+from impsel.generators import FAMILIES, PARAMS, GeneratorSpec
 from impsel.montecarlo import CSV_HEADER, SweepConfig, fit_scaling, rows_to_csv, rows_to_json, sweep
 from impsel.verify import check_impartial, format_witness, named_oracle
 
@@ -115,6 +115,31 @@ def test_gen_to_file(tmp_path):
     out = tmp_path / "p.txt"
     assert main(["gen", "--family", "star", "--n", "4", "--out", str(out)]) == 0
     assert load_profile(out).in_degrees == (3, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    ("family", "n", "params"),
+    [("random-single", 20000, {}), ("random-multi", 300, {"p": 0.3})],
+    ids=["single", "multi"],
+)
+def test_gen_writes_format_profile_bytes(family, n, params, tmp_path, capsys):
+    """Both a single and a multi profile longer than one written block."""
+    text = format_profile(GeneratorSpec.from_mapping(family, params).build(n, 3))
+    assert text.count("\n") > 3 + 2**14
+    argv = ["gen", "--family", family, "--n", str(n), "--seed", "3", *(f"--{k}={v}" for k, v in params.items())]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+    out = tmp_path / "p.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+
+
+def test_refused_gen_leaves_the_out_file_as_it_was(tmp_path, capsys):
+    out = tmp_path / "p.txt"
+    out.write_bytes(b"kept\r\n")
+    assert main(["gen", "--family", "single-worst", "--n", "5", "--delta", "0", "--out", str(out)]) == 2
+    assert "parameter delta must be at least 1, got 0" in capsys.readouterr().err
+    assert out.read_bytes() == b"kept\r\n"
 
 
 def _gen_argvs():

@@ -1,5 +1,8 @@
 """Profile construction, model rules, degree queries, deviations, and the file format."""
 
+import contextlib
+import io
+import tracemalloc
 from collections import Counter
 from itertools import chain, islice
 
@@ -11,6 +14,7 @@ from impsel import (
     TrialPlan,
     WinnerDistribution,
     check_impartial,
+    core,
     exact_distribution,
     fixed_sample_winner,
     gen_random_multi,
@@ -35,6 +39,7 @@ from impsel.core import (
     load_profile,
     out_degrees,
     parse_profile,
+    write_profile,
 )
 from impsel.verify import iter_profiles, named_oracle
 
@@ -504,6 +509,18 @@ def test_degree_totals_match_edge_count(p):
 # ---------------------------------------------------------------------------
 # the bulk paths: canonical files and the row check
 
+# (characters per read piece, lines per written block): the module's own, one line each, tiny
+_PIECE_SIZES = [(core._PIECE, core._LINES), (1, 1), (7, 3)]
+
+
+@contextlib.contextmanager
+def _pieces(piece, lines):
+    """Profile text read in pieces of ``piece`` characters and written in blocks of ``lines`` lines."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_PIECE", piece)
+        patch.setattr(core, "_LINES", lines)
+        yield
+
 
 def _format_edges(n, model, edges):
     """A profile text in ``format_profile``'s shape: header, then "u v" lines."""
@@ -559,35 +576,50 @@ def _canonical_texts(draw):
     return "".join(lines)
 
 
-@given(_canonical_texts())
+@given(_canonical_texts(), st.sampled_from(_PIECE_SIZES))
 @settings(max_examples=500)
-def test_canonical_texts_match_the_two_pass_reference(text):
-    assert _outcome(parse_profile, text) == _outcome(_two_pass_parse, text)
+def test_canonical_texts_match_the_two_pass_reference(text, sizes):
+    with _pieces(*sizes):
+        assert _outcome(parse_profile, text) == _outcome(_two_pass_parse, text)
 
 
 def test_only_canonical_texts_are_read_in_bulk():
     p = NominationProfile.multi(4, [(1, 3), (), (0, 1, 3)])
     text = format_profile(p)
-    assert _canonical_rows(text) == (4, MULTI, [(1, 3), (), (0, 1, 3), ()])
-    single = format_profile(NominationProfile.single([1, 2, 0]))
-    assert _canonical_rows(single) == (3, SINGLE, [1, 2, 0])
-    # a single-model text whose sources are not 0..n-1 in order names its fault by the line reader
-    assert _canonical_rows(single.replace("1 2\n", "")) is None
-    for other in (
-        text.replace("\n0 1\n", "\n00 1\n"),
-        text[:-1],
-        text.replace("\n", "\r\n"),
-        text.replace("model multi\n", "model multi\r\n"),
-        text.replace("\n", "\n# note\n", 1),
-        text.replace("2 3\n", "2 3\n2 3\n"),
-        text.replace("0 1\n0 3\n", "0 3\n0 1\n"),
-        text.replace("0 1\n", "0\t1\n"),
-        text.replace("2 3\n", "2 1" + "0" * 4300 + "\n"),
-        text.replace("2 3\n", "4 3\n"),
-        text.replace("n 4\n", "n 04\n"),
-    ):
-        assert _canonical_rows(other) is None, other
-        assert _outcome(parse_profile, other) == _outcome(_two_pass_parse, other)
+    nominees = [*range(1, 12), 0]
+    single = format_profile(NominationProfile.single(nominees))
+    for sizes in _PIECE_SIZES:
+        with _pieces(*sizes):
+            assert _canonical_rows(text) == (4, MULTI, [(1, 3), (), (0, 1, 3), ()])
+            assert _canonical_rows(single) == (12, SINGLE, nominees)
+            # a single-model text whose sources are not 0..n-1 in order names its fault by the line reader
+            assert _canonical_rows(single.replace("1 2\n", "")) is None
+            for other in (
+                text.replace("\n0 1\n", "\n00 1\n"),
+                text[:-1],
+                text.replace("\n", "\r\n"),
+                text.replace("model multi\n", "model multi\r\n"),
+                text.replace("\n", "\n# note\n", 1),
+                text.replace("2 3\n", "2 3\n2 3\n"),
+                text.replace("0 1\n0 3\n", "0 3\n0 1\n"),
+                text.replace("0 1\n", "0\t1\n"),
+                text.replace("2 3\n", "2 1" + "0" * 4300 + "\n"),
+                text.replace("2 3\n", "4 3\n"),
+                text.replace("n 4\n", "n 04\n"),
+                # faults past the first piece when pieces are small
+                text.replace("2 3\n", "2 03\n"),
+                text.replace("2 1\n2 3\n", "2 3\n2 1\n"),
+                text.replace("2 1\n", "# note\n2 1\n"),
+                single[:-1],
+                single.replace("11 0\n", "11 00\n"),
+                single.replace("10 11\n", "10 11\n10 11\n"),
+                single.replace("9 10\n10 11\n", "10 11\n9 10\n"),
+                single.replace("10 11\n", "10 11\n# note\n"),
+                single.replace("11 0\n", "12 0\n"),
+                single + "12 0\n",
+            ):
+                assert _canonical_rows(other) is None, (sizes, other)
+                assert _outcome(parse_profile, other) == _outcome(_two_pass_parse, other)
 
 
 _NOMINEES = st.one_of(st.integers(-2, 7), st.booleans(), st.sampled_from([0.0, 1.0, 2.5]))
@@ -675,7 +707,33 @@ _FORMAT_CASES = [
 
 @pytest.mark.parametrize("p", _FORMAT_CASES, ids=lambda p: f"{p.model}-n{p.n}-m{p.edge_count}")
 def test_format_matches_the_per_edge_reference(p):
-    assert format_profile(p) == _format_edges(p.n, p.model, p.edges())
+    reference = _format_edges(p.n, p.model, p.edges())
+    for sizes in _PIECE_SIZES:
+        with _pieces(*sizes):
+            written = io.StringIO()
+            write_profile(p, written)
+            assert format_profile(p) == written.getvalue() == reference, sizes
+
+
+def test_text_in_pieces_keeps_memory_near_the_text_size():
+    """Formatting and parsing a 150,000-vertex profile cost about one more copy of its
+    text, not whole-file temporaries several times its size."""
+    p = gen_single_worst(150_000, 400)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = format_profile(p)
+        format_peak = tracemalloc.get_traced_memory()[1] - before
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        parsed = parse_profile(text)
+        kept, parse_peak = (traced - before for traced in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert parsed.single_nominees == p.single_nominees
+    assert format_peak <= 2.5 * len(text)
+    assert parse_peak - kept <= 1.5 * len(text)
 
 
 @given(st.one_of(single_profiles(2, 7), multi_profiles(2, 6)))

@@ -60,13 +60,23 @@ def test_no_private_name_crosses_modules():
             assert not private, f"{name} imports {private} from {module}"
 
 
-def test_cli_import_does_not_load_mpmath():
-    code = "import sys, impsel.cli; print('mpmath' in sys.modules)"
+def _loaded_by_cli_import(*modules):
+    """Which of ``modules`` a fresh interpreter has loaded after ``import impsel.cli``."""
+    code = f"import sys, impsel.cli; print(*[m for m in {modules!r} if m in sys.modules])"
     # ``python -c`` puts its working directory first on sys.path
     cwd = Path(impsel.__file__).parents[1]
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=cwd)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.split()
+
+
+def test_cli_import_does_not_load_mpmath():
+    assert _loaded_by_cli_import("mpmath") == []
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    """Only ``sweep --jobs N`` with N > 1 starts a pool, so no other command pays for its import."""
+    assert _loaded_by_cli_import("multiprocessing", "concurrent.futures.process") == []
 
 
 def test_package_exports_every_module_export():
