@@ -22,21 +22,22 @@ equal graphs compare and hash equal regardless of construction order.  A profile
 ``NominationProfile.single`` keeps only its flat nominee tuple and builds the rows on
 first read; in-degrees, the edge count, ``row(u)`` and ``format_profile`` read the tuple.
 
-Profile text is parsed and written in bounded pieces: ``parse_profile`` reads a canonical
-text a piece of about 256 KiB at a time, and ``format_profile`` and ``write_profile``
-format it in blocks of at most 16,384 edge lines.  Memory is then about the profile plus
-one piece, not several whole-file temporaries.
+Profile text is read and written in bounded pieces.  ``parse_profile`` reads the header
+a line at a time, then pieces of about 256 KiB: one ``json.loads`` reads a piece of plain
+``<from> <to>`` lines and the per-line rules any other, so every spelling of a profile
+parses to it, and every fault has the same message and line.  ``format_profile`` and
+``write_profile`` write blocks of at most 16,384 edge lines.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
-import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, groupby, islice, repeat
-from operator import eq, itemgetter, lt
+from itertools import chain, count, islice, repeat
+from operator import eq, lt
 from typing import TextIO
 
 __all__ = [
@@ -238,97 +239,96 @@ NominationProfile.out.__set_name__(NominationProfile, "out")
 #   2 0
 
 
-_CANONICAL_HEADER = re.compile(rf"{PROFILE_MAGIC}\nmodel ({'|'.join(MODELS)})\nn ([1-9][0-9]*)\n")
 _NO_DIGITS = str.maketrans("", "", "0123456789")
 #: Characters per piece read and edge lines per block written (see the module docstring).
 _PIECE = 1 << 18
 _LINES = 1 << 14
 
 
-def _canonical_rows(text: str) -> tuple[int, str, list] | None:
-    """``(n, model, rows)`` of a text exactly as ``format_profile`` writes it, its ints read
-    by one ``json.loads`` per piece, a single model's rows as the flat nominee list; None
-    for any other text, which the line reader then reads."""
-    if not (header := _CANONICAL_HEADER.match(text)):
-        return None
-    n, model, sources, targets = int(header[2]), header[1], [], []
-    start = header.end()
+def _read(text: str, stop: float = float("inf")) -> tuple[list, list | None, list] | int:
+    """``(header, sources, targets)``: the header lines' last words and the edges in file
+    order, ``sources`` None while each edge's source is its index; raises at the first bad
+    or repeated line.  With ``stop``, the line number of the edge of index ``stop`` instead."""
+    header, sources, targets = [], None, []
+    lineno = start = 0
     while start < len(text):
-        # cut just after the first newline at or past _PIECE characters; with no newline left, the rest is one piece
-        end = text.find("\n", start + _PIECE - 1) + 1 or len(text)
-        piece = text[start:end]
-        # "<digits> <digits>\n" lines only: a regex over the lines would keep a frame per line
-        if piece.translate(_NO_DIGITS) != " \n" * piece.count("\n"):
-            return None
-        try:
-            ends = json.loads("[%s]" % piece[:-1].replace(" ", ",").replace("\n", ","))
-        except ValueError:  # an empty token, a leading zero, or an int too long for int()
-            return None
-        if model == MULTI:
+        # one line until the header is read, then cut just after the first newline at or past _PIECE characters
+        end = text.find("\n", start + (len(header) == 3 and _PIECE - 1)) + 1 or len(text)
+        piece, start, ends, error = text[start:end], end, None, None
+        # "<digits> <digits>\n" lines only are read whole, unless a line number is asked for
+        whole = len(header) == 3 and stop == float("inf") and piece[-1] == "\n"
+        if whole and piece.translate(_NO_DIGITS) == " \n" * piece.count("\n"):
+            with contextlib.suppress(ValueError):  # an empty token, a leading zero, or an int too long for int()
+                ends = json.loads("[%s]" % piece[:-1].replace(" ", ",").replace("\n", ","))
+                lineno += len(ends) // 2
+        if ends is None:  # any other piece, line by line
+            ends = []
+            for lineno, line in enumerate(piece.splitlines(), lineno + 1):
+                parts = (line := line.strip()).split()
+                if not line or line[0] == "#":
+                    continue
+                if len(header) == 3:
+                    if len(parts) != 2:
+                        error = f"expected '<from> <to>', got {line!r}"
+                    else:
+                        try:
+                            ends += int(parts[0]), int(parts[1])
+                        except ValueError:
+                            error = "edge endpoints must be integers"
+                elif not header:
+                    if line != PROFILE_MAGIC:
+                        error = f"expected {PROFILE_MAGIC!r}, got {line!r}"
+                elif len(header) == 1:
+                    if len(parts) != 2 or parts[0] != "model":
+                        error = "expected 'model single|multi'"
+                    elif parts[1] not in MODELS:
+                        error = f"unknown model {parts[1]!r}"
+                elif len(parts) != 2 or parts[0] != "n":
+                    error = "expected 'n <count>'"
+                else:
+                    try:
+                        parts[1] = int(parts[1])
+                    except ValueError:
+                        error = f"vertex count {parts[1]!r} is not an integer"
+                if error:
+                    break
+                if len(header) < 3:
+                    header.append(parts[-1])
+                elif len(targets) + len(ends) // 2 > stop:
+                    return lineno
+        if sources is None and not all(map(eq, ends[::2], count(len(targets)))):
+            sources = [*range(len(targets))]
+        if sources is not None:
             sources += ends[::2]
-        elif not all(map(eq, ends[::2], range(len(targets), n))):
-            return None
         targets += ends[1::2]
-        start = end
-    if model == SINGLE:  # one source per vertex, in order; else the line reader names the fault
-        return (n, SINGLE, targets) if len(targets) == n else None
-    edges = list(zip(sources, targets))
-    if edges and (sources[-1] >= n or not all(map(lt, edges, islice(edges, 1, None)))):
-        return None
-    rows = {u: tuple(map(itemgetter(1), row)) for u, row in groupby(edges, itemgetter(0))}
-    return n, model, [rows.get(u, ()) for u in range(n)]
+        # at a fault or the end, the first repeated edge wins; none while sources are implicit or edges sorted
+        if (error or start == len(text)) and sources is not None:
+            if not all(map(lt, zip(sources, targets), islice(zip(sources, targets), 1, None))):
+                first = {}
+                for i, edge in enumerate(zip(sources, targets)):
+                    if first.setdefault(edge, i) != i:
+                        raise ProfileFormatError(f"line {_read(text, i)}: duplicate edge {edge[0]} -> {edge[1]}")
+        if error:
+            raise ProfileFormatError(f"line {lineno}: {error}")
+    return header, sources, targets
 
 
 def parse_profile(text: str) -> NominationProfile:
     """Parse the textual profile format; see the module docstring for errors."""
-    if canonical := _canonical_rows(text):
-        n, model, rows = canonical
-        return NominationProfile.single(rows) if model == SINGLE else NominationProfile(n, model, rows)
-    content = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
-    lines = ((lineno, line) for lineno, line in content if line and not line.startswith("#"))
-
-    def next_line(what: str) -> tuple[int, str]:
-        for line in lines:
-            return line
+    header, sources, targets = _read(text)
+    if len(header) < 3:
+        what = ("magic line", "model line", "vertex count line")[len(header)]
         raise ProfileFormatError(f"unexpected end of input, expected {what}")
-
-    lineno, magic = next_line("magic line")
-    if magic != PROFILE_MAGIC:
-        raise ProfileFormatError(f"line {lineno}: expected {PROFILE_MAGIC!r}, got {magic!r}")
-
-    lineno, model_line = next_line("model line")
-    parts = model_line.split()
-    if len(parts) != 2 or parts[0] != "model":
-        raise ProfileFormatError(f"line {lineno}: expected 'model single|multi'")
-    model = parts[1]
-    if model not in MODELS:
-        raise ProfileFormatError(f"line {lineno}: unknown model {model!r}")
-
-    lineno, n_line = next_line("vertex count line")
-    parts = n_line.split()
-    if len(parts) != 2 or parts[0] != "n":
-        raise ProfileFormatError(f"line {lineno}: expected 'n <count>'")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ProfileFormatError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
-
-    rows: dict[int, set[int]] = {}  # by source, in file order
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ProfileFormatError(f"line {lineno}: expected '<from> <to>', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ProfileFormatError(f"line {lineno}: edge endpoints must be integers") from None
-        row = rows.setdefault(u, set())
-        if v in row:
-            raise ProfileFormatError(f"line {lineno}: duplicate edge {u} -> {v}")
-        row.add(v)
+    _, model, n = header
+    if sources is None and model == SINGLE and len(targets) == n:  # sources 0..n-1 in order
+        return NominationProfile.single(targets)  # the flat store
+    sources = sources or range(len(targets))
     # only now, so a duplicate or bad line anywhere wins over a bad source
-    for u in rows:
-        checked_int(u, "edge source", 0, n - 1, ModelViolation)
+    if sources and not 0 <= min(sources) <= max(sources) < n:
+        checked_int(next(u for u in sources if not 0 <= u < n), "edge source", 0, n - 1, ModelViolation)
+    rows: dict[int, list[int]] = {}  # by source
+    for u, v in zip(sources, targets):
+        rows.setdefault(u, []).append(v)
     return NominationProfile(n, model, tuple(rows.get(u, ()) for u in range(n)))
 
 

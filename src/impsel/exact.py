@@ -40,7 +40,6 @@ from .mechanisms import (  # noqa: F401  (the guarantee formulas are also read f
     check_model,
     resolve_k,
     rks_gap_lower_bound,
-    rks_worst_delta,
     sks_gap_upper_bound,
     sks_sample_size,
 )

@@ -25,11 +25,10 @@ from impsel.exact import (
     expected_winner_degree,
     pr_top_in_nominated,
     rks_gap_lower_bound,
-    rks_worst_delta,
     sks_gap_upper_bound,
 )
 from impsel.generators import GeneratorSpec, gen_fixed_sample_adversary, gen_random_multi, gen_random_single
-from impsel.mechanisms import DrawStream, MechanismSpec, derive_seed, nominated_winner
+from impsel.mechanisms import DrawStream, MechanismSpec, derive_seed, nominated_winner, rks_worst_delta
 from impsel.montecarlo import SweepConfig, fit_scaling, rows_to_csv, sweep
 from impsel.verify import (
     SAMPLE_CATALOG,

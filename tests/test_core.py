@@ -32,7 +32,6 @@ from impsel.core import (
     ModelViolation,
     NominationProfile,
     ProfileFormatError,
-    _canonical_rows,
     _normalize_out,
     checked_int,
     format_profile,
@@ -583,17 +582,61 @@ def test_canonical_texts_match_the_two_pass_reference(text, sizes):
         assert _outcome(parse_profile, text) == _outcome(_two_pass_parse, text)
 
 
-def test_only_canonical_texts_are_read_in_bulk():
+@st.composite
+def _respellings(draw):
+    """A single or multi profile and its text respelled: comment and blank lines, CRLF or CR
+    line ends, tabs, leading zeros, and sometimes its edge lines permuted."""
+    p = draw(st.one_of(single_profiles(2, 7), multi_profiles(2, 5)))
+    lines = format_profile(p).splitlines()
+    edges = draw(st.permutations(lines[3:])) if draw(st.booleans()) else lines[3:]
+    spaces = st.sampled_from(["", " ", "\t", " \t "])
+    text = []
+    for no, line in enumerate([*lines[:3], *edges]):
+        text += draw(st.lists(st.sampled_from(["", "# note", "  # 1 2", "\t"]), max_size=2))
+        if no:  # the magic line has one spelling, but for the spaces around it
+            words = [word if word.isalpha() else "0" * draw(st.integers(0, 2)) + word for word in line.split()]
+            line = draw(st.sampled_from([" ", "\t", " \t "])).join(words)
+        text.append(draw(spaces) + line + draw(spaces))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    in_order = p.model == SINGLE and [int(e.split()[0]) for e in edges] == [*range(p.n)]
+    return p, end.join(text) + draw(st.sampled_from(["", end])), in_order
+
+
+@given(_respellings())
+@settings(max_examples=300)
+def test_every_respelling_parses_to_the_profile(case):
+    """Any valid spelling reads as the profile; a single-model text whose sources are
+    0..n-1 in order keeps the flat store, and every other text builds rows."""
+    p, text, in_order = case
+    for sizes in _PIECE_SIZES:
+        with _pieces(*sizes):
+            parsed = parse_profile(text)
+        assert ("out" not in vars(parsed)) == in_order, sizes
+        assert parsed == p, sizes
+
+
+def _flat_if_in_order(parsed, text):
+    """A single profile parsed from ``text`` keeps the flat store exactly when the text's
+    edge sources are 0..n-1 in order; a multi profile always has rows."""
+    if isinstance(parsed, NominationProfile):
+        content = [line.split() for line in text.splitlines() if line.strip() and line.strip()[0] != "#"]
+        in_order = parsed.model == SINGLE and [int(u) for u, _ in content[3:]] == [*range(parsed.n)]
+        assert ("out" not in vars(parsed)) == in_order, text
+
+
+def test_every_spelling_of_a_text_reads_as_the_reference():
     p = NominationProfile.multi(4, [(1, 3), (), (0, 1, 3)])
     text = format_profile(p)
     nominees = [*range(1, 12), 0]
     single = format_profile(NominationProfile.single(nominees))
     for sizes in _PIECE_SIZES:
         with _pieces(*sizes):
-            assert _canonical_rows(text) == (4, MULTI, [(1, 3), (), (0, 1, 3), ()])
-            assert _canonical_rows(single) == (12, SINGLE, nominees)
-            # a single-model text whose sources are not 0..n-1 in order names its fault by the line reader
-            assert _canonical_rows(single.replace("1 2\n", "")) is None
+            assert parse_profile(text) == p
+            assert "out" not in vars(parse_profile(single))
+            assert parse_profile(single).single_nominees == tuple(nominees)
+            # a single-model text whose sources are not 0..n-1 in order names its fault like the reference
+            missing = single.replace("1 2\n", "")
+            assert _outcome(parse_profile, missing) == _outcome(_two_pass_parse, missing)
             for other in (
                 text.replace("\n0 1\n", "\n00 1\n"),
                 text[:-1],
@@ -617,9 +660,11 @@ def test_only_canonical_texts_are_read_in_bulk():
                 single.replace("10 11\n", "10 11\n# note\n"),
                 single.replace("11 0\n", "12 0\n"),
                 single + "12 0\n",
+                # a last line of one number, with no newline after it
+                text + "22",
             ):
-                assert _canonical_rows(other) is None, (sizes, other)
-                assert _outcome(parse_profile, other) == _outcome(_two_pass_parse, other)
+                assert _outcome(parse_profile, other) == _outcome(_two_pass_parse, other), (sizes, other)
+                _flat_if_in_order(_outcome(parse_profile, other), other)
 
 
 _NOMINEES = st.one_of(st.integers(-2, 7), st.booleans(), st.sampled_from([0.0, 1.0, 2.5]))
@@ -689,8 +734,7 @@ def test_flat_single_check_matches_the_row_check(nominees):
      ("0 1\n1 3\n2 0\n", "vertex 1: nominee 3 out of range 0..2")],
 )
 def test_canonical_single_faults_match_the_two_pass_reference(body, message):
-    text = f"impsel 1\nmodel single\nn 3\n{body}"
-    assert _canonical_rows(text) is not None  # read in bulk, checked on the flat list
+    text = f"impsel 1\nmodel single\nn 3\n{body}"  # sources in order: checked on the flat list
     assert _outcome(parse_profile, text) == _outcome(_two_pass_parse, text) == (ModelViolation, message)
 
 
@@ -717,7 +761,8 @@ def test_format_matches_the_per_edge_reference(p):
 
 def test_text_in_pieces_keeps_memory_near_the_text_size():
     """Formatting and parsing a 150,000-vertex profile cost about one more copy of its
-    text, not whole-file temporaries several times its size."""
+    text, not whole-file temporaries several times its size; so does parsing it with a
+    leading comment or CRLF line ends, which keeps the flat store too."""
     p = gen_single_worst(150_000, 400)
     tracemalloc.start()
     try:
@@ -725,15 +770,18 @@ def test_text_in_pieces_keeps_memory_near_the_text_size():
         tracemalloc.reset_peak()
         text = format_profile(p)
         format_peak = tracemalloc.get_traced_memory()[1] - before
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        parsed = parse_profile(text)
-        kept, parse_peak = (traced - before for traced in tracemalloc.get_traced_memory())
+        parses = []
+        for spelling in (text, "# c\n" + text, text.replace("\n", "\r\n")):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            parsed = parse_profile(spelling)
+            parses.append((parsed, *(traced - before for traced in tracemalloc.get_traced_memory())))
     finally:
         tracemalloc.stop()
-    assert parsed.single_nominees == p.single_nominees
     assert format_peak <= 2.5 * len(text)
-    assert parse_peak - kept <= 1.5 * len(text)
+    for parsed, kept, parse_peak in parses:
+        assert "out" not in vars(parsed) and parsed.single_nominees == p.single_nominees
+        assert parse_peak - kept <= 1.5 * len(text)
 
 
 @given(st.one_of(single_profiles(2, 7), multi_profiles(2, 6)))
@@ -748,22 +796,24 @@ def test_format_fuzz_matches_the_per_edge_reference(p):
 @st.composite
 def _single_builds(draw):
     """One single profile, n = 2..5, built from rows through the checked constructor,
-    through ``single``, by ``parse_profile`` of canonical and of line-reader text, and
-    as the unchecked rows ``verify.iter_profiles`` yields."""
+    through ``single``, by ``parse_profile`` of its text and of that text commented and
+    permuted, and as the unchecked rows ``verify.iter_profiles`` yields."""
     n = draw(st.integers(2, 5))
     enumerated = next(islice(iter_profiles(n, SINGLE), draw(st.integers(0, (n - 1) ** n - 1)), None))
     nominees = enumerated.single_nominees
     canonical = format_profile(NominationProfile.single(nominees))
     lines = draw(st.permutations(canonical.splitlines()[3:]))
-    line_reader = "\n".join(["# any comment leaves the canonical shape", *canonical.splitlines()[:3], *lines])
-    assert _canonical_rows(line_reader) is None
-    return [
+    respelled = "\n".join(["# a comment", *canonical.splitlines()[:3], *lines])
+    builds = [
         NominationProfile(n, SINGLE, tuple(zip(nominees))),
         NominationProfile.single(list(nominees)),
         parse_profile(canonical),
-        parse_profile(line_reader),
+        parse_profile(respelled),
         enumerated,
     ]
+    assert "out" not in vars(builds[2])
+    _flat_if_in_order(builds[3], respelled)
+    return builds
 
 
 @given(_single_builds())

@@ -23,11 +23,17 @@ from impsel.exact import (
     expected_winner_degree,
     pr_top_in_nominated,
     rks_gap_lower_bound,
-    rks_worst_delta,
     sks_gap_upper_bound,
     sks_sample_size,
 )
-from impsel.mechanisms import BoundReport, MechanismSpec, ModelMismatch, compute_bound, mwd_gap_upper_bound
+from impsel.mechanisms import (
+    BoundReport,
+    MechanismSpec,
+    ModelMismatch,
+    compute_bound,
+    mwd_gap_upper_bound,
+    rks_worst_delta,
+)
 
 TRI = NominationProfile.single([2, 2, 0])
 

@@ -17,7 +17,7 @@ from impsel.generators import (
     gen_single_worst,
     gen_sqrt_adversary,
 )
-from impsel.exact import rks_worst_delta
+from impsel.mechanisms import rks_worst_delta
 
 
 # ---------------------------------------------------------------------------

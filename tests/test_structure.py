@@ -353,4 +353,4 @@ def test_every_imported_name_is_used():
                 if dead:
                     assert "noqa: F401" in lines[node.lineno - 1], f"{path.name}:{node.lineno} imports unused {dead}"
                     unused[path.stem] = dead
-    assert unused == {"exact": {"rks_gap_lower_bound", "rks_worst_delta", "sks_gap_upper_bound", "sks_sample_size"}}
+    assert unused == {"exact": {"rks_gap_lower_bound", "sks_gap_upper_bound", "sks_sample_size"}}
