@@ -252,8 +252,10 @@ def _read(text: str, stop: float = float("inf")) -> tuple[list, list | None, lis
     header, sources, targets = [], None, []
     lineno = start = 0
     while start < len(text):
-        # one line until the header is read, then cut just after the first newline at or past _PIECE characters
-        end = text.find("\n", start + (len(header) == 3 and _PIECE - 1)) + 1 or len(text)
+        # one line until the header is read, then cut just after the first newline at or past _PIECE
+        # characters, or after a "\r" only when no "\n" follows, so that no "\r\n" pair is split
+        cut = start + (len(header) == 3 and _PIECE - 1)
+        end = text.find("\n", cut) + 1 or text.find("\r", cut) + 1 or len(text)
         piece, start, ends, error = text[start:end], end, None, None
         # "<digits> <digits>\n" lines only are read whole, unless a line number is asked for
         whole = len(header) == 3 and stop == float("inf") and piece[-1] == "\n"

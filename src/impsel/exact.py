@@ -16,8 +16,8 @@ The two routes are kept deliberately independent:
   :func:`sample_space` lazily and weights each by the k!/prod(m_i!)
   sequences that produce it, m_i its multiplicities.  random-k's rule
   reads only which vertices were drawn, so it scores the same set once
-  per multiset that has it.  It takes a block of profiles that differ only
-  in the last vertex's row; this route asks a block of one.
+  per multiset that has it.  It walks blocks of profiles that differ only
+  in the last vertex's row, once per exhaustive search; this route one.
 
 Agreement between the two is a test target, so neither is expressed in
 terms of the other.
@@ -150,38 +150,32 @@ def sample_space(n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, .
 
 
 def winner_weights(
-    kind: str, fixed_rows: Sequence[Sequence[int]], last_choices: Iterable[Sequence[int]], samples: Iterable[tuple]
-) -> list[tuple[list[int], int]]:
+    kind: str, blocks: Iterable[Sequence[Sequence[int]]], last_choices: Iterable[Sequence[int]], samples: Iterable
+) -> Iterator[list[tuple[list[int], int]]]:
     """Integer winning weight of each vertex, and the no-winner weight, for each
-    profile of a block: ``fixed_rows``, the out-rows of vertices 0..n-2, with each
-    row of ``last_choices`` for the last vertex L in turn, one pair per choice.
+    profile of each block, the out-rows of vertices 0..n-2, with each row of
+    ``last_choices`` for the last vertex L in turn: one list of pairs per block.
 
     ``samples`` come from :func:`sample_space`, so each pair's weights sum to
-    n^k.  The rules of ``nominated_winner`` and ``multiset_winner`` on
-    bitmasks: the pool is the OR of the members' out-rows less the sample,
-    and a pool member v scores ``deg[v] - popcount(in_mask[v] & pool)``
-    (random-k) or the sample's nominations, one popcount per level
-    (simple-k).  No pool, no winner; ties to the lowest id.  Masks stay
-    non-negative, where CPython's bitwise ops are about twice as fast:
-    ``(pool | s) ^ s`` is ``pool & ~s``.
+    n^k; they are iterated once per block, lazily.  The rules of
+    ``nominated_winner`` and ``multiset_winner`` on bitmasks: the pool is the OR
+    of the members' out-rows less the sample, and a pool member v scores
+    ``deg[v] - popcount(in_mask[v] & pool)`` (random-k) or the sample's
+    nominations, one popcount per level (simple-k).  No pool, no winner; ties
+    to the lowest id.  Masks stay non-negative, where CPython's bitwise ops are
+    about twice as fast: ``(pool | s) ^ s`` is ``pool & ~s``.
 
-    The fixed rows' masks are built once per block, and a sample that does not
-    draw L is scored once: its pool is the same for every choice, simple-k reads
-    no undrawn row, and under random-k L's nominee gains one in degree and, when
-    L is in the pool, one in in-pool count.  With L outside the pool the gain
-    stands, and each choice's winner is read off the members at the best score
-    and one below.  A sample that draws L is scored per choice.
+    L's choice masks are built once per walk.  Blocks may come in any order: only
+    the fixed rows that differ from the block before update their masks.  A sample
+    that does not draw L is scored once per block: its pool is the same for
+    every choice, simple-k reads no undrawn row, and under random-k L's nominee
+    gains one in degree and, when L is in the pool, one in in-pool count.  With
+    L outside the pool the gain stands, and each choice's winner is read off
+    the members at the best score and one below.  A sample that draws L is
+    scored per choice.
     """
-    n = len(fixed_rows) + 1
-    last = 1 << (n - 1)
-    out_mask = [0] * n
-    in_mask = [0] * n
-    for u, row in enumerate(fixed_rows):
-        for v in row:
-            out_mask[u] |= 1 << v
-            in_mask[v] |= 1 << u
-    degree = [mask.bit_count() for mask in in_mask]
     rks = kind == "random_k_sample"
+    masks = [sum(1 << v for v in row) for row in last_choices]
 
     def scan(pool: int, levels: tuple[int, ...], nominees: int, bonus: int) -> tuple[int, int]:
         """Masks of the pool members at the best score and, scanning ids from the
@@ -207,37 +201,54 @@ def winner_weights(
                 near |= bit
         return top, near
 
-    # per choice: L's nominees as a mask, and the weights it alone decides.  [n], that
-    # is [-1], is no winner, so an empty pool's lowest bit, at -1, lands there
-    choices = [(sum(1 << v for v in row), [0] * (n + 1)) for row in last_choices]
-    common = [0] * (n + 1)
-    for members, levels, weight in samples:
-        drawn = levels[0]
-        pool = 0
-        for u in members:
-            pool |= out_mask[u]
-        tie = not rks and len(members) == 1  # simple-k's lone nominator scores its nominees alike
-        if drawn & last:
-            # L, drawn, is in no pool: its nominees gain its one nomination, or its multiplicity
-            bonus = 1 if rks else sum(level >> (n - 1) for level in levels)
+    previous = None
+    for fixed_rows in blocks:
+        if previous is None:  # the first block sizes the walk
+            n = len(fixed_rows) + 1
+            last, previous = 1 << (n - 1), [()] * (n - 1)
+            out_mask, in_mask, degree = [0] * n, [0] * n, [0] * n
+        for u, (row, old) in enumerate(zip(fixed_rows, previous)):
+            if row != old:
+                for v in old:
+                    in_mask[v] ^= 1 << u
+                    degree[v] -= 1
+                for v in row:
+                    in_mask[v] |= 1 << u
+                    degree[v] += 1
+                out_mask[u] = sum(1 << v for v in row)
+        previous = fixed_rows
+        # per choice: L's nominees as a mask, and the weights it alone decides.  [n], that
+        # is [-1], is no winner, so an empty pool's lowest bit, at -1, lands there
+        choices = [(mask, [0] * (n + 1)) for mask in masks]
+        common = [0] * (n + 1)
+        for members, levels, weight in samples:
+            drawn = levels[0]
+            pool = 0
+            for u in members:
+                pool |= out_mask[u]
+            tie = not rks and len(members) == 1  # simple-k's lone nominator scores its nominees alike
+            if drawn & last:
+                # L, drawn, is in no pool: its nominees gain its one nomination, or its multiplicity
+                bonus = 1 if rks else sum(level >> (n - 1) for level in levels)
+                for nominees, weights in choices:
+                    top = (pool | nominees | drawn) ^ drawn
+                    if top & (top - 1) and not tie:  # two candidates or more that may score apart
+                        top = scan(top, levels, nominees, bonus)[0]
+                    weights[(top & -top).bit_length() - 1] += weight
+                continue
+            pool = (pool | drawn) ^ drawn
+            if tie or not pool & (pool - 1):
+                common[(pool & -pool).bit_length() - 1] += weight
+                continue
+            top, near = scan(pool, levels, 0, 0)
+            if not rks or pool & last:
+                common[(top & -top).bit_length() - 1] += weight
+                continue
             for nominees, weights in choices:
-                top = (pool | nominees | drawn) ^ drawn
-                if top & (top - 1) and not tie:  # two candidates or more that may score apart
-                    top = scan(top, levels, nominees, bonus)[0]
-                weights[(top & -top).bit_length() - 1] += weight
-            continue
-        pool = (pool | drawn) ^ drawn
-        if tie or not pool & (pool - 1):
-            common[(pool & -pool).bit_length() - 1] += weight
-            continue
-        top, near = scan(pool, levels, 0, 0)
-        if not rks or pool & last:
-            common[(top & -top).bit_length() - 1] += weight
-            continue
-        for nominees, weights in choices:
-            won = nominees & top or top | (nominees & near)
-            weights[(won & -won).bit_length() - 1] += weight
-    return [(list(map(add, common[:n], weights)), common[n] + weights[n]) for _, weights in choices]
+                won = nominees & top or top | (nominees & near)
+                weights[(won & -won).bit_length() - 1] += weight
+        head, none = common[:n], common[n]
+        yield [([*map(add, head, weights)], none + weights[n]) for _, weights in choices]
 
 
 def _by_sequences(spec: MechanismSpec, profile: NominationProfile, k: int) -> tuple[list[int], int]:
@@ -283,7 +294,7 @@ def exact_distribution(
         weights, none_weight = _by_sequences(spec, profile, k)
     else:
         rows = profile.out
-        [(weights, none_weight)] = winner_weights(spec.kind, rows[:-1], rows[-1:], sample_space(n, k))
+        [[(weights, none_weight)]] = winner_weights(spec.kind, [rows[:-1]], rows[-1:], sample_space(n, k))
     total = n**k
     assert none_weight + sum(weights) == total
     return WinnerDistribution(

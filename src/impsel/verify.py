@@ -7,10 +7,10 @@ Three engines share this module.
   probability before and after, exactly.  An empty witness list is a proof
   over that domain, not a statistical claim.  It asks each profile once,
   into one table, and finds deviations by stride.  Every engine asks its
-  subject through ``_subject_weights``, one block at a time of profiles that
-  differ only in the last vertex's row: ``exact.winner_weights`` over n^k for a
-  randomized spec, else a 0/1 winner at scale 1 per profile (a deterministic
-  spec with no draws, or an oracle); rationals only for what is returned.
+  subject through ``_subject_weights``, in blocks of profiles that differ only
+  in the last vertex's row: one ``exact.winner_weights`` walk per search for a
+  randomized spec, over n^k, else a 0/1 winner at scale 1 per profile (a
+  deterministic spec, or an oracle); rationals only for what is returned.
 
 * ``check_strong_sample`` / ``check_sample_constant`` test sample
   functions g: a strong g is one no sample member can alter, and the
@@ -199,17 +199,17 @@ def _winner(answer, n: int) -> int | None:
 
 
 def _subject_weights(subject, n: int, model: str, budget: int) -> tuple[Callable, int]:
-    """``subject`` as a function from a block, the out-rows of vertices 0..n-2 and
-    the last vertex's choices, to one weights list per choice, v winning with
-    probability ``weights[v] / scale``: verify's one evaluator.  A spec is
-    checked against model and budget once: k draws give the kernel's integers
+    """``subject`` as a function from blocks, each the out-rows of vertices 0..n-2, and
+    the last vertex's choices, to one list per block of one weights list per choice,
+    v winning with probability ``weights[v] / scale``: verify's one evaluator.  A spec
+    is checked against model and budget once: k draws give one kernel walk's integers
     over n^k, and zero draws ask the kind's winner rule with no draws.
     """
     if isinstance(subject, MechanismSpec):
         k = checked_sample_size(subject, n, model, budget)
         if k:
-            samples = tuple(sample_space(n, k))
-            return (lambda fixed, last: [w for w, _ in winner_weights(subject.kind, fixed, last, samples)]), n**k
+            kind, samples = subject.kind, tuple(sample_space(n, k))
+            return (lambda blocks, last: ([w for w, _ in b] for b in winner_weights(kind, blocks, last, samples))), n**k
         spec, winner_of = subject, KINDS[subject.kind].winner
         subject = lambda profile: winner_of(spec, profile, ())  # noqa: E731
 
@@ -222,7 +222,8 @@ def _subject_weights(subject, n: int, model: str, budget: int) -> tuple[Callable
         return [int(v == winner) for v in range(n)]
 
     trusted = NominationProfile._trusted
-    return (lambda fixed, last: [answer_weights(subject(trusted(n, model, (*fixed, row)))) for row in last]), 1
+    ask = lambda fixed, last: [answer_weights(subject(trusted(n, model, (*fixed, row)))) for row in last]  # noqa: E731
+    return (lambda blocks, last: (ask(fixed, last) for fixed in blocks)), 1
 
 
 def check_impartial(
@@ -240,7 +241,7 @@ def check_impartial(
     its first member, so a violating pair shares everything except u's
     out-set.  Empty result = impartial on this whole domain.
 
-    Every profile's weights are asked once, a block at a time in
+    Every profile's weights are asked once, in one walk over the blocks in
     ``_profile_rows`` order, into one flat table: ``table[i * n + u]`` is u's
     weight in profile i.  u's deviations from a base i where u makes its first
     choice are i + j*S_u, the strides of ``_space``.
@@ -249,7 +250,7 @@ def check_impartial(
     weights_of, scale = _subject_weights(subject, n, model, budget)
     choices, strides, profile = _space(n, model)
     *fixed_choices, last = choices
-    blocks = (weights_of(fixed, last) for fixed in itertools.product(*fixed_choices))
+    blocks = weights_of(itertools.product(*fixed_choices), last)
     table = list(itertools.chain.from_iterable(itertools.chain.from_iterable(blocks)))
     witnesses: list[Witness] = []
     for u, (own, stride) in enumerate(zip(choices, strides)):
@@ -584,11 +585,12 @@ def measure_additive_gap_exhaustive(
     weights_of, scale = _subject_weights(subject, n, model, budget)
     *fixed_choices, last = (_vertex_choices(n, u, model) for u in range(n))
     best = best_rows = None
-    for fixed in itertools.product(*fixed_choices):
+    blocks = weights_of(itertools.product(*fixed_choices), last)
+    for fixed, block in zip(itertools.product(*fixed_choices), blocks):
         fixed_degree = [0] * n
         for v in itertools.chain.from_iterable(fixed):
             fixed_degree[v] += 1
-        for row, weights in zip(last, weights_of(fixed, last)):
+        for row, weights in zip(last, block):
             degree = fixed_degree[:]
             for v in row:
                 degree[v] += 1
@@ -624,9 +626,9 @@ def validate_witness(
         return False
     if kind in ("impartiality_violation", "additivity_violation", "no_winner_violation"):
         weights_of, scale = _subject_weights(subject, a.n, a.model, budget)
-        [weights] = weights_of(a.out[:-1], a.out[-1:])
+        [[weights]] = weights_of([a.out[:-1]], a.out[-1:])
         if kind == "impartiality_violation":
-            return weights[vertex] != weights_of(b.out[:-1], b.out[-1:])[0][vertex]
+            return weights[vertex] != next(weights_of([b.out[:-1]], b.out[-1:]))[0][vertex]
         if kind == "additivity_violation":
             return (a.delta - 2) * scale > sum(map(mul, weights, a.in_degrees))
         return not any(weights)

@@ -762,7 +762,7 @@ def test_format_matches_the_per_edge_reference(p):
 def test_text_in_pieces_keeps_memory_near_the_text_size():
     """Formatting and parsing a 150,000-vertex profile cost about one more copy of its
     text, not whole-file temporaries several times its size; so does parsing it with a
-    leading comment or CRLF line ends, which keeps the flat store too."""
+    leading comment, CRLF or CR line ends, which keeps the flat store too."""
     p = gen_single_worst(150_000, 400)
     tracemalloc.start()
     try:
@@ -771,7 +771,7 @@ def test_text_in_pieces_keeps_memory_near_the_text_size():
         text = format_profile(p)
         format_peak = tracemalloc.get_traced_memory()[1] - before
         parses = []
-        for spelling in (text, "# c\n" + text, text.replace("\n", "\r\n")):
+        for spelling in (text, "# c\n" + text, text.replace("\n", "\r\n"), text.replace("\n", "\r")):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             parsed = parse_profile(spelling)

@@ -9,7 +9,9 @@ rate Theta(sqrt n) at the default k.  Where every profile can be enumerated
 it is also the worst one: the exhaustive gap of either rule at its default k
 equals the star's on single n = 3..6, and on multi n = 3, 4 simple-k's worst
 profile is the multi star, whose centre nominates nobody, at the measured
-gaps 10/9 and 111/64.
+gaps 10/9 and 111/64.  There simple-k's centre wins unless it is drawn; drawn,
+it leaves every candidate at score 0 and nobody wins.  So that gap is
+(n-1)(1-a), at the k that ``resolve_k`` gives: simple-k clamps its k to n - 1.
 
 On ``bound-stress`` the gap is (delta-1)(1 - pr_top_in_nominated) whenever
 some vertex always wins, which holds when k < n - delta + 1, the length of
@@ -41,6 +43,14 @@ def star_gap(n, k):
     return (n - 1) * (1 - a) - (a - b)
 
 
+def multi_star_gap(n, k):
+    return (n - 1) * (1 - Fraction(n - 1, n) ** k)
+
+
+def multi_star(n):
+    return NominationProfile.multi(n, {v: (0,) for v in range(1, n)})
+
+
 def bound_stress_gap(n, k):
     delta = rks_worst_delta(n, k)
     return (delta - 1) * (1 - pr_top_in_nominated(n, k, delta))
@@ -62,6 +72,18 @@ def test_star_gap_matches_enumeration(make):
     for n, k in SMALL_CASES:
         spec = make(k)
         assert enumerated_gap(spec, gen_fixed_sample_adversary(n, 0)) == star_gap(n, resolve_k(spec, n)), (n, k)
+
+
+def test_multi_star_gap_matches_enumeration():
+    unclamped = set()
+    for n in range(3, 9):
+        for k in range(1, 5):
+            spec = MechanismSpec.simple_k(k)
+            gap = enumerated_gap(spec, multi_star(n))
+            assert gap == multi_star_gap(n, resolve_k(spec, n)), (n, k)
+            if gap != multi_star_gap(n, k):
+                unclamped.add((n, k))
+    assert unclamped == {(3, 3), (3, 4), (4, 4)}
 
 
 def test_bound_stress_gap_matches_enumeration_while_someone_always_wins():
@@ -96,5 +118,6 @@ def test_star_is_the_worst_single_profile(make, n):
 
 @pytest.mark.parametrize("n, gap", [(3, Fraction(10, 9)), (4, Fraction(111, 64))])
 def test_multi_star_is_the_worst_multi_profile_of_simple_k(n, gap):
-    star = NominationProfile.multi(n, {v: (0,) for v in range(1, n)})
-    assert measure_additive_gap_exhaustive(MechanismSpec.simple_k(), n, MULTI) == (gap, star)
+    spec = MechanismSpec.simple_k()
+    assert multi_star_gap(n, resolve_k(spec, n)) == gap
+    assert measure_additive_gap_exhaustive(spec, n, MULTI) == (gap, multi_star(n))

@@ -598,6 +598,59 @@ def test_refute_pins_every_remaining_exit(answers, expected):
     assert validate_witness(witness, oracle)
 
 
+class _Unscripted(Exception):
+    """The driver asked a distinct profile past the end of the script."""
+
+
+def scripted_oracle(script):
+    """Answers each new distinct profile with the script's next entry, and the same
+    answer again whenever that profile comes back."""
+    answers = {}
+
+    def oracle(profile):
+        if profile not in answers:
+            if len(answers) == len(script):
+                raise _Unscripted
+            answers[profile] = script[len(answers)]
+        return answers[profile]
+
+    return oracle
+
+
+def test_refute_corners_every_oracle_on_four_vertices():
+    """The driver's whole answer tree: every script of answers None, 0..3 to the
+    distinct profiles in the order they are asked, extended until the driver exits.
+    Each of the 1,685 leaves is a deterministic 4-vertex oracle, up to the profiles
+    it is never asked, and each is cornered into a witness that re-validates."""
+    leaves = Counter()
+    scripts = [()]
+    while scripts:
+        script = scripts.pop()
+        oracle = scripted_oracle(script)
+        try:
+            witness = refute_two_additive(oracle)
+        except _Unscripted:
+            scripts += [(*script, answer) for answer in (None, 0, 1, 2, 3)]
+            continue
+        assert witness.detail["queries"] <= 18, script
+        assert validate_witness(witness, oracle), script
+        leaves[witness.kind, witness.detail["case"]] += 1
+    assert leaves == {
+        ("additivity_violation", "held-default"): 456,
+        ("additivity_violation", "three-cycle"): 8,
+        ("impartiality_violation", "held-default"): 532,
+        ("impartiality_violation", "three-cycle"): 120,
+        ("impartiality_violation", "mutual-pair"): 96,
+        ("impartiality_violation", "solo"): 52,
+        ("no_winner_violation", "held-default"): 304,
+        ("no_winner_violation", "solo"): 52,
+        ("no_winner_violation", "three-cycle"): 40,
+        ("no_winner_violation", "mutual-pair"): 24,
+        ("no_winner_violation", "empty"): 1,
+    }
+    assert sum(leaves.values()) == 1685
+
+
 def test_refute_rejects_nondeterminism():
     calls = []
 

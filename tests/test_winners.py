@@ -5,9 +5,11 @@ docstring word for word and share no code with the rules under test.
 Each sample is also fed alone to the bitmask kernel
 ``impsel.exact.winner_weights``, as a block of one profile, whose one unit of
 weight must land on the same winner.  The kernel's blocks are pinned, in turn,
-to the per-profile kernel it replaced, kept here as ``reference_weights``.
+to the per-profile kernel it replaced, kept here as ``reference_weights``, and
+so are its walks over many blocks, in any order.
 """
 
+import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
@@ -80,7 +82,7 @@ def kernel_winner(kind, profile, counts):
     the one shape ``sample_space`` yields for both kinds."""
     members = tuple(sorted(counts))
     levels = tuple(sum(1 << u for u in members if counts[u] > j) for j in range(max(counts.values())))
-    [(weights, none_weight)] = winner_weights(kind, profile.out[:-1], profile.out[-1:], [(members, levels, 1)])
+    [[(weights, none_weight)]] = winner_weights(kind, [profile.out[:-1]], profile.out[-1:], [(members, levels, 1)])
     assert sum(weights) + none_weight == 1
     return None if none_weight else weights.index(1)
 
@@ -222,7 +224,7 @@ def test_block_kernel_matches_the_per_profile_kernel(kind):
         *fixed_choices, last = rows_of(n)
         samples = list(sample_space(n, k))
         for fixed in product(*fixed_choices):
-            got = winner_weights(kind, fixed, last, samples)
+            [got] = winner_weights(kind, [fixed], last, samples)
             assert got == [reference_weights(kind, (*fixed, row), samples) for row in last], (n, k, fixed)
             seen.update(block_paths(kind, fixed, last, samples))
     common = {"last drawn", "common empty or lone pool"}
@@ -230,3 +232,22 @@ def test_block_kernel_matches_the_per_profile_kernel(kind):
         assert set(seen) == common | {"simple-k lone nominator", "simple-k undrawn"}
     else:
         assert set(seen) == common | {"random-k last in pool", "random-k plus-one", "random-k plus-one, lifted"}
+
+
+@pytest.mark.parametrize("kind", ["random_k_sample", "simple_k_sample"])
+def test_one_walk_gives_every_block_its_integers_in_any_order(kind):
+    """One walk over every block of single n <= 5 and multi n <= 4, k = 1..3, in
+    reverse product order, in a seeded shuffled order, and with one block given
+    twice in a row: each block gets the per-profile kernel's integers whatever
+    block came before it, so updating only the rows that changed leaves no stale mask."""
+    domains = [(single_rows, n, k) for n in range(2, 6) for k in (1, 2, 3)]
+    domains += [(multi_rows, n, k) for n in range(2, 5) for k in (1, 2, 3)]
+    for rows_of, n, k in domains:
+        *fixed_choices, last = rows_of(n)
+        samples = list(sample_space(n, k))
+        blocks = list(product(*fixed_choices))
+        expected = {fixed: [reference_weights(kind, (*fixed, row), samples) for row in last] for fixed in blocks}
+        middle = len(blocks) // 2
+        shuffled = random.Random(10 * n + k).sample(blocks, len(blocks))
+        for order in (blocks[::-1], shuffled, blocks[: middle + 1] + blocks[middle:]):
+            assert list(winner_weights(kind, order, last, samples)) == [expected[fixed] for fixed in order], (n, k)
