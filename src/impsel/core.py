@@ -19,14 +19,16 @@ through the same checked constructor.
 
 Vertices are the ints ``0 .. n-1``.  Out-sets are stored sorted and deduplicated so
 equal graphs compare and hash equal regardless of construction order.  A profile from
-``NominationProfile.single`` keeps only its flat nominee tuple and builds the rows on
-first read; in-degrees, the edge count, ``row(u)`` and ``format_profile`` read the tuple.
+``NominationProfile.single`` keeps only its nominees, in a private ``array("q")`` of 8
+bytes per vertex, and builds the rows and the ``single_nominees`` tuple on first read.
+In-degrees, the edge count, ``row(u)`` and ``format_profile`` read the array;
+``nominees_of``, which the random-k rule reads, reads the tuple, so neither builds rows.
 
 Profile text is read and written in bounded pieces.  ``parse_profile`` reads the header
 a line at a time, then pieces of about 256 KiB: one ``json.loads`` reads a piece of plain
-``<from> <to>`` lines and the per-line rules any other, so every spelling of a profile
-parses to it, and every fault has the same message and line.  ``format_profile`` and
-``write_profile`` write blocks of at most 16,384 edge lines.
+``<from> <to>`` lines, whatever its line ends, and the per-line rules any other, so
+every spelling of a profile parses to it, and every fault has the same message and
+line.  ``format_profile`` and ``write_profile`` write blocks of at most 16,384 edge lines.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
@@ -126,7 +129,7 @@ class NominationProfile:
     ``out[u]`` is the sorted tuple of vertices nominated by ``u``.  Equality
     and hashing follow ``(n, model, out)``, so structurally equal profiles
     are interchangeable as dictionary keys.  A profile from ``single`` holds
-    the flat ``single_nominees`` tuple and builds ``out`` on first read.
+    its nominees in a private array and builds ``out`` on first read.
     """
 
     n: int
@@ -150,23 +153,25 @@ class NominationProfile:
         return profile
 
     @classmethod
-    def _flat(cls, nominees: tuple[int, ...]) -> "NominationProfile":
-        """A single-model profile of a nominee tuple ``single`` checked; its rows wait for a reader."""
+    def _flat(cls, nominees: array) -> "NominationProfile":
+        """A single-model profile of a nominee array ``single`` checked; its rows wait for a reader."""
         profile = object.__new__(cls)
-        profile.__dict__.update(n=len(nominees), model=SINGLE, single_nominees=nominees)
+        profile.__dict__.update(n=len(nominees), model=SINGLE, _nominees=nominees)
         return profile
 
     @classmethod
     def single(cls, nominees: Sequence[int]) -> "NominationProfile":
         """Build a single-model profile from the list ``nominees[u] = x_u``.
 
-        The flat list stands in for the row check: all ints by type, in ``0..n-1``, no
-        ``nominees[u] == u``.  The profile keeps it as one tuple and builds its one-element
-        rows on first read.  On any fault the row check runs, to name the first bad row."""
+        The flat list stands in for the row check: all ints by type (as an ``array("q")``
+        always is), in ``0..n-1``, no ``nominees[u] == u``.  The profile keeps a copy in an
+        ``array("q")``, 8 bytes per vertex, and builds its one-element rows on first read.
+        On any fault the row check runs, to name the first bad row."""
         n = len(nominees)
-        if n > 1 and {*map(type, nominees)} <= {int} and 0 <= min(nominees) and max(nominees) < n:
+        ints = type(nominees) is array and nominees.typecode == "q" or {*map(type, nominees)} <= {int}
+        if n > 1 and ints and 0 <= min(nominees) and max(nominees) < n:
             if not any(map(eq, nominees, range(n))):
-                return cls._flat(tuple(nominees))
+                return cls._flat(array("q", nominees))
         return cls(n, SINGLE, (*zip(nominees),))
 
     @classmethod
@@ -190,8 +195,9 @@ class NominationProfile:
     def in_degrees(self) -> tuple[int, ...]:
         """In-degree of every vertex, counting all edges."""
         degs = [0] * self.n
-        # a flat profile counts its nominee tuple as one row, so its rows stay unbuilt
-        for nominees in self.__dict__.get("out") or (self.single_nominees,):
+        # a flat profile counts its nominee array as one row, so its rows stay unbuilt
+        flat = self.__dict__.get("_nominees")
+        for nominees in self.out if flat is None else (flat,):
             for v in nominees:
                 degs[v] += 1
         return tuple(degs)
@@ -206,11 +212,21 @@ class NominationProfile:
         """For single-model profiles, ``single_nominees[u]`` is u's nominee."""
         if self.model != SINGLE:
             raise ModelViolation("single_nominees is defined for the single model only")
-        return tuple(row[0] for row in self.out)
+        flat = self.__dict__.get("_nominees")
+        return tuple(row[0] for row in self.out) if flat is None else tuple(flat)
 
     def row(self, u: int) -> tuple[int, ...]:
-        """``out[u]``, read from the flat nominee tuple while the rows are not built."""
-        return self.out[u] if "out" in self.__dict__ else (self.single_nominees[u],)
+        """``out[u]``, read from the flat nominee array while the rows are not built."""
+        return self.out[u] if "out" in self.__dict__ else (self._nominees[u],)
+
+    def nominees_of(self, vertices: Iterable[int]) -> list[int]:
+        """The nominees of each of ``vertices`` in turn, from the rows if they are built,
+        else from the ``single_nominees`` tuple, so a flat profile builds no rows."""
+        out = self.__dict__.get("out")
+        if out is None:
+            nominees = self.single_nominees
+            return [nominees[u] for u in vertices]
+        return [v for u in vertices for v in out[u]]
 
     def edges(self) -> Iterable[tuple[int, int]]:
         """Yield edges in sorted ``(u, v)`` order."""
@@ -224,7 +240,7 @@ class NominationProfile:
 
 
 # after the dataclass, so ``out`` stays a field with no default; a profile's own ``out`` shadows it
-NominationProfile.out = functools.cached_property(lambda profile: (*zip(profile.single_nominees),))
+NominationProfile.out = functools.cached_property(lambda profile: (*zip(profile._nominees),))
 NominationProfile.out.__set_name__(NominationProfile, "out")
 
 
@@ -245,11 +261,12 @@ _PIECE = 1 << 18
 _LINES = 1 << 14
 
 
-def _read(text: str, stop: float = float("inf")) -> tuple[list, list | None, list] | int:
+def _read(text: str, stop: float = float("inf")) -> tuple[list, list | None, array | list] | int:
     """``(header, sources, targets)``: the header lines' last words and the edges in file
-    order, ``sources`` None while each edge's source is its index; raises at the first bad
-    or repeated line.  With ``stop``, the line number of the edge of index ``stop`` instead."""
-    header, sources, targets = [], None, []
+    order, ``sources`` None while each edge's source is its index, ``targets`` an
+    ``array("q")`` unless a target is past 64 bits; raises at the first bad or repeated
+    line.  With ``stop``, the line number of the edge of index ``stop`` instead."""
+    header, sources, targets = [], None, array("q")
     lineno = start = 0
     while start < len(text):
         # one line until the header is read, then cut just after the first newline at or past _PIECE
@@ -257,6 +274,8 @@ def _read(text: str, stop: float = float("inf")) -> tuple[list, list | None, lis
         cut = start + (len(header) == 3 and _PIECE - 1)
         end = text.find("\n", cut) + 1 or text.find("\r", cut) + 1 or len(text)
         piece, start, ends, error = text[start:end], end, None, None
+        if "\r" in piece:  # CRLF and CR line ends as "\n", which splits into the same lines
+            piece = piece.replace("\r\n", "\n").replace("\r", "\n")
         # "<digits> <digits>\n" lines only are read whole, unless a line number is asked for
         whole = len(header) == 3 and stop == float("inf") and piece[-1] == "\n"
         if whole and piece.translate(_NO_DIGITS) == " \n" * piece.count("\n"):
@@ -302,7 +321,10 @@ def _read(text: str, stop: float = float("inf")) -> tuple[list, list | None, lis
             sources = [*range(len(targets))]
         if sources is not None:
             sources += ends[::2]
-        targets += ends[1::2]
+        try:
+            targets.extend(array("q", ends[1::2]))
+        except OverflowError:  # the target stays an int, for the row check to name
+            targets = [*targets, *ends[1::2]]
         # at a fault or the end, the first repeated edge wins; none while sources are implicit or edges sorted
         if (error or start == len(text)) and sources is not None:
             if not all(map(lt, zip(sources, targets), islice(zip(sources, targets), 1, None))):
@@ -340,10 +362,12 @@ def _profile_text(profile: NominationProfile) -> Iterator[str]:
     n, model = profile.n, profile.model
     yield f"{PROFILE_MAGIC}\nmodel {model}\nn {n}\n"
     sources = range(n) if model == SINGLE else chain.from_iterable(map(repeat, range(n), map(len, profile.out)))
-    targets = profile.single_nominees if model == SINGLE else chain.from_iterable(profile.out)
+    flat = profile.__dict__.get("_nominees")
+    targets = chain.from_iterable(profile.out) if flat is None else flat
     ends = chain.from_iterable(zip(sources, targets))
     while block := (*islice(ends, 2 * _LINES),):
         yield "%d %d\n" * (len(block) // 2) % block
+        del block  # before the next block boxes its ints
 
 
 def format_profile(profile: NominationProfile) -> str:

@@ -13,6 +13,7 @@ take an explicit seed and never touch global RNG state.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from operator import add, le
@@ -45,12 +46,12 @@ def gen_single_worst(n: int, delta: int) -> NominationProfile:
     """
     n = checked_int(n, "vertex count", 2)
     checked_int(delta, "in-degree target", 1, n - 1)
-    nominees = [0] * n
+    nominees = array("q", [0]) * n
     if delta == n - 1:
         nominees[0] = 1
     else:
         nominees[0] = delta + 1
-        nominees[delta + 1 : n - 1] = range(delta + 2, n)
+        nominees[delta + 1 : n - 1] = array("q", range(delta + 2, n))
         nominees[n - 1] = 1
     return NominationProfile.single(nominees)
 
@@ -90,7 +91,7 @@ def gen_random_single(n: int, seed: int) -> NominationProfile:
     checked_int(n, "vertex count", 2)
     draws = DrawStream(checked_int(seed, "seed", None)).draws(n, n - 1)
     # draw r for vertex u skips u: r if r < u else r + 1
-    return NominationProfile.single((*map(add, draws, map(le, range(n), draws)),))
+    return NominationProfile.single(array("q", map(add, draws, map(le, range(n), draws))))
 
 
 def _check_probability(p) -> None:

@@ -307,17 +307,16 @@ def nominated_winner(
     maximizes nominations from outside W, lowest id on ties.
     """
     s = set(sample)
-    out = profile.out
-    pool = {v for u in s for v in out[u] if v not in s}
+    pool = set(profile.nominees_of(s))
+    pool -= s
     if not pool:
         return frozenset(), None
     degs = profile.in_degrees
     score = {v: degs[v] for v in pool}
     # nominations from inside the pool do not count
-    for u in pool:
-        for v in out[u]:
-            if v in score:
-                score[v] -= 1
+    for v in profile.nominees_of(pool):
+        if v in score:
+            score[v] -= 1
     return frozenset(pool), _argmax(score)
 
 

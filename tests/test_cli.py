@@ -321,6 +321,22 @@ def test_one_parser_serves_every_call_without_leaking_defaults(tri_path, capsys)
     assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0]
 
 
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("command", [["exact"], ["run", "--exact"]])
+@pytest.mark.parametrize(
+    ("edges", "message"),
+    [("0 1\n1 9223372036854775808\n", "vertex 1: nominee 9223372036854775808 out of range 0..1"),
+     ("0 1\n1 -9223372036854775809\n", "vertex 1: nominee -9223372036854775809 out of range 0..1"),
+     ("0 1\n1 -1\n", "vertex 1: nominee -1 out of range 0..1"),
+     ("0 1\n18446744073709551616 0\n", "edge source 18446744073709551616 out of range 0..1")],
+)
+def test_ids_past_64_bits_exit_two_with_their_message(tmp_path, capsys, model, command, edges, message):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"impsel 1\nmodel {model}\nn 2\n{edges}")
+    assert main([command[0], "--mech", "majority-default:0", "--profile", str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "mech, reason",
     [("random-k:3", "sample size 3 out of range 1..2"), ("fixed:1", "no closed-form guarantee")],

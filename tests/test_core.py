@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import tracemalloc
 from collections import Counter
 from itertools import chain, islice
@@ -15,6 +16,7 @@ from impsel import (
     WinnerDistribution,
     check_impartial,
     core,
+    estimate,
     exact_distribution,
     fixed_sample_winner,
     gen_random_multi,
@@ -738,6 +740,20 @@ def test_canonical_single_faults_match_the_two_pass_reference(body, message):
     assert _outcome(parse_profile, text) == _outcome(_two_pass_parse, text) == (ModelViolation, message)
 
 
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("comment", ["", "# note\n"])  # a piece read in bulk, or line by line
+@pytest.mark.parametrize("vertex", [2**63, 2**64, -1, -(2**63) - 1])
+def test_ids_past_64_bits_or_negative_keep_their_messages(model, comment, vertex):
+    """An edge id that no ``array("q")`` holds, or a negative one, is refused with the
+    message of the row check or of the source check, in either model and on either path."""
+    for body, message in (
+        (f"0 1\n1 {vertex}\n2 0\n", f"vertex 1: nominee {vertex} out of range 0..2"),
+        (f"0 1\n{vertex} 2\n2 0\n", f"edge source {vertex} out of range 0..2"),
+    ):
+        text = f"impsel 1\nmodel {model}\nn 3\n{comment}{body}"
+        assert _outcome(parse_profile, text) == _outcome(_two_pass_parse, text) == (ModelViolation, message)
+
+
 _FORMAT_CASES = [
     NominationProfile.single([1, 0]),
     NominationProfile.multi(2),
@@ -762,7 +778,8 @@ def test_format_matches_the_per_edge_reference(p):
 def test_text_in_pieces_keeps_memory_near_the_text_size():
     """Formatting and parsing a 150,000-vertex profile cost about one more copy of its
     text, not whole-file temporaries several times its size; so does parsing it with a
-    leading comment, CRLF or CR line ends, which keeps the flat store too."""
+    leading comment, CRLF or CR line ends, which keeps the flat store too: at most 10
+    bytes per vertex, the 8-byte nominee array and the profile around it."""
     p = gen_single_worst(150_000, 400)
     tracemalloc.start()
     try:
@@ -782,6 +799,20 @@ def test_text_in_pieces_keeps_memory_near_the_text_size():
     for parsed, kept, parse_peak in parses:
         assert "out" not in vars(parsed) and parsed.single_nominees == p.single_nominees
         assert parse_peak - kept <= 1.5 * len(text)
+        assert kept <= 10 * p.n
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_plain_edge_lines_are_read_in_bulk_whatever_their_line_ends(end):
+    """Every piece of plain ``<from> <to>`` lines goes to one ``json.loads``, with
+    CRLF or CR line ends as with ``\n``, so no spelling falls back to the line reader."""
+    p = gen_random_single(3000, 5)
+    loads, bulk = json.loads, []
+    with _pieces(1 << 10, core._LINES), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core.json, "loads", lambda s: bulk.append(len(ends := loads(s))) or ends)
+        parsed = parse_profile(format_profile(p).replace("\n", end))
+    assert "out" not in vars(parsed) and parsed == p
+    assert len(bulk) > 1 and sum(bulk) == 2 * p.n  # every edge, in more than one piece
 
 
 @given(st.one_of(single_profiles(2, 7), multi_profiles(2, 6)))
@@ -844,6 +875,15 @@ def test_a_single_profile_read_from_text_builds_no_rows():
     from_rows = (tuple(map(degrees.__getitem__, range(p.n))), max(degrees.values()),
                  _format_edges(p.n, p.model, p.edges()), sum(map(len, p.out)), p.out[7])
     assert reads == from_rows
+
+
+def test_random_k_reads_a_flat_profile_without_rows():
+    """A Monte Carlo random-k run reads a flat profile's nominations from its nominee
+    tuple, builds no rows, and reports what it reports on the same profile's rows."""
+    p, spec, plan = _read_back(gen_random_single(10_000, 11)), parse_mechanism("random-k:auto"), TrialPlan(200, 3)
+    report = estimate(spec, p, plan)
+    assert "out" not in vars(p)
+    assert report == estimate(spec, NominationProfile(p.n, SINGLE, p.out), plan)
 
 
 def test_majority_default_reads_one_row_of_a_flat_profile():

@@ -198,6 +198,18 @@ def test_unchecked_profiles_are_built_only_from_enumerated_rows():
     assert flat_calls and all(node in checked for node in flat_calls), "single builds a flat profile unchecked"
 
 
+def test_the_flat_nominee_array_is_read_only_in_core():
+    """``NominationProfile._nominees``, the private ``array("q")`` of a flat profile, is
+    read only in core; other modules read ``single_nominees``, ``row``, ``nominees_of``
+    or ``out``, which hand out ints and tuples."""
+    for name, tree in _trees().items():
+        reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "_nominees"
+                 or isinstance(node, ast.Constant) and node.value == "_nominees"]
+        assert name == "core" or not reads, f"{name}.py:{reads[0]} reads the flat nominee array"
+        assert name != "core" or reads
+
+
 def test_only_the_asker_builds_refutation_witnesses():
     """The refutation driver's no-winner exit and every witness it returns are
     built by ``verify._Asker``, which owns the oracle's answers; the decision

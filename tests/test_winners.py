@@ -15,9 +15,10 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from impsel.core import NominationProfile
+from impsel.core import SINGLE, NominationProfile
 from impsel.exact import sample_space, winner_weights
 from impsel.mechanisms import multiset_winner, nominated_winner
+from impsel.verify import iter_profiles
 
 
 def least_best(scores):
@@ -110,6 +111,24 @@ def test_every_single_profile_up_to_four_vertices():
         for profile in single_profiles(n):
             check(profile, subsets + list(multisets(n, 3)), seen)
     assert set(seen) == {"pool", "pool tie", "pool none", "score", "score tie", "score none"}
+
+
+def test_the_nomination_rule_reads_flat_and_row_profiles_alike():
+    """``nominated_winner`` reads nominations through ``NominationProfile.nominees_of``:
+    a flat profile's nominee tuple, or the rows of any other.  On every single profile
+    up to four vertices and every sample, the flat build, the checked constructor and
+    ``verify.iter_profiles``' unchecked rows give one pool and one winner."""
+    for n in (2, 3, 4):
+        samples = [[*c] for r in range(n + 1) for c in combinations(range(n), r)]
+        samples += [[*counts.elements()] for counts in multisets(n, 3)]
+        for enumerated in iter_profiles(n, SINGLE):
+            flat = NominationProfile.single([v for (v,) in enumerated.out])
+            checked = NominationProfile(n, SINGLE, enumerated.out)
+            for sample in samples:
+                pool, winner, _ = reference_nominated(checked, sample)
+                for profile in (flat, enumerated, checked):
+                    assert nominated_winner(profile, sample) == (pool, winner), (profile, sample)
+            assert "out" not in vars(flat)
 
 
 def test_every_multi_profile_on_three_vertices():
