@@ -22,7 +22,7 @@ equal graphs compare and hash equal regardless of construction order.  A profile
 ``NominationProfile.single`` keeps only its nominees, in a private ``array("q")`` of 8
 bytes per vertex, and builds the rows and the ``single_nominees`` tuple on first read.
 In-degrees, the edge count, ``row(u)`` and ``format_profile`` read the array;
-``nominees_of``, which the random-k rule reads, reads the tuple, so neither builds rows.
+``nominees_of``, which both sampling rules read, reads the tuple, so neither builds rows.
 
 Profile text is read and written in bounded pieces.  ``parse_profile`` reads the header
 a line at a time, then pieces of about 256 KiB: one ``json.loads`` reads a piece of plain

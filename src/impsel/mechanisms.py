@@ -11,10 +11,10 @@ Four mechanisms are provided.
 
 ``simple_k_sample``
     Draw k vertices with replacement, keep the multiset.  Every vertex not
-    drawn is scored by the nominations it receives from the sample, counted
-    with multiplicity.  Winner is the best-scoring candidate, ties to the
-    lowest id; no winner when every candidate scores zero.  Works for both
-    models.
+    drawn is scored by the nominations it receives from the draws, a vertex
+    drawn twice counted twice.  Winner is the best-scoring candidate, ties to
+    the lowest id; no winner when every candidate scores zero.  Works for
+    both models.
 
 ``fixed_sample``
     Like simple_k_sample but with a hard-coded sample set instead of draws.
@@ -48,7 +48,7 @@ import math
 import numbers
 import sys
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
@@ -108,9 +108,7 @@ def _mix64(z: int) -> int:
 
 def _rejection_limit(n: int) -> int:
     """Raw values at or above this are rejected: the largest multiple of n in 2^64."""
-    if not 0 < n <= 1 << 64:
-        raise ValueError(f"bound must be in 1..2^64, got {n}")
-    return (1 << 64) - ((1 << 64) % n)
+    return (1 << 64) - ((1 << 64) % checked_int(n, "bound", 1, 1 << 64))
 
 
 @functools.lru_cache(maxsize=64)
@@ -143,7 +141,10 @@ def _lane_draws(states: Sequence[int], k: int, n: int, excess: int) -> list[int]
     # a lane at or above the limit carries into bit 64 once excess is added
     if excess and (limited := z + ones * excess) & masks != limited:
         return None
-    return [w % n for w in memoryview(z.to_bytes(16 * k * len(states), sys.byteorder)).cast("Q")[_LOW_WORDS]]
+    if power := not n & (n - 1):
+        z &= ones * (n - 1)  # below a power of two (no excess), w % n is w's low bits
+    words = memoryview(z.to_bytes(16 * k * len(states), sys.byteorder)).cast("Q")[_LOW_WORDS]
+    return words.tolist() if power else [w % n for w in words]
 
 
 class DrawStream:
@@ -177,6 +178,7 @@ class DrawStream:
         (chance below count * n / 2^64) the rest of the request replays one
         draw at a time, so the bytes never depend on the batching.
         """
+        checked_int(count, "draw count", 0)
         excess = (1 << 64) - _rejection_limit(n)
         out: list[int] = []
         while count > 0:
@@ -329,19 +331,16 @@ def _argmax(score: dict[int, int]) -> int:
     return winner
 
 
-def multiset_winner(profile: NominationProfile, counts: Mapping[int, int]) -> int | None:
-    """Winner for a sample multiset given as vertex -> multiplicity.
+def multiset_winner(profile: NominationProfile, draws: Sequence[int]) -> int | None:
+    """Winner for a sample multiset given as its draws, a repeated draw counted again.
 
-    Candidates are the vertices not in the sample; each is scored by the
-    sample's nominations counted with multiplicity.  None when every
-    candidate scores zero.
+    Candidates are the vertices not drawn; each is scored by the draws'
+    nominations, counted with multiplicity.  None when every candidate
+    scores zero.
     """
-    out = profile.out
-    score: dict[int, int] = {}
-    for u, mult in counts.items():
-        for v in out[u]:
-            if v not in counts:
-                score[v] = score.get(v, 0) + mult
+    score = Counter(profile.nominees_of(draws))
+    for v in score.keys() & set(draws):
+        del score[v]
     return _argmax(score) if score else None
 
 
@@ -350,7 +349,7 @@ def fixed_sample_winner(profile: NominationProfile, fixed_set: Sequence[int]) ->
     sample = sorted({checked_int(v, "fixed sample vertex", 0, profile.n - 1) for v in fixed_set})
     if len(sample) >= profile.n:
         raise ValueError("fixed sample must leave at least one candidate")
-    return multiset_winner(profile, dict.fromkeys(sample, 1))
+    return multiset_winner(profile, sample)
 
 
 def majority_default_winner(profile: NominationProfile, default_vertex: int) -> int:
@@ -532,7 +531,7 @@ KINDS: dict[str, MechanismKind] = {
         cli="simple-k",
         models=MODELS,
         param="k",
-        winner=lambda spec, profile, draws: multiset_winner(profile, Counter(draws)),
+        winner=lambda spec, profile, draws: multiset_winner(profile, draws),
         sample_size=lambda k, n: _clamp_k(sks_sample_size(n) if k is None else k, n),
         bound=lambda n, k: BoundReport("sks_lower", n, k, None, sks_gap_upper_bound(n, k)),
     ),

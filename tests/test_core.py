@@ -886,6 +886,15 @@ def test_random_k_reads_a_flat_profile_without_rows():
     assert report == estimate(spec, NominationProfile(p.n, SINGLE, p.out), plan)
 
 
+def test_simple_k_reads_a_flat_profile_without_rows():
+    """A Monte Carlo simple-k run scores a flat profile's draws from its nominee tuple,
+    builds no rows, and reports what it reports on the same profile's rows."""
+    p, spec, plan = _read_back(gen_random_single(10_000, 11)), parse_mechanism("simple-k:auto"), TrialPlan(20, 3)
+    report = estimate(spec, p, plan)
+    assert "out" not in vars(p)
+    assert report == estimate(spec, NominationProfile(p.n, SINGLE, p.out), plan)
+
+
 def test_majority_default_reads_one_row_of_a_flat_profile():
     """A vertex past the threshold makes the rule ask the default's nominee, not every row."""
     p = _read_back(gen_single_worst(10_000, 6_000))

@@ -46,6 +46,19 @@ def test_draws_match_next_below(count, n):
         assert batched(seed, count, n) == scalar(seed, count, n), (seed, count, n)
 
 
+# every power of two 2^0..2^64 and its neighbours within 1..2^64: a power of two
+# is masked on the lanes, its neighbours take the modulo, at every width
+POWER_BOUNDS = sorted({b for j in range(65) for b in (2**j - 1, 2**j, 2**j + 1) if 1 <= b <= 2**64})
+POWER_COUNTS = (1, 1023, 1024, 1025)
+
+
+@pytest.mark.parametrize("count", POWER_COUNTS)
+def test_power_of_two_bounds_match_next_below(count):
+    for n in POWER_BOUNDS:
+        for seed in SEEDS[:2]:
+            assert batched(seed, count, n) == scalar(seed, count, n), (seed, count, n)
+
+
 def test_grid_rejects_in_a_later_chunk():
     n = BOUNDS[-1]
     limit = 2**64 - 2**64 % n
@@ -104,6 +117,12 @@ def test_trial_draws_match_one_stream_per_trial(k, n):
             for master in SEEDS[:4]:
                 got = list(trial_draws(master, trials, k, bound))
                 assert got == per_trial(master, trials, k, bound), (master, trials, k, bound)
+
+
+@pytest.mark.parametrize("k", POWER_COUNTS)
+def test_trial_draws_at_power_of_two_bounds_match_one_stream_per_trial(k):
+    for n in POWER_BOUNDS:
+        assert list(trial_draws(SEEDS[1], 3, k, n)) == per_trial(SEEDS[1], 3, k, n), (k, n)
 
 
 def test_trial_draws_blocks_straddle_seed_chunks():

@@ -9,7 +9,7 @@ import pytest
 from impsel.core import ModelViolation, NominationProfile
 from impsel.exact import WinnerDistribution, exact_distribution
 from impsel.generators import GeneratorSpec
-from impsel.mechanisms import MAX_TRIAL_DRAWS, parse_mechanism, trial_draws
+from impsel.mechanisms import MAX_TRIAL_DRAWS, DrawStream, parse_mechanism, trial_draws
 from impsel.montecarlo import GapReport, TrialPlan, estimate
 from impsel.verify import Witness, named_oracle
 
@@ -31,6 +31,14 @@ ERRORS = {
     **{f"trial-draws-of-{k}-per-trial": (
         lambda k=k: next(trial_draws(0, 1, k, 5)), ValueError, f"draws per trial {k} out of range 1..1048576")
        for k in (0, -3, MAX_TRIAL_DRAWS + 1)},
+    "negative-draw-count": (
+        lambda: DrawStream(0).draws(-3, 5), ValueError, "draw count must be non-negative, got -3"),
+    "fractional-draw-count": (lambda: DrawStream(0).draws(2.5, 5), ValueError, "draw count 2.5 is not an int"),
+    **{f"draws-below-{n!r}": (lambda n=n: DrawStream(0).draws(5, n), ValueError, f"bound {n!r} is not an int")
+       for n in (2.5, True)},
+    "draws-below-2^64+1": (
+        lambda: DrawStream(0).draws(5, 2**64 + 1), ValueError, f"bound {2**64 + 1} out of range 1..{2**64}"),
+    "one-draw-below-a-fraction": (lambda: DrawStream(0).next_below(2.5), ValueError, "bound 2.5 is not an int"),
     "duplicate-generator-parameter": (
         lambda: GeneratorSpec("single-worst", (("delta", 2), ("delta", 3))),
         ValueError, "duplicate parameter for family single-worst"),

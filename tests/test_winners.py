@@ -98,7 +98,7 @@ def check(profile, sample_multisets, seen):
             assert kernel_winner("random_k_sample", profile, counts) == winner, (profile, counts)
             seen["pool tie" if tie else "pool none" if winner is None else "pool"] += 1
         winner, tie = reference_multiset(profile, counts)
-        assert multiset_winner(profile, counts) == winner, (profile, counts)
+        assert multiset_winner(profile, list(counts.elements())) == winner, (profile, counts)
         if counts:
             assert kernel_winner("simple_k_sample", profile, counts) == winner, (profile, counts)
             seen["score tie" if tie else "score none" if winner is None else "score"] += 1
@@ -128,6 +128,25 @@ def test_the_nomination_rule_reads_flat_and_row_profiles_alike():
                 pool, winner, _ = reference_nominated(checked, sample)
                 for profile in (flat, enumerated, checked):
                     assert nominated_winner(profile, sample) == (pool, winner), (profile, sample)
+            assert "out" not in vars(flat)
+
+
+def test_the_score_rule_reads_flat_and_row_profiles_alike():
+    """``multiset_winner`` reads nominations through ``NominationProfile.nominees_of``
+    too: on every single profile up to four vertices and every multiset of at most
+    three draws, in either order, the flat build, the checked constructor and
+    ``verify.iter_profiles``' unchecked rows give one winner, and the flat build
+    builds no rows."""
+    for n in (2, 3, 4):
+        samples = [[*counts.elements()] for counts in multisets(n, 3)]
+        for enumerated in iter_profiles(n, SINGLE):
+            flat = NominationProfile.single([v for (v,) in enumerated.out])
+            checked = NominationProfile(n, SINGLE, enumerated.out)
+            for draws in samples:
+                winner, _ = reference_multiset(checked, Counter(draws))
+                for profile in (flat, enumerated, checked):
+                    assert multiset_winner(profile, draws) == winner, (profile, draws)
+                    assert multiset_winner(profile, draws[::-1]) == winner, (profile, draws)
             assert "out" not in vars(flat)
 
 
