@@ -16,7 +16,8 @@ import math
 from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from operator import add, le
+from itertools import chain, compress, repeat
+from operator import add, gt, le
 
 from .core import MULTI, SINGLE, NominationProfile, checked_int
 from .mechanisms import DrawStream, MechanismSpec, resolve_k, rks_worst_delta
@@ -110,7 +111,7 @@ def gen_random_multi(n: int, p: float, seed: int) -> NominationProfile:
     for u in range(n):
         # draw j decides the edge to the j-th vertex other than u
         draws = stream.draws(n - 1, scale)
-        rows.append(tuple(j if j < u else j + 1 for j, r in enumerate(draws) if r < cutoff))
+        rows.append(tuple(compress(chain(range(u), range(u + 1, n)), map(gt, repeat(cutoff), draws))))
     return NominationProfile(n, MULTI, tuple(rows))
 
 

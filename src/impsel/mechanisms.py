@@ -303,45 +303,42 @@ def check_model(kind: str, model: str) -> None:
 def nominated_winner(
     profile: NominationProfile, sample: Iterable[int]
 ) -> tuple[frozenset[int], int | None]:
-    """Nominee pool and winner for a distinct sample set S.
+    """Nominee pool and winner for a distinct sample set S, in one pass over the pool.
 
-    W is everyone outside S nominated by a member of S; the winner
-    maximizes nominations from outside W, lowest id on ties.
+    W is everyone outside S nominated by a member of S; the winner maximizes nominations
+    from outside W, its in-degree less those from inside, lowest id on ties.  A score
+    never exceeds the in-degree, so a candidate below the best so far is not looked up.
     """
     s = set(sample)
-    pool = set(profile.nominees_of(s))
-    pool -= s
+    pool = frozenset(profile.nominees_of(s)) - s
     if not pool:
-        return frozenset(), None
+        return pool, None
     degs = profile.in_degrees
-    score = {v: degs[v] for v in pool}
-    # nominations from inside the pool do not count
-    for v in profile.nominees_of(pool):
-        if v in score:
-            score[v] -= 1
-    return frozenset(pool), _argmax(score)
-
-
-def _argmax(score: dict[int, int]) -> int:
-    """Highest-scoring key, lowest id on ties."""
+    inside = [*filter(pool.__contains__, profile.nominees_of(pool))]
+    inside = Counter(inside) if inside else {}
     winner, top = -1, -1
-    for v, sc in score.items():
-        if sc > top or (sc == top and v < winner):
-            winner, top = v, sc
-    return winner
+    for v in pool:
+        sc = degs[v]
+        if sc >= top:
+            sc -= inside.get(v, 0)
+            if sc > top or (sc == top and v < winner):
+                winner, top = v, sc
+    return pool, winner
 
 
 def multiset_winner(profile: NominationProfile, draws: Sequence[int]) -> int | None:
     """Winner for a sample multiset given as its draws, a repeated draw counted again.
 
-    Candidates are the vertices not drawn; each is scored by the draws'
-    nominations, counted with multiplicity.  None when every candidate
-    scores zero.
+    Candidates are the vertices not drawn, scored in one pass over the draws' counted
+    nominations, with multiplicity, that skips drawn vertices; lowest id on ties, None
+    when every candidate scores zero.
     """
-    score = Counter(profile.nominees_of(draws))
-    for v in score.keys() & set(draws):
-        del score[v]
-    return _argmax(score) if score else None
+    drawn = set(draws)
+    winner, top = None, 0
+    for v, sc in Counter(profile.nominees_of(draws)).items():
+        if sc >= top and v not in drawn and (sc > top or v < winner):
+            winner, top = v, sc
+    return winner
 
 
 def fixed_sample_winner(profile: NominationProfile, fixed_set: Sequence[int]) -> int | None:

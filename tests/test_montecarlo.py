@@ -8,6 +8,7 @@ reported confidence band at the expected rate.
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,17 @@ def test_estimate_no_winner_rate():
     report = estimate(MechanismSpec.simple_k(2), allabstain, TrialPlan(200, 3))
     assert report.no_winner_rate == 1.0
     assert report.mean_degree == 0.0
+
+
+def test_random_k_stays_linear_when_no_candidate_is_skipped():
+    # on an n-cycle every in-degree is 1, so no pool member is passed over on its
+    # in-degree and each one's in-pool count is read, for a pool of about 24,000
+    # per trial: a scan of the pool's nominations per candidate would take seconds
+    cycle = gen_single_worst(100_000, 1)
+    start = time.perf_counter()
+    report = estimate(MechanismSpec.random_k(50_000), cycle, TrialPlan(3, 7))
+    assert time.perf_counter() - start < 3
+    assert (report.mean_degree, report.no_winner_rate) == (1.0, 0.0)
 
 
 def test_confidence_band_coverage():

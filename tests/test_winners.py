@@ -6,7 +6,8 @@ Each sample is also fed alone to the bitmask kernel
 ``impsel.exact.winner_weights``, as a block of one profile, whose one unit of
 weight must land on the same winner.  The kernel's blocks are pinned, in turn,
 to the per-profile kernel it replaced, kept here as ``reference_weights``, and
-so are its walks over many blocks, in any order.
+so are its walks over many blocks, in any order.  Beyond the small profiles, a
+hypothesis strategy plants cycles and cliques in profiles of up to 60 vertices.
 """
 
 import random
@@ -14,8 +15,9 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
 
-from impsel.core import SINGLE, NominationProfile
+from impsel.core import MULTI, SINGLE, NominationProfile
 from impsel.exact import sample_space, winner_weights
 from impsel.mechanisms import multiset_winner, nominated_winner
 from impsel.verify import iter_profiles
@@ -158,6 +160,89 @@ def test_every_multi_profile_on_three_vertices():
     for profile in profiles:
         check(profile, multisets(3, 3), seen)
     assert set(seen) == {"pool", "pool tie", "pool none", "score", "score tie", "score none"}
+
+
+@st.composite
+def planted_samples(draw):
+    """A single or multi profile on 5..60 vertices and up to 2n draws.  A group of
+    undrawn vertices is planted as a cycle, or under the multi model a clique, and
+    drawn vertices may aim their nominations into it, so the pool nominates itself
+    and the group's members tie.  A multi vertex outside the group may abstain.
+    Returns the model, the rows and the draws."""
+    n = draw(st.integers(5, 60))
+    model = draw(st.sampled_from([SINGLE, MULTI]))
+    draws = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    group = [v for v in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=10)) if v not in draws]
+    clique = model == MULTI and draw(st.booleans())
+    others = st.integers(0, n - 2)
+    rows = []
+    for u in range(n):
+        size = 1 if model == SINGLE else draw(st.integers(0, 4))
+        picks = {j + (j >= u) for j in draw(st.lists(others, min_size=size, max_size=size))}
+        if u in group and len(group) > 1:
+            at = group.index(u)
+            picks = set(group) - {u} if clique else {group[(at + 1) % len(group)]}
+        elif u in draws and group and draw(st.booleans()):
+            picks = {group[draw(st.integers(0, len(group) - 1))]}
+        rows.append(tuple(sorted(picks)))
+    return model, rows, draws
+
+
+def build(model, rows):
+    """A fresh profile, flat under the single model so no rows are built for the rules."""
+    if model == SINGLE:
+        return NominationProfile.single([v for (v,) in rows])
+    return NominationProfile.multi(len(rows), rows)
+
+
+@given(planted_samples())
+@settings(max_examples=300, deadline=None)
+def test_both_rules_match_the_references_on_planted_profiles_up_to_sixty_vertices(case):
+    """Beyond the exhaustive small cases: vertex ids up to 59, so a pool's
+    frozenset order is not ascending, and draws in order and reversed."""
+    model, rows, draws = case
+    reference = NominationProfile(len(rows), model, tuple(rows))
+    pool, winner, _ = reference_nominated(reference, draws)
+    best, _ = reference_multiset(reference, Counter(draws))
+    for sample in (draws, draws[::-1]):
+        profile = build(model, rows)
+        assert nominated_winner(profile, sample) == (pool, winner)
+        assert multiset_winner(profile, sample) == best
+
+
+def passes_in_order(case):
+    """What the rules meet on one case, walked in the order they walk it: the pool
+    in frozenset order, the counted nominations in draw order."""
+    model, rows, draws = case
+    reference = NominationProfile(len(rows), model, tuple(rows))
+    out, degs = reference.out, reference.in_degrees
+    pool, winner, _ = reference_nominated(reference, draws)
+    met = set()
+    if any(v in pool for u in pool for v in out[u]):
+        met.add("pool nominates itself")
+    top = -1
+    for v in pool:
+        if degs[v] < top:
+            met.add("in-degree below the best")
+        top = max(top, degs[v] - sum(v in out[u] for u in pool))
+    tied = [v for v in pool if degs[v] - sum(v in out[u] for u in pool) == top]
+    if len(tied) > 1 and tied[0] != winner:
+        met.add("pool tie to a later id")
+    score = Counter(v for u in draws for v in out[u] if v not in draws)
+    tied = [v for v in score if score[v] == max(score.values())]
+    if len(tied) > 1 and tied[0] != min(tied):
+        met.add("score tie to a later id")
+    return met
+
+
+def test_the_planted_samples_reach_every_case_of_both_rules():
+    """The strategy above reaches a pool that nominates itself, a candidate
+    passed over on its in-degree, and ties that the walk meets highest id first;
+    with no shrinking, as any example will do."""
+    quick = settings(max_examples=2000, database=None, phases=[Phase.generate])
+    cases = ("pool nominates itself", "in-degree below the best", "pool tie to a later id", "score tie to a later id")
+    for case in cases:
+        find(planted_samples(), lambda c: case in passes_in_order(c), settings=quick)
 
 
 @pytest.mark.parametrize("kind", ["random_k_sample", "simple_k_sample"])
