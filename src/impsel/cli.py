@@ -66,14 +66,13 @@ def _load_subject(args) -> "MechanismSpec | object":
 
 def _budget(subject, args) -> int:
     """--budget, else the default.  Only a randomized mechanism enumerates, so
-    any other subject refuses --budget, and in run and exact a --method too."""
+    any other subject refuses the enumeration flags its command has: --budget,
+    and in exact --method too."""
     if isinstance(subject, MechanismSpec) and subject.is_randomized:
         return DEFAULT_SEQUENCE_BUDGET if args.budget is None else args.budget
-    label = getattr(args, "oracle", None) or subject.label()
-    if args.command == "verify" and args.budget is not None:
-        raise ValueError(f"{label} is deterministic; it takes no --budget")
-    if args.command != "verify" and (args.budget is not None or getattr(args, "method", "auto") != "auto"):
-        raise ValueError(f"{label} is deterministic; it takes neither --budget nor --method")
+    if args.budget is not None or getattr(args, "method", "auto") != "auto":
+        flags = "neither --budget nor --method" if hasattr(args, "method") else "no --budget"
+        raise ValueError(f"{getattr(args, 'oracle', None) or subject.label()} is deterministic; it takes {flags}")
     return DEFAULT_SEQUENCE_BUDGET
 
 
@@ -133,12 +132,9 @@ def cmd_exact(args) -> int:
         gap=str(delta - mean),
     )
     try:
-        bound = compute_bound(spec, profile.n)
+        doc["bound_kind"], doc["bound_value"] = compute_bound(spec, profile.n)
     except ValueError as exc:
         doc["bound_error"] = str(exc)
-    else:
-        doc["bound_kind"] = bound.kind
-        doc["bound_value"] = bound.bound_value
     if args.format == "json":
         _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
     else:

@@ -78,7 +78,6 @@ __all__ = [
     "sks_sample_size",
     "sks_gap_upper_bound",
     "mwd_gap_upper_bound",
-    "BoundReport",
     "compute_bound",
 ]
 
@@ -434,29 +433,13 @@ def mwd_gap_upper_bound(n: int) -> int:
     return (checked_int(n, "vertex count", 2) + 1) // 2
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """One guarantee formula evaluated for display.
-
-    ``kind`` is "rks_lower" or "sks_lower" (guarantees phrased as lower
-    bounds on expected winner degree) or "mwd_upper" (phrased as an upper
-    bound on the gap).  ``delta`` is the in-degree where the guarantee is
-    tightest, when the formula singles one out.
-    """
-
-    kind: str
-    n: int
-    k: int | None
-    delta: int | None
-    bound_value: float
-
-
-def compute_bound(spec: MechanismSpec, n: int) -> BoundReport:
-    """Evaluate the guarantee formula matching ``spec``; gap ceiling in all cases."""
-    kind = KINDS[spec.kind]
-    if kind.bound is None:
+def compute_bound(spec: MechanismSpec, n: int) -> tuple[str, float]:
+    """The guarantee ``spec`` carries on n vertices: its label and its gap ceiling at ``resolve_k``."""
+    bound = KINDS[spec.kind].bound
+    if bound is None:
         raise ValueError(f"no closed-form guarantee for {spec.kind}")
-    return kind.bound(n, resolve_k(spec, n))
+    label, formula = bound
+    return label, formula(n, resolve_k(spec, n))
 
 
 # ----- the kinds -----
@@ -499,8 +482,11 @@ class MechanismKind:
     evaluation rule: it picks the winner of a sequence of draws, which is
     empty for a deterministic kind.  ``sample_size(k, n)`` turns the spec's
     k (None for the default) into the number of draws; it is None for the
-    deterministic kinds, which draw nothing.  ``bound(n, k)`` evaluates the
-    guarantee, None when the kind has none.
+    deterministic kinds, which draw nothing.  ``bound`` is the guarantee
+    as a ``(label, formula)`` pair, None when the kind has none:
+    ``formula(n, k)`` is the ceiling on delta - E[winner degree], and the
+    label, "rks_lower", "sks_lower" or "mwd_upper", is what ``impsel exact``
+    prints with it.
 
     Entries call module functions through their globals at call time, so
     a wrapper installed on a function is seen by every kind that uses it.
@@ -511,7 +497,7 @@ class MechanismKind:
     param: str
     winner: Callable[[MechanismSpec, NominationProfile, Sequence[int]], int | None]
     sample_size: Callable[[int | None, int], int] | None = None
-    bound: Callable[[int, int | None], BoundReport] | None = None
+    bound: tuple[str, Callable[[int, int], float]] | None = None
 
 
 KINDS: dict[str, MechanismKind] = {
@@ -522,7 +508,7 @@ KINDS: dict[str, MechanismKind] = {
         winner=lambda spec, profile, draws: nominated_winner(profile, draws)[1],
         # draws are with replacement, so an explicit k may exceed n - 1
         sample_size=lambda k, n: _clamp_k(_ceil_isqrt(n), n) if k is None else k,
-        bound=lambda n, k: BoundReport("rks_lower", n, k, rks_worst_delta(n, k), rks_gap_lower_bound(n, k)),
+        bound=("rks_lower", lambda n, k: rks_gap_lower_bound(n, k)),
     ),
     "simple_k_sample": MechanismKind(
         cli="simple-k",
@@ -530,7 +516,7 @@ KINDS: dict[str, MechanismKind] = {
         param="k",
         winner=lambda spec, profile, draws: multiset_winner(profile, draws),
         sample_size=lambda k, n: _clamp_k(sks_sample_size(n) if k is None else k, n),
-        bound=lambda n, k: BoundReport("sks_lower", n, k, None, sks_gap_upper_bound(n, k)),
+        bound=("sks_lower", lambda n, k: sks_gap_upper_bound(n, k)),
     ),
     "fixed_sample": MechanismKind(
         cli="fixed",
@@ -543,6 +529,6 @@ KINDS: dict[str, MechanismKind] = {
         models=MODELS,
         param="default_vertex",
         winner=lambda spec, profile, draws: majority_default_winner(profile, spec.default_vertex),
-        bound=lambda n, k: BoundReport("mwd_upper", n, None, None, float(mwd_gap_upper_bound(n))),
+        bound=("mwd_upper", lambda n, k: float(mwd_gap_upper_bound(n))),
     ),
 }

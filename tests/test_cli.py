@@ -213,7 +213,9 @@ def test_deterministic_exact_rejects_budget_and_method(tri_path, capsys, argv):
     assert main([*argv, "--mech", "fixed:0", "--profile", tri_path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "fixed:0 is deterministic; it takes neither --budget nor --method" in captured.err
+    # run has no --method, so its refusal names --budget alone
+    flags = "no --budget" if argv[0] == "run" else "neither --budget nor --method"
+    assert captured.err == f"error: fixed:0 is deterministic; it takes {flags}\n"
     # without either flag both commands still evaluate it
     plain = ["run", "--exact"] if argv[0] == "run" else ["exact"]
     assert main([*plain, "--mech", "fixed:0", "--profile", tri_path]) == 0
@@ -349,6 +351,30 @@ def test_exact_reports_missing_bound(tri_path, capsys, mech, reason):
     doc = json.loads(capsys.readouterr().out)
     assert reason in doc["bound_error"]
     assert "bound_kind" not in doc and "bound_value" not in doc
+
+
+@pytest.mark.parametrize(
+    ("mech", "n", "line", "fields"),
+    [
+        ("random-k:auto", 9, "bound[rks_lower]=6.5", {"bound_kind": "rks_lower", "bound_value": 6.5}),
+        ("simple-k:2", 4, "bound[sks_lower]=16.46081252914248",
+         {"bound_kind": "sks_lower", "bound_value": 16.46081252914248}),
+        ("majority-default:0", 9, "bound[mwd_upper]=5.0", {"bound_kind": "mwd_upper", "bound_value": 5.0}),
+        ("fixed:0", 9, "bound=n/a (no closed-form guarantee for fixed_sample)",
+         {"bound_error": "no closed-form guarantee for fixed_sample"}),
+        ("random-k:5", 4, "bound=n/a (sample size 5 out of range 1..3)",
+         {"bound_error": "sample size 5 out of range 1..3"}),
+    ],
+)
+def test_exact_prints_each_kinds_bound(tmp_path, capsys, mech, n, line, fields):
+    path = str(tmp_path / "star.txt")
+    assert main(["gen", "--family", "star", "--n", str(n), "--out", path]) == 0
+    assert main(["exact", "--mech", mech, "--profile", path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == line
+    assert main(["exact", "--mech", mech, "--profile", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {key: doc[key] for key in doc if key.startswith("bound")} == fields
+    assert type(doc.get("bound_value", 0.0)) is float  # 5.0, not 5, for majority-default too
 
 
 def test_exact_budget_error_is_reported(tri_path, capsys):

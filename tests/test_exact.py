@@ -14,6 +14,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from impsel import mechanisms
 from impsel.core import MULTI, SINGLE, NominationProfile
 from impsel.exact import (
     DEFAULT_SEQUENCE_BUDGET,
@@ -29,7 +30,6 @@ from impsel.exact import (
 )
 from impsel.generators import gen_random_single
 from impsel.mechanisms import (
-    BoundReport,
     MechanismSpec,
     ModelMismatch,
     compute_bound,
@@ -327,16 +327,22 @@ def test_mwd_bound_is_majority_threshold():
 
 
 def test_compute_bound_reports():
-    r = compute_bound(MechanismSpec.random_k(10), 100)
-    assert r == BoundReport("rks_lower", 100, 10, 27, rks_gap_lower_bound(100, 10))
-    s = compute_bound(MechanismSpec.simple_k(), 100)
-    assert s.kind == "sks_lower"
-    assert s.k == 57
-    assert s.bound_value == pytest.approx(sks_gap_upper_bound(100, 57))
-    m = compute_bound(MechanismSpec.majority_default(0), 9)
-    assert m == BoundReport("mwd_upper", 9, None, None, 5)
-    with pytest.raises(ValueError):
+    assert compute_bound(MechanismSpec.random_k(10), 100) == ("rks_lower", rks_gap_lower_bound(100, 10))
+    assert compute_bound(MechanismSpec.simple_k(), 100) == ("sks_lower", sks_gap_upper_bound(100, 57))
+    label, value = compute_bound(MechanismSpec.majority_default(0), 9)
+    assert (label, value, type(value)) == ("mwd_upper", 5, float)
+    with pytest.raises(ValueError, match="no closed-form guarantee for fixed_sample"):
         compute_bound(MechanismSpec.fixed([0]), 9)
+    with pytest.raises(ValueError, match=r"sample size 9 out of range 1\.\.8"):
+        compute_bound(MechanismSpec.random_k(9), 9)
+
+
+def test_compute_bound_reads_the_formula_at_call_time(monkeypatch):
+    calls = []
+    formula = mechanisms.rks_gap_lower_bound
+    monkeypatch.setattr(mechanisms, "rks_gap_lower_bound", lambda n, k: calls.append((n, k)) or formula(n, k))
+    assert compute_bound(MechanismSpec.random_k(), 9) == ("rks_lower", 6.5)
+    assert calls == [(9, 3)]
 
 
 def test_sks_sample_size_precision_window():

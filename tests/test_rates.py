@@ -18,7 +18,9 @@ some vertex always wins, which holds when k < n - delta + 1, the length of
 the chain's cycle.  At the default k it grows only like n^(1/3), which is
 why acceptance criterion C4's pinned window [0.35, 0.65] stays red: the
 family picks the delta where the guarantee is tightest, not where the
-mechanism is worst.  The closed forms live here as test oracles.
+mechanism is worst.  Together the two bound the sampling family from
+below: at every size checked, no fixed k keeps both gaps under sqrt(n)/2.
+The closed forms live here as test oracles.
 """
 
 import math
@@ -121,3 +123,27 @@ def test_multi_star_is_the_worst_multi_profile_of_simple_k(n, gap):
     spec = MechanismSpec.simple_k()
     assert multi_star_gap(n, resolve_k(spec, n)) == gap
     assert measure_additive_gap_exhaustive(spec, n, MULTI) == (gap, multi_star(n))
+
+
+@pytest.mark.parametrize("n", [*C4_N_VALUES, 10**5, 10**6])
+def test_no_fixed_k_escapes_sqrt_n_on_star_and_bound_stress(n):
+    """random-k draws its sample without looking at the profile, so each
+    ``random-k:k`` is a randomized strong-sample mechanism, and the paper's
+    Omega(sqrt n) lower bound applies to it.  On these two families: the star
+    punishes a large k, bound-stress a small one, and at every k one of them
+    keeps the gap at c * sqrt(n) or more, with c = 1/2.
+
+    The star's gap rises with k: its k-derivative is n a |ln(1 - 1/n)| -
+    b |ln(1 - 2/n)|, positive because a >= b and n |ln(1 - 1/n)| >= 1 >
+    |ln(1 - 2/n)|.  So k runs only up to the first k where the star alone
+    reaches c * sqrt(n).  Every comparison is exact: gap >= sqrt(n)/2 is
+    4 gap^2 >= n in Fractions."""
+    k = 0
+    while True:
+        k += 1
+        assert k < n - rks_worst_delta(n, k) + 1  # where bound_stress_gap is exact
+        star = star_gap(n, k)
+        gap = max(star, bound_stress_gap(n, k))
+        assert 4 * gap * gap >= n, k
+        if 4 * star * star >= n:
+            break

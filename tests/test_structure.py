@@ -374,3 +374,31 @@ def test_every_imported_name_is_used():
                     assert "noqa: F401" in lines[node.lineno - 1], f"{path.name}:{node.lineno} imports unused {dead}"
                     unused[path.stem] = dead
     assert unused == {"exact": {"rks_gap_lower_bound", "sks_gap_upper_bound", "sks_sample_size"}}
+
+
+def _loaded_names(tree):
+    """Every name a module reads: loaded names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_public_name_is_read_or_is_a_test_oracle():
+    """Each ``__all__`` name is read by some ``src/`` code (its own module
+    counts) or a ``bench/*.py`` file, apart from three oracles only the tests
+    call.  A new public name that nothing reads has to be added here on purpose."""
+    exported, read = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        code = [stmt for stmt in tree.body if not (isinstance(stmt, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in stmt.targets))]
+        read.update(name for stmt in code for name in _loaded_names(stmt))
+        if path.stem in MODULES:
+            exported.update(getattr(impsel, path.stem).__all__)
+    for path in (Path(__file__).parents[1] / "bench").glob("*.py"):
+        read.update(_loaded_names(ast.parse(path.read_text(encoding="utf-8"))))
+    assert exported - read == {"pr_top_in_nominated", "check_sample_constant", "sample_mechanism_oracle"}
