@@ -48,7 +48,7 @@ import math
 import numbers
 import sys
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
@@ -299,17 +299,17 @@ def check_model(kind: str, model: str) -> None:
         raise ModelMismatch(f"{kind} is defined for the {models[0]} model, profile is {model}")
 
 
-def nominated_winner(
-    profile: NominationProfile, sample: Iterable[int]
-) -> tuple[frozenset[int], int | None]:
-    """Nominee pool and winner for a distinct sample set S, in one pass over the pool.
+def nominated_winner(profile: NominationProfile, sample: Collection[int]) -> tuple[set[int], int | None]:
+    """Nominee pool and winner for the sample set S, ``sample``'s members, in one pass over the pool.
 
-    W is everyone outside S nominated by a member of S; the winner maximizes nominations
-    from outside W, its in-degree less those from inside, lowest id on ties.  A score
-    never exceeds the in-degree, so a candidate below the best so far is not looked up.
+    W is everyone outside S nominated by a member of S: one set of the nominations, trimmed
+    of S in place, so ``sample`` is read twice and may repeat a draw but not be a one-shot
+    iterator.  The winner maximizes nominations from outside W, its in-degree less those
+    from inside, lowest id on ties.  A score never exceeds the in-degree, so a candidate
+    below the best so far is not looked up.
     """
-    s = set(sample)
-    pool = frozenset(profile.nominees_of(s)) - s
+    pool = set(profile.nominees_of(sample))
+    pool.difference_update(sample)
     if not pool:
         return pool, None
     degs = profile.in_degrees

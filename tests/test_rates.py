@@ -32,10 +32,22 @@ import pytest
 from impsel.core import MULTI, SINGLE, NominationProfile
 from impsel.exact import exact_distribution, expected_winner_degree, pr_top_in_nominated
 from impsel.generators import gen_bound_stress, gen_fixed_sample_adversary
-from impsel.mechanisms import MechanismSpec, resolve_k, rks_gap_lower_bound, rks_worst_delta
+from impsel.mechanisms import (
+    MechanismSpec,
+    nominated_winner,
+    resolve_k,
+    rks_gap_lower_bound,
+    rks_worst_delta,
+    trial_draws,
+)
+from impsel.montecarlo import TrialPlan, estimate
 from impsel.verify import measure_additive_gap_exhaustive
+from test_winners import reference_nominated
 
 C4_N_VALUES = (64, 128, 256, 512, 1024, 2048, 4096)
+MC_SEED = 31
+MATCH_TRIALS = 300
+ESTIMATE_TRIALS = 3_000
 SMALL_CASES = [(n, k) for n in range(3, 13) for k in range(1, 6) if n**k <= 10**6]
 
 
@@ -147,3 +159,29 @@ def test_no_fixed_k_escapes_sqrt_n_on_star_and_bound_stress(n):
         assert 4 * gap * gap >= n, k
         if 4 * star * star >= n:
             break
+
+
+@pytest.mark.parametrize("family", ["bound-stress", "star"])
+def test_random_k_at_c4s_sizes_matches_the_reference_and_the_closed_form(family):
+    """The sizes the C4 sweep and the ``mc-rks`` benchmark run, n = 64..4096 at the
+    default k.  First, the first 300 trials' draws of seed 31 give
+    ``reference_nominated``'s pool and winner, trial by trial, on the flat profile the
+    sweep builds (the reference reads a second copy, so the first builds no rows).
+    Second, ``estimate`` over 3,000 trials of seed 31 sits within 5 sigma of the
+    family's closed-form gap and below the random-k guarantee."""
+    spec = MechanismSpec.random_k()
+    for n in C4_N_VALUES:
+        k = resolve_k(spec, n)
+        if family == "star":
+            make, gap = (lambda: gen_fixed_sample_adversary(n, 0)), star_gap(n, k)
+        else:
+            assert k < n - rks_worst_delta(n, k) + 1  # where bound_stress_gap is exact
+            make, gap = (lambda: gen_bound_stress(n, k)), bound_stress_gap(n, k)
+        profile, reference = make(), make()
+        for draws in trial_draws(MC_SEED, MATCH_TRIALS, k, n):
+            pool, winner, _ = reference_nominated(reference, draws)
+            assert nominated_winner(profile, draws) == (pool, winner), (n, draws)
+        assert "out" not in vars(profile)
+        row = estimate(spec, profile, TrialPlan(ESTIMATE_TRIALS, MC_SEED))
+        assert abs(row.gap - gap) <= 5 * row.std_err, (n, row.gap, float(gap), row.std_err)
+        assert row.gap < rks_gap_lower_bound(n, k), (n, row.gap)

@@ -680,6 +680,18 @@ def test_fixed_sample_worst_gap():
         assert got == alpha
 
 
+@pytest.mark.parametrize("n, model", [(3, SINGLE), (4, SINGLE), (5, SINGLE), (3, MULTI), (4, MULTI)])
+def test_every_constant_sample_has_the_strong_sample_floor(n, model):
+    """The deterministic floor over every constant sample S, a nonempty proper subset:
+    the exhaustive worst gap of ``fixed(S)`` is n - 2 for a single-model singleton and
+    n - 1 otherwise, so n - 2 is the floor and only singletons reach it.  This covers
+    ``fixed``'s selection rule over every constant sample, not every selection rule."""
+    for size in range(1, n):
+        for sample in itertools.combinations(range(n), size):
+            alpha, _ = measure_additive_gap_exhaustive(MechanismSpec.fixed(sample), n, model)
+            assert alpha == (n - 2 if size == 1 and model == SINGLE else n - 1), sample
+
+
 def test_majority_default_worst_gap():
     alpha, worst = measure_additive_gap_exhaustive(MechanismSpec.majority_default(0), 4, MULTI)
     assert alpha == 2

@@ -33,13 +33,13 @@ def least_best(scores):
 def reference_nominated(profile, sample):
     """Pool W = vertices outside S nominated from S; winner has the most
     nominations from outside W, ties to the lowest id; None if W is empty."""
-    n, out = profile.n, profile.out
+    out = profile.out
     s = set(sample)
-    pool = {v for v in range(n) if v not in s and any(v in out[u] for u in s)}
+    pool = {v for u in s for v in out[u] if v not in s}
     if not pool:
         return frozenset(), None, False
-    scores = {v: sum(1 for u in range(n) if u not in pool and v in out[u]) for v in pool}
-    winner, tie = least_best(scores)
+    from_outside = Counter(v for u, row in enumerate(out) if u not in pool for v in row)
+    winner, tie = least_best({v: from_outside[v] for v in pool})
     return frozenset(pool), winner, tie
 
 
@@ -117,9 +117,13 @@ def test_every_single_profile_up_to_four_vertices():
 
 def test_the_nomination_rule_reads_flat_and_row_profiles_alike():
     """``nominated_winner`` reads nominations through ``NominationProfile.nominees_of``:
-    a flat profile's nominee tuple, or the rows of any other.  On every single profile
-    up to four vertices and every sample, the flat build, the checked constructor and
-    ``verify.iter_profiles``' unchecked rows give one pool and one winner."""
+    a flat profile's nominee tuple, or the rows of any other.  It reads ``sample`` twice,
+    for the nominations and for the trim, so it takes any collection of draws but not a
+    one-shot iterator.  On every single profile up to four vertices and every sample, as
+    a list with every draw repeated, as the sorted tuple ``exact._by_sequences`` passes
+    and as the frozenset ``verify.sample_mechanism_oracle`` passes, the flat build, the
+    checked constructor and ``verify.iter_profiles``' unchecked rows give one pool and
+    one winner."""
     for n in (2, 3, 4):
         samples = [[*c] for r in range(n + 1) for c in combinations(range(n), r)]
         samples += [[*counts.elements()] for counts in multisets(n, 3)]
@@ -128,8 +132,9 @@ def test_the_nomination_rule_reads_flat_and_row_profiles_alike():
             checked = NominationProfile(n, SINGLE, enumerated.out)
             for sample in samples:
                 pool, winner, _ = reference_nominated(checked, sample)
-                for profile in (flat, enumerated, checked):
-                    assert nominated_winner(profile, sample) == (pool, winner), (profile, sample)
+                for form in (sample + sample[::-1], tuple(sorted(sample)), frozenset(sample)):
+                    for profile in (flat, enumerated, checked):
+                        assert nominated_winner(profile, form) == (pool, winner), (profile, form)
             assert "out" not in vars(flat)
 
 
@@ -198,8 +203,8 @@ def build(model, rows):
 @given(planted_samples())
 @settings(max_examples=300, deadline=None)
 def test_both_rules_match_the_references_on_planted_profiles_up_to_sixty_vertices(case):
-    """Beyond the exhaustive small cases: vertex ids up to 59, so a pool's
-    frozenset order is not ascending, and draws in order and reversed."""
+    """Beyond the exhaustive small cases: vertex ids up to 59, so the order in
+    which the rule walks its pool set is not ascending, and draws in order and reversed."""
     model, rows, draws = case
     reference = NominationProfile(len(rows), model, tuple(rows))
     pool, winner, _ = reference_nominated(reference, draws)
@@ -212,11 +217,15 @@ def test_both_rules_match_the_references_on_planted_profiles_up_to_sixty_vertice
 
 def passes_in_order(case):
     """What the rules meet on one case, walked in the order they walk it: the pool
-    in frozenset order, the counted nominations in draw order."""
+    in the order of the set of the draws' nominations, trimmed by the draws in place,
+    and the counted nominations in draw order."""
     model, rows, draws = case
     reference = NominationProfile(len(rows), model, tuple(rows))
     out, degs = reference.out, reference.in_degrees
-    pool, winner, _ = reference_nominated(reference, draws)
+    expected, winner, _ = reference_nominated(reference, draws)
+    pool = set(v for u in draws for v in out[u])
+    pool.difference_update(draws)
+    assert pool == expected
     met = set()
     if any(v in pool for u in pool for v in out[u]):
         met.add("pool nominates itself")
