@@ -16,7 +16,7 @@ Three engines share this module.
   functions g: a strong g is one no sample member can alter, and the
   shipped catalog exercises the fact that strong plus impartial forces g
   to be constant.  The strong-sample check also asks g once per profile.
-  Both walks find deviations by the strides ``_space`` owns.
+  Every engine opens with ``_space``, owner of ceiling, choices and strides.
 
 * ``refute_two_additive`` replays a case analysis against any total
   deterministic mechanism oracle on 4 vertices, cornering it into an
@@ -96,7 +96,7 @@ class ProfileSpaceTooLarge(ValueError):
 
     ``count`` is the number of profiles that would have to be visited, the
     ``profile_count``; where that is None the message leaves it out.  Pass a
-    larger ``max_n`` to override the ceiling in force.
+    larger ``max_n`` (``--max-n`` on the command line) to override the ceiling.
     """
 
     def __init__(self, n: int, model: str, max_n: int | None):
@@ -105,7 +105,7 @@ class ProfileSpaceTooLarge(ValueError):
         ceiling = "the default ceiling" if max_n is None else f"the ceiling max_n={max_n}"
         super().__init__(
             f"exhaustive check over {count}{model}-model profiles on {n} vertices "
-            f"exceeds {ceiling}; pass max_n={n} to allow it"
+            f"exceeds {ceiling}; pass max_n={n} (--max-n {n}) to allow it"
         )
 
 
@@ -138,15 +138,10 @@ class Witness:
             raise ValueError(f"unknown witness kind {self.kind!r}")
 
 
-def _vertex_choices(n: int, u: int, model: str) -> list[tuple[int, ...]]:
-    """Every out-set ``model`` allows vertex u, smallest out-sets first."""
-    others = [v for v in range(n) if v != u]
-    return [c for r in out_degrees(model, n) for c in itertools.combinations(others, r)]
-
-
-def _profile_rows(n: int, model: str) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The out-rows of every n-vertex profile of ``model``, in ``iter_profiles`` order."""
-    return itertools.product(*(_vertex_choices(n, u, model) for u in range(n)))
+def _choices(n: int, model: str) -> list[list[tuple[int, ...]]]:
+    """Every out-set ``model`` allows each vertex u, smallest out-sets first."""
+    others = [[v for v in range(n) if v != u] for u in range(n)]
+    return [[c for r in out_degrees(model, n) for c in itertools.combinations(own, r)] for own in others]
 
 
 def iter_profiles(n: int, model: str) -> Iterator[NominationProfile]:
@@ -155,7 +150,7 @@ def iter_profiles(n: int, model: str) -> Iterator[NominationProfile]:
     Single profiles come in lexicographic nominee order, multi profiles
     smallest out-sets first.
     """
-    return (NominationProfile._trusted(n, model, rows) for rows in _profile_rows(n, model))
+    return (NominationProfile._trusted(n, model, rows) for rows in itertools.product(*_choices(n, model)))
 
 
 def profile_count(n: int, model: str) -> int | None:
@@ -170,25 +165,25 @@ def profile_count(n: int, model: str) -> int | None:
     return base**n
 
 
-def _space(n: int, model: str) -> tuple[list, list[int], Callable[[int], NominationProfile]]:
-    """Each vertex's choices, the strides S_u, and the checked profile at index i of
-    ``_profile_rows`` order.  u's choice in profile i is ``i // S_u % c_u``, S_u the
-    product of the choice counts c after u, so u's rewirings of i lie S_u apart."""
-    choices = [_vertex_choices(n, u, model) for u in range(n)]
+def _space(
+    n: int, model: str, max_n: int | None, defaults: dict
+) -> tuple[list, list[int], Callable[[int], NominationProfile]]:
+    """The space an exhaustive engine walks, once n is within ``max_n``, else ``defaults[model]``:
+    each vertex's choices, the strides S_u, and the checked profile at index i of ``iter_profiles``
+    order.  u's choice in profile i is ``i // S_u % c_u``, S_u the product of the choice counts c
+    after u, so u's rewirings of i lie S_u apart."""
+    out_degrees(model, 2)  # core owns the models: ModelViolation names an unknown one
+    checked_int(n, "vertex count", 2)
+    ceiling = checked_int(max_n, "max_n") if max_n is not None else defaults[model]
+    if n > ceiling:
+        raise ProfileSpaceTooLarge(n, model, max_n)
+    choices = _choices(n, model)
     strides = [math.prod(map(len, choices[u + 1 :])) for u in range(n)]
 
     def profile(i: int) -> NominationProfile:
         return NominationProfile(n, model, [own[i // s % len(own)] for own, s in zip(choices, strides)])
 
     return choices, strides, profile
-
-
-def _require_space(n: int, model: str, max_n: int | None, defaults: dict) -> None:
-    out_degrees(model, 2)  # core owns the models: ModelViolation names an unknown one
-    checked_int(n, "vertex count", 2)
-    ceiling = checked_int(max_n, "max_n") if max_n is not None else defaults[model]
-    if n > ceiling:
-        raise ProfileSpaceTooLarge(n, model, max_n)
 
 
 def _winner(answer, n: int) -> int | None:
@@ -242,13 +237,12 @@ def check_impartial(
     out-set.  Empty result = impartial on this whole domain.
 
     Every profile's weights are asked once, in one walk over the blocks in
-    ``_profile_rows`` order, into one flat table: ``table[i * n + u]`` is u's
+    ``iter_profiles`` order, into one flat table: ``table[i * n + u]`` is u's
     weight in profile i.  u's deviations from a base i where u makes its first
     choice are i + j*S_u, the strides of ``_space``.
     """
-    _require_space(n, model, max_n, DEFAULT_CHECK_MAX_N)
+    choices, strides, profile = _space(n, model, max_n, DEFAULT_CHECK_MAX_N)
     weights_of, scale = _subject_weights(subject, n, model, budget)
-    choices, strides, profile = _space(n, model)
     *fixed_choices, last = choices
     blocks = weights_of(itertools.product(*fixed_choices), last)
     table = list(itertools.chain.from_iterable(itertools.chain.from_iterable(blocks)))
@@ -281,12 +275,11 @@ def check_strong_sample(
     """Violations of the rule that no sample member can change the sample.
 
     For each single-model profile and each u in g(x), every rewiring of u
-    must leave g unchanged.  g is asked once per profile, in ``_profile_rows``
+    must leave g unchanged.  g is asked once per profile, in ``iter_profiles``
     order; u's rewirings of profile i lie ``S_u`` apart, from the one where u
     makes its first choice.  Witnesses come by profile, then u, then choice.
     """
-    _require_space(n, SINGLE, max_n, DEFAULT_CHECK_MAX_N)
-    choices, strides, profile = _space(n, SINGLE)
+    choices, strides, profile = _space(n, SINGLE, max_n, DEFAULT_CHECK_MAX_N)
     shared: dict[frozenset[int], frozenset[int]] = {}  # equal samples share one object
     samples = [shared.setdefault(s, s) for s in map(_sample_of, itertools.repeat(g), iter_profiles(n, SINGLE))]
     witnesses: list[Witness] = []
@@ -305,7 +298,7 @@ def check_sample_constant(
     g, n: int, *, max_n: int | None = None
 ) -> tuple[bool, Witness | None]:
     """Whether g returns the same set on every single-model profile."""
-    _require_space(n, SINGLE, max_n, DEFAULT_MEASURE_MAX_N)
+    _space(n, SINGLE, max_n, DEFAULT_MEASURE_MAX_N)
     first_profile: NominationProfile | None = None
     first_sample: frozenset[int] | None = None
     for profile in iter_profiles(n, SINGLE):
@@ -581,9 +574,8 @@ def measure_additive_gap_exhaustive(
     as numerators ``delta * scale - sum(weights[v] * deg[v])``, with the
     fixed rows' in-degrees counted once per block.
     """
-    _require_space(n, model, max_n, DEFAULT_MEASURE_MAX_N)
+    (*fixed_choices, last), _, _ = _space(n, model, max_n, DEFAULT_MEASURE_MAX_N)
     weights_of, scale = _subject_weights(subject, n, model, budget)
-    *fixed_choices, last = (_vertex_choices(n, u, model) for u in range(n))
     best = best_rows = None
     blocks = weights_of(itertools.product(*fixed_choices), last)
     for fixed, block in zip(itertools.product(*fixed_choices), blocks):

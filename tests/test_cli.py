@@ -755,12 +755,12 @@ def test_verify_ceiling_message_names_the_ceiling_in_force(capsys):
     assert main(["verify", "gap", "--mech", "random-k:2", "--n", "7"]) == 2
     assert capsys.readouterr().err == (
         "error: exhaustive check over 279936 single-model profiles on 7 vertices "
-        "exceeds the default ceiling; pass max_n=7 to allow it\n"
+        "exceeds the default ceiling; pass max_n=7 (--max-n 7) to allow it\n"
     )
     assert main(["verify", "gap", "--mech", "random-k:2", "--n", "3", "--max-n", "2"]) == 2
     assert capsys.readouterr().err == (
         "error: exhaustive check over 8 single-model profiles on 3 vertices "
-        "exceeds the ceiling max_n=2; pass max_n=3 to allow it\n"
+        "exceeds the ceiling max_n=2; pass max_n=3 (--max-n 3) to allow it\n"
     )
 
 
@@ -785,7 +785,7 @@ def test_verify_refuses_a_huge_space_at_once(capsys, command, n):
     assert captured.out == ""
     assert captured.err == (
         f"error: exhaustive check over {count}{model}-model profiles on {n} vertices "
-        f"exceeds the default ceiling; pass max_n={n} to allow it\n"
+        f"exceeds the default ceiling; pass max_n={n} (--max-n {n}) to allow it\n"
     )
 
 

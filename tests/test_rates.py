@@ -38,6 +38,7 @@ from impsel.mechanisms import (
     resolve_k,
     rks_gap_lower_bound,
     rks_worst_delta,
+    sks_gap_upper_bound,
     trial_draws,
 )
 from impsel.montecarlo import TrialPlan, estimate
@@ -74,9 +75,9 @@ def enumerated_gap(spec, profile):
     return profile.delta - expected_winner_degree(exact_distribution(spec, profile), profile)
 
 
-def log_log_slope(gap, n_values):
-    """Least-squares slope of ln(gap) against ln(n) at the default random-k k."""
-    points = [(math.log(n), math.log(gap(n, resolve_k(MechanismSpec.random_k(), n)))) for n in n_values]
+def log_log_slope(gap, n_values, make=MechanismSpec.random_k):
+    """Least-squares slope of ln(gap) against ln(n) at the default k of ``make``'s kind."""
+    points = [(math.log(n), math.log(gap(n, resolve_k(make(), n)))) for n in n_values]
     return statistics.linear_regression(*zip(*points)).slope
 
 
@@ -118,6 +119,23 @@ def test_star_shows_the_sqrt_rate_under_its_guarantee():
 
 def test_bound_stress_slope_explains_c4():
     assert log_log_slope(bound_stress_gap, C4_N_VALUES) == pytest.approx(0.3231, abs=1e-4)
+
+
+def test_multi_star_slope_is_the_simple_k_rate():
+    """n^(2/3) ln^(1/3) n over these sizes: the shape of simple-k's guarantee."""
+    assert log_log_slope(multi_star_gap, C4_N_VALUES, MechanismSpec.simple_k) == pytest.approx(0.7712, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [*C4_N_VALUES, 10**5, 10**6])
+def test_the_star_attains_each_guarantee_within_a_constant_factor(n):
+    """Both guarantees are tight up to a constant: at its kind's default k, the star's
+    exact gap is at least 3/10 of random-k's guarantee, and the multi star's at least
+    1/3 of simple-k's.  Each gap is a Fraction; each comparison with a guarantee's
+    float is exact."""
+    k = resolve_k(MechanismSpec.random_k(), n)
+    assert 10 * star_gap(n, k) >= 3 * rks_gap_lower_bound(n, k), (n, k)
+    k = resolve_k(MechanismSpec.simple_k(), n)
+    assert 3 * multi_star_gap(n, k) >= sks_gap_upper_bound(n, k), (n, k)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -185,3 +203,16 @@ def test_random_k_at_c4s_sizes_matches_the_reference_and_the_closed_form(family)
         row = estimate(spec, profile, TrialPlan(ESTIMATE_TRIALS, MC_SEED))
         assert abs(row.gap - gap) <= 5 * row.std_err, (n, row.gap, float(gap), row.std_err)
         assert row.gap < rks_gap_lower_bound(n, k), (n, row.gap)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_simple_k_on_the_multi_star_matches_the_closed_form(n):
+    """The sizes of C5's multi rows: ``estimate`` of ``simple-k:auto`` over 3,000 trials
+    of seed 31 on the multi star sits within 5 sigma of its closed-form gap and below
+    the simple-k guarantee."""
+    spec = MechanismSpec.simple_k()
+    k = resolve_k(spec, n)
+    row = estimate(spec, multi_star(n), TrialPlan(ESTIMATE_TRIALS, MC_SEED))
+    gap = multi_star_gap(n, k)
+    assert abs(row.gap - gap) <= 5 * row.std_err, (n, row.gap, float(gap), row.std_err)
+    assert row.gap < sks_gap_upper_bound(n, k), (n, row.gap)

@@ -168,7 +168,7 @@ def test_config_fields_are_checked_only_in_constructors():
 
 def test_unchecked_profiles_are_built_only_from_enumerated_rows():
     """``NominationProfile._trusted`` skips the row check, so only the engines
-    that pass rows of ``verify._profile_rows``'s domain may call it.  ``_flat``
+    that pass rows of ``verify._choices``'s product may call it.  ``_flat``
     skips it for a single model's nominee tuple, so only ``NominationProfile.single``
     may call it, inside its check that the flat list is all ints by type, in
     ``0..n-1`` and free of ``nominees[u] == u``.  No other code makes a profile
@@ -301,9 +301,11 @@ def test_trial_draws_owns_the_draw_ceiling_and_the_trial_streams():
 
 
 def test_only_space_computes_strides_and_profiles_by_index():
-    """``verify._space`` owns the index arithmetic of the profile space: only it
-    takes ``math.prod`` over the choice counts, and only it builds a profile
-    from an index; the engines read its strides and its ``profile(i)``."""
+    """``verify._space`` owns the profile space: only it refuses one above the
+    ceiling, by building ``ProfileSpaceTooLarge``, takes ``math.prod`` over the
+    choice counts, and builds a profile from an index; the engines read its
+    strides and its ``profile(i)``.  Only ``_choices``, which it and
+    ``iter_profiles`` read, lists a vertex's out-sets by ``itertools.combinations``."""
     tree = _trees()["verify"]
     owner = {id(node): top.name for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))
              for node in ast.walk(top)}  # node -> enclosing top-level function or class
@@ -312,8 +314,14 @@ def test_only_space_computes_strides_and_profiles_by_index():
     indexed = {owner.get(id(node)) for node in ast.walk(tree)
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "NominationProfile"
                and any(isinstance(op, ast.FloorDiv) for op in ast.walk(node))}
+    refusals = {owner.get(id(node)) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ProfileSpaceTooLarge"}
+    combos = {owner.get(id(node)) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "combinations"}
     assert prods == {"_space"}
     assert indexed == {"_space"}
+    assert refusals == {"_space"}
+    assert combos == {"_choices"}
 
 
 def test_one_kernel_scores_every_sample():

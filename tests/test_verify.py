@@ -41,7 +41,6 @@ from impsel.verify import (
     sample_mechanism_oracle,
     validate_witness,
 )
-from impsel.verify import _profile_rows
 
 
 def multi4(out_sets):
@@ -115,8 +114,8 @@ def test_iterators_match_counts_and_are_unique():
 def test_enumerated_rows_are_their_own_checked_normalisation(n, model):
     """The engines build these profiles unchecked, so each row tuple must be
     exactly what the checked constructor would store."""
-    for rows in _profile_rows(n, model):
-        assert NominationProfile(n, model, rows).out == rows
+    for p in iter_profiles(n, model):
+        assert NominationProfile(n, model, p.out).out == p.out
 
 
 def test_single_iterator_is_exhaustive():
@@ -149,7 +148,7 @@ def test_space_refusal_counts_only_within_8192_bits(n, model, fits):
     assert refusal.count == (profile_count(n, model) if fits else None)
     count = f"{refusal.count} " if fits else ""
     assert str(refusal) == (f"exhaustive check over {count}{model}-model profiles on {n} vertices "
-                            f"exceeds the default ceiling; pass max_n={n} to allow it")
+                            f"exceeds the default ceiling; pass max_n={n} (--max-n {n}) to allow it")
 
 
 @pytest.mark.parametrize("engine, n, count", [(check_impartial, 6, 5**6), (measure_additive_gap_exhaustive, 7, 6**7)])
@@ -157,12 +156,12 @@ def test_space_ceiling_message_names_the_ceiling_in_force(engine, n, count):
     with pytest.raises(ProfileSpaceTooLarge) as caught:
         engine(MechanismSpec.random_k(2), n, SINGLE)
     assert str(caught.value) == (f"exhaustive check over {count} single-model profiles on {n} vertices "
-                                 f"exceeds the default ceiling; pass max_n={n} to allow it")
+                                 f"exceeds the default ceiling; pass max_n={n} (--max-n {n}) to allow it")
     assert caught.value.count == count
     with pytest.raises(ProfileSpaceTooLarge) as caught:
         engine(MechanismSpec.random_k(2), 3, SINGLE, max_n=2)
     assert str(caught.value) == ("exhaustive check over 8 single-model profiles on 3 vertices "
-                                 "exceeds the ceiling max_n=2; pass max_n=3 to allow it")
+                                 "exceeds the ceiling max_n=2; pass max_n=3 (--max-n 3) to allow it")
     assert caught.value.count == 8
 
 
@@ -382,6 +381,50 @@ def test_strong_sample_matches_the_profile_walk_and_asks_g_once_per_profile(name
     assert check_strong_sample(counted, n) == reference_strong_sample(g, n)
     assert asked == list(iter_profiles(n, SINGLE))
     assert len(asked) == profile_count(n, SINGLE)
+
+
+def cylinder_tilings(n):
+    """Every strong sample function on single n-vertex profiles, each as a dict from
+    profile to sample.  If g(x) = S, no member of S can move the sample by rewiring,
+    so g = S on the cylinder of profiles that agree with x outside S: a strong g tiles
+    the profiles by cylinders, each labelled by its free set, and every such tiling is
+    strong.  The first profile left uncovered picks the cylinder that covers it, so
+    each tiling comes once."""
+    profiles = list(iter_profiles(n, SINGLE))
+    labels = [frozenset(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
+
+    def extend(g):
+        x = next((p for p in profiles if p not in g), None)
+        if x is None:
+            yield dict(g)
+            return
+        for label in labels:
+            cylinder = [p for p in profiles if all(p.out[u] == x.out[u] for u in range(n) if u not in label)]
+            if not any(p in g for p in cylinder):
+                g.update(dict.fromkeys(cylinder, label))
+                yield from extend(g)
+                for p in cylinder:
+                    del g[p]
+
+    return extend({})
+
+
+def test_every_strong_sample_function_at_n3_is_impartial_exactly_when_constant():
+    """The characterization over the whole class, not the catalog: the 25 strong
+    sample functions on single 3-vertex profiles all pass ``check_strong_sample``,
+    and the 7 whose induced rule is impartial are the 7 constant ones."""
+    tilings = list(cylinder_tilings(3))
+    assert len(tilings) == len({frozenset(t.items()) for t in tilings}) == 25
+    impartial, constant = set(), set()
+    for i, tiling in enumerate(tilings):
+        g = tiling.__getitem__
+        assert check_strong_sample(g, 3) == [], i
+        if not check_impartial(sample_mechanism_oracle(g), 3, SINGLE):
+            impartial.add(i)
+        if check_sample_constant(g, 3)[0]:
+            constant.add(i)
+    assert len(impartial) == 7
+    assert impartial == constant
 
 
 def test_empty_sample_rejected():
