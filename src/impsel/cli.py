@@ -19,7 +19,7 @@ import sys
 from .core import MODELS, SINGLE, format_profile, load_profile, write_profile
 from .exact import DEFAULT_SEQUENCE_BUDGET, exact_distribution, expected_winner_degree
 from .generators import FAMILIES, PARAMS, GeneratorSpec
-from .mechanisms import MechanismSpec, compute_bound, parse_mechanism
+from .mechanisms import MechanismSpec, compute_bound, parse_mechanism, resolve_k
 from .montecarlo import (
     SweepConfig,
     TrialPlan,
@@ -64,11 +64,11 @@ def _load_subject(args) -> "MechanismSpec | object":
     return named_oracle(args.oracle)
 
 
-def _budget(subject, args) -> int:
-    """--budget, else the default.  Only a randomized mechanism enumerates, so
-    any other subject refuses the enumeration flags its command has: --budget,
-    and in exact --method too."""
-    if isinstance(subject, MechanismSpec) and subject.is_randomized:
+def _budget(subject, n: int, args) -> int:
+    """--budget, else the default.  Only a mechanism that draws on n vertices enumerates,
+    so any other subject refuses the enumeration flags its command has: --budget, and in
+    exact --method too."""
+    if isinstance(subject, MechanismSpec) and resolve_k(subject, n):
         return DEFAULT_SEQUENCE_BUDGET if args.budget is None else args.budget
     if args.budget is not None or getattr(args, "method", "auto") != "auto":
         flags = "neither --budget nor --method" if hasattr(args, "method") else "no --budget"
@@ -91,7 +91,7 @@ def cmd_run(args) -> int:
     if args.exact:
         if args.trials is not None or args.seed is not None:
             raise ValueError("--exact enumerates every draw; it takes neither --trials nor --seed")
-        dist = exact_distribution(spec, profile, budget=_budget(spec, args))
+        dist = exact_distribution(spec, profile, budget=_budget(spec, profile.n, args))
         mean, delta = expected_winner_degree(dist, profile), profile.delta
         result = {
             "mechanism": spec.label(),
@@ -121,7 +121,7 @@ def cmd_run(args) -> int:
 def cmd_exact(args) -> int:
     spec = parse_mechanism(args.mech)
     profile = load_profile(args.profile)
-    dist = exact_distribution(spec, profile, budget=_budget(spec, args), method=args.method)
+    dist = exact_distribution(spec, profile, budget=_budget(spec, profile.n, args), method=args.method)
     mean = expected_winner_degree(dist, profile)
     delta = profile.delta
     doc = dist.to_json_dict()
@@ -184,7 +184,7 @@ def _report_witnesses(witnesses, domain: str) -> int:
 
 def cmd_verify_impartial(args) -> int:
     subject = _load_subject(args)
-    witnesses = check_impartial(subject, args.n, args.model, budget=_budget(subject, args), max_n=args.max_n)
+    witnesses = check_impartial(subject, args.n, args.model, budget=_budget(subject, args.n, args), max_n=args.max_n)
     return _report_witnesses(
         witnesses, f"{profile_count(args.n, args.model)} {args.model} profiles, n={args.n}"
     )
@@ -204,7 +204,7 @@ def cmd_verify_strong_sample(args) -> int:
 def cmd_verify_gap(args) -> int:
     subject = _load_subject(args)
     alpha, worst = measure_additive_gap_exhaustive(
-        subject, args.n, args.model, budget=_budget(subject, args), max_n=args.max_n
+        subject, args.n, args.model, budget=_budget(subject, args.n, args), max_n=args.max_n
     )
     print(f"alpha={alpha}")
     print("worst profile:")

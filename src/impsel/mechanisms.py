@@ -263,10 +263,6 @@ class MechanismSpec:
     def majority_default(cls, default_vertex: int) -> "MechanismSpec":
         return cls("majority_default", default_vertex=default_vertex)
 
-    @property
-    def is_randomized(self) -> bool:
-        return KINDS[self.kind].sample_size is not None
-
     def label(self) -> str:
         """The CLI spelling; ``parse_mechanism(spec.label()) == spec``."""
         kind = KINDS[self.kind]
@@ -423,7 +419,7 @@ def sks_sample_size(n: int) -> int:
 def sks_gap_upper_bound(n: int, k: float) -> float:
     """Guaranteed ceiling on delta - E[winner degree] for the multiset sample rule."""
     checked_int(n, "vertex count", 2)
-    if not isinstance(k, numbers.Real) or k < 1:
+    if not isinstance(k, numbers.Real) or isinstance(k, bool) or not k >= 1:
         raise ValueError(f"sample size must be at least 1, got {k}")
     return 2 * k + n * n * math.exp(-(k**3) / (2 * n * n))
 

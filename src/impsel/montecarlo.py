@@ -69,7 +69,7 @@ class GapReport:
     """Estimated (or exact) winner quality of one mechanism on one profile.
 
     ``gap`` is delta minus ``mean_degree``, the quantity the additive
-    guarantees bound.  ``exact`` is set for deterministic mechanisms,
+    guarantees bound.  ``exact`` is set for a kind that draws nothing (k = 0),
     where a single evaluation is the whole distribution and std_err is 0.
     """
 
@@ -102,19 +102,17 @@ def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -
     """Run ``plan.trials`` independent evaluations and report mean winner degree.
 
     ``trial_draws`` refuses a trial of more than ``MAX_TRIAL_DRAWS`` draws before the
-    first draw.  Deterministic mechanisms are evaluated once and flagged exact.  A
+    first draw.  A kind that draws nothing, k = 0, is evaluated once and flagged exact.  A
     winnerless evaluation contributes degree 0, matching the expectation
     convention where the no-winner mass contributes nothing.
     """
     check_model(spec.kind, profile.model)
     n = profile.n
+    k = resolve_k(spec, n)
+    trials = plan.trials if k else 1
     winner_of = KINDS[spec.kind].winner
-    if spec.is_randomized:
-        k = resolve_k(spec, n)
-        trials, draws = plan.trials, trial_draws(plan.master_seed, plan.trials, k, n)
-        winners = (winner_of(spec, profile, sample) for sample in draws)
-    else:
-        k, trials, winners = len(spec.fixed_set or ()) or None, 1, (winner_of(spec, profile, ()),)
+    samples = trial_draws(plan.master_seed, trials, k, n) if k else [()]
+    winners = (winner_of(spec, profile, sample) for sample in samples)
 
     degs = profile.in_degrees
     sum_deg = 0
@@ -136,7 +134,7 @@ def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -
         std_err = 0.0
     return GapReport(
         n=n,
-        k=k,
+        k=k or len(spec.fixed_set or ()) or None,
         delta=profile.delta,
         mean_degree=mean,
         gap=profile.delta - mean,
@@ -145,7 +143,7 @@ def estimate(spec: MechanismSpec, profile: NominationProfile, plan: TrialPlan) -
         no_winner_rate=no_winner / trials,
         trials=plan.trials,
         master_seed=plan.master_seed,
-        exact=not spec.is_randomized,
+        exact=not k,
     )
 
 

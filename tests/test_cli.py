@@ -240,6 +240,23 @@ def test_deterministic_verify_rejects_budget(capsys, command, subject, label):
 
 
 @pytest.mark.parametrize("command", ["impartial", "gap"])
+@pytest.mark.parametrize(
+    ("mech", "message"),
+    [
+        ("random-k:2", "vertex count must be at least 2, got 1"),
+        ("majority-default:0", "majority-default:0 is deterministic; it takes no --budget"),
+    ],
+)
+def test_verify_refusal_order_at_n_1(capsys, command, mech, message):
+    """A mechanism that draws checks --n before it takes --budget; one that draws
+    nothing refuses --budget before --n is read."""
+    assert main(["verify", command, "--mech", mech, "--n", "1", "--budget", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["impartial", "gap"])
 def test_verify_budget_bounds_a_randomized_mechanism(capsys, command):
     argv = ["verify", command, "--mech", "random-k:2", "--n", "3"]
     assert main([*argv, "--budget", "8"]) == 2  # 3^2 = 9 draw sequences

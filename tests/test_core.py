@@ -246,10 +246,10 @@ def test_negative_and_huge_seeds_are_masked_to_64_bits():
     [
         (lambda: gen_random_multi(4, "x", 1), "edge probability 'x' out of range [0, 1]"),
         (lambda: gen_random_multi(4, 1.5, 1), "edge probability 1.5 out of range [0, 1]"),
-        (lambda: sks_gap_upper_bound(4, "x"), "sample size must be at least 1, got x"),
-        (lambda: sks_gap_upper_bound(4, 0.5), "sample size must be at least 1, got 0.5"),
+        *[(lambda k=k: sks_gap_upper_bound(4, k), f"sample size must be at least 1, got {k}")
+          for k in ("x", 0.5, True, float("nan"))],
     ],
-    ids=["p-str", "p-range", "sks-k-str", "sks-k-range"],
+    ids=["p-str", "p-range", "sks-k-str", "sks-k-range", "sks-k-bool", "sks-k-nan"],
 )
 def test_real_valued_inputs_raise_value_error(probe, message):
     with pytest.raises(ValueError) as caught:

@@ -149,10 +149,10 @@ class TestMechanismSpec:
         assert parse_mechanism(spec.label()) == spec
 
     def test_randomized_flag(self):
-        assert MechanismSpec.random_k(2).is_randomized
-        assert MechanismSpec.simple_k().is_randomized
-        assert not MechanismSpec.fixed([0]).is_randomized
-        assert not MechanismSpec.majority_default(0).is_randomized
+        assert resolve_k(MechanismSpec.random_k(2), 5)
+        assert resolve_k(MechanismSpec.simple_k(), 5)
+        assert resolve_k(MechanismSpec.fixed([0]), 5) == 0
+        assert resolve_k(MechanismSpec.majority_default(0), 5) == 0
 
     @pytest.mark.parametrize(
         "text",

@@ -20,6 +20,8 @@ why acceptance criterion C4's pinned window [0.35, 0.65] stays red: the
 family picks the delta where the guarantee is tightest, not where the
 mechanism is worst.  Together the two bound the sampling family from
 below: at every size checked, no fixed k keeps both gaps under sqrt(n)/2.
+On single n = 3..6 no mixture of random-k over k <= 7 beats k = 1: one
+``single-worst`` profile holds every such k at or above k = 1's worst gap.
 The closed forms live here as test oracles.
 """
 
@@ -31,7 +33,7 @@ import pytest
 
 from impsel.core import MULTI, SINGLE, NominationProfile
 from impsel.exact import exact_distribution, expected_winner_degree, pr_top_in_nominated
-from impsel.generators import gen_bound_stress, gen_fixed_sample_adversary
+from impsel.generators import gen_bound_stress, gen_fixed_sample_adversary, gen_single_worst
 from impsel.mechanisms import (
     MechanismSpec,
     nominated_winner,
@@ -177,6 +179,26 @@ def test_no_fixed_k_escapes_sqrt_n_on_star_and_bound_stress(n):
         assert 4 * gap * gap >= n, k
         if 4 * star * star >= n:
             break
+
+
+@pytest.mark.parametrize(
+    "n, gap, delta, k_max",
+    [(3, Fraction(1, 3), 2, 7), (4, Fraction(1, 2), 3, 7), (5, Fraction(4, 5), 3, 7), (6, Fraction(1), 4, 6)],
+    ids=["n3", "n4", "n5", "n6"],
+)
+def test_no_mixture_of_random_k_beats_k_1_on_small_single_profiles(n, gap, delta, k_max):
+    """A mechanism that runs random-k:k with probability mu_k, for k = 1..k_max,
+    has worst single-model gap ``gap``, the one random-k:1 has: no lower.  Scope:
+    mixtures of random-k with k <= 7, not every strong-sample mechanism.
+
+    k = 1 attains ``gap`` over every n-vertex profile.  One profile certifies that
+    no mixture does better: on ``gen_single_worst(n, delta)`` every random-k:k has
+    exact gap at least ``gap``, so every mixture's gap there, and its worst gap,
+    is at least ``gap`` too."""
+    assert measure_additive_gap_exhaustive(MechanismSpec.random_k(1), n, SINGLE)[0] == gap
+    profile = gen_single_worst(n, delta)
+    for k in range(1, k_max + 1):
+        assert enumerated_gap(MechanismSpec.random_k(k), profile) >= gap, k
 
 
 @pytest.mark.parametrize("family", ["bound-stress", "star"])

@@ -265,6 +265,19 @@ def _innermost_functions(tree):
     return owner
 
 
+def test_resolve_k_is_the_one_reader_of_sample_size():
+    """Whether a spec draws, and how many times, is ``mechanisms.resolve_k``'s answer
+    alone: no other code reads a ``KINDS`` row's ``sample_size``, and no second test
+    of "randomized" (``is_randomized``) exists in ``src/``."""
+    readers = set()
+    for name, tree in _trees().items():
+        owner = _innermost_functions(tree)
+        readers |= {(name, owner.get(id(node))) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "sample_size"}
+    assert readers == {("mechanisms", "resolve_k")}
+    assert not [path.name for path in SOURCES if "is_randomized" in path.read_text(encoding="utf-8")]
+
+
 def test_one_lane_kernel_and_one_monte_carlo_draw_path():
     """The splitmix multipliers are read by the scalar mix and one lane function
     only, the lane word slice by that lane function alone, and Monte Carlo draws

@@ -219,8 +219,7 @@ def reference_engines(subject, n, model):
     def distribution(profile):
         if callable(subject):
             return _point_mass(n, subject(profile))
-        method = "sequences" if subject.is_randomized else "auto"
-        return exact_distribution(subject, profile, method=method)
+        return exact_distribution(subject, profile, method="sequences")
 
     dists = {profile: distribution(profile) for profile in profiles}
     witnesses = []
