@@ -76,6 +76,11 @@ def _budget(subject, n: int, args) -> int:
     return DEFAULT_SEQUENCE_BUDGET
 
 
+def _note_clamped_k(subject, n: int) -> None:
+    if isinstance(subject, MechanismSpec) and subject.k is not None and subject.k != (k := resolve_k(subject, n)):
+        print(f"note: {subject.label()} draws k={k} on n={n} (k is clamped to n - 1)", file=sys.stderr)
+
+
 def cmd_gen(args) -> int:
     params = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
     spec = GeneratorSpec.from_mapping(args.family, params)
@@ -111,6 +116,7 @@ def cmd_run(args) -> int:
             raise ValueError("--budget bounds enumeration; it applies only with --exact")
         report = estimate(spec, profile, TrialPlan(args.trials, args.seed))
         result = {"mechanism": spec.label(), **report.fields()}
+    _note_clamped_k(spec, profile.n)
     if args.format == "json":
         _emit(json.dumps(result, indent=2, sort_keys=True), args.out)
     else:
@@ -135,6 +141,7 @@ def cmd_exact(args) -> int:
         doc["bound_kind"], doc["bound_value"] = compute_bound(spec, profile.n)
     except ValueError as exc:
         doc["bound_error"] = str(exc)
+    _note_clamped_k(spec, profile.n)
     if args.format == "json":
         _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
     else:
@@ -159,6 +166,9 @@ def cmd_sweep(args) -> int:
         doc["master_seed"] = args.seed
     config = SweepConfig.from_json_dict(doc)
     rows = sweep(config, jobs=args.jobs)
+    for mech in config.mechanisms:
+        for n in config.n_values:
+            _note_clamped_k(mech, n)
     fit = None
     if args.fit:
         fit = fit_scaling(rows)
@@ -185,6 +195,7 @@ def _report_witnesses(witnesses, domain: str) -> int:
 def cmd_verify_impartial(args) -> int:
     subject = _load_subject(args)
     witnesses = check_impartial(subject, args.n, args.model, budget=_budget(subject, args.n, args), max_n=args.max_n)
+    _note_clamped_k(subject, args.n)
     return _report_witnesses(
         witnesses, f"{profile_count(args.n, args.model)} {args.model} profiles, n={args.n}"
     )
@@ -206,6 +217,7 @@ def cmd_verify_gap(args) -> int:
     alpha, worst = measure_additive_gap_exhaustive(
         subject, args.n, args.model, budget=_budget(subject, args.n, args), max_n=args.max_n
     )
+    _note_clamped_k(subject, args.n)
     print(f"alpha={alpha}")
     print("worst profile:")
     for line in format_profile(worst).splitlines():

@@ -21,8 +21,9 @@ Vertices are the ints ``0 .. n-1``.  Out-sets are stored sorted and deduplicated
 equal graphs compare and hash equal regardless of construction order.  A profile from
 ``NominationProfile.single`` keeps only its nominees, in a private ``array("q")`` of 8
 bytes per vertex, and builds the rows and the ``single_nominees`` tuple on first read.
-In-degrees, the edge count, ``row(u)`` and ``format_profile`` read the array;
-``nominees_of``, which both sampling rules read, reads the tuple, so neither builds rows.
+In-degrees, the edge count, ``row(u)``, ``format_profile`` and ``nominee_lanes`` (which the
+simple-k rule reads on up to 256 vertices) read the array; ``nominees_of``, which both
+sampling rules read, reads the tuple, so none of them builds rows.
 
 Profile text is read and written in bounded pieces.  ``parse_profile`` reads the header
 a line at a time, then pieces of about 256 KiB: one ``json.loads`` reads a piece of plain
@@ -227,6 +228,13 @@ class NominationProfile:
             nominees = self.single_nominees
             return [nominees[u] for u in vertices]
         return [v for u in vertices for v in out[u]]
+
+    @functools.cached_property
+    def nominee_lanes(self) -> list[int]:
+        """``nominee_lanes[u]`` has a 1 in byte v for each nominee v of u, n^2 bytes at most;
+        a list, as a list's ``__getitem__`` maps faster than a tuple's."""
+        flat = self.__dict__.get("_nominees")
+        return [sum([1 << 8 * v for v in row]) for row in (self.out if flat is None else zip(flat))]
 
     def edges(self) -> Iterable[tuple[int, int]]:
         """Yield edges in sorted ``(u, v)`` order."""

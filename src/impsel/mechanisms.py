@@ -14,7 +14,8 @@ Four mechanisms are provided.
     drawn is scored by the nominations it receives from the draws, a vertex
     drawn twice counted twice.  Winner is the best-scoring candidate, ties to
     the lowest id; no winner when every candidate scores zero.  Works for
-    both models.
+    both models.  Up to 256 vertices and 255 draws, one sum of the drawn
+    rows' ``nominee_lanes`` holds the scores; otherwise they are counted.
 
 ``fixed_sample``
     Like simple_k_sample but with a hard-coded sample set instead of draws.
@@ -324,10 +325,21 @@ def nominated_winner(profile: NominationProfile, sample: Collection[int]) -> tup
 def multiset_winner(profile: NominationProfile, draws: Sequence[int]) -> int | None:
     """Winner for a sample multiset given as its draws, a repeated draw counted again.
 
-    Candidates are the vertices not drawn, scored in one pass over the draws' counted
-    nominations, with multiplicity, that skips drawn vertices; lowest id on ties, None
-    when every candidate scores zero.
+    Candidates are the vertices not drawn, scored by the draws' nominations, with
+    multiplicity; lowest id on ties, None when every candidate scores zero.  On up to 256
+    vertices (n^2 bytes of lanes) and 255 draws no score passes a byte, so the bytes of one
+    sum of the drawn rows' ``nominee_lanes`` are the scores; otherwise they are counted.
     """
+    if profile.n <= 256 and len(draws) < 256:
+        scores = [*sum(map(profile.nominee_lanes.__getitem__, draws)).to_bytes(profile.n, "little")]
+        for u in draws:
+            scores[u] = 0
+        return scores.index(top) if (top := max(scores)) else None
+    return _counted_winner(profile, draws)
+
+
+def _counted_winner(profile: NominationProfile, draws: Sequence[int]) -> int | None:
+    """``multiset_winner`` by counting nominations; fixed samples, one per profile, would not reuse lanes."""
     drawn = set(draws)
     winner, top = None, 0
     for v, sc in Counter(profile.nominees_of(draws)).items():
@@ -341,7 +353,7 @@ def fixed_sample_winner(profile: NominationProfile, fixed_set: Sequence[int]) ->
     sample = sorted({checked_int(v, "fixed sample vertex", 0, profile.n - 1) for v in fixed_set})
     if len(sample) >= profile.n:
         raise ValueError("fixed sample must leave at least one candidate")
-    return multiset_winner(profile, sample)
+    return _counted_winner(profile, sample)
 
 
 def majority_default_winner(profile: NominationProfile, default_vertex: int) -> int:

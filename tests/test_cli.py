@@ -264,6 +264,33 @@ def test_verify_budget_bounds_a_randomized_mechanism(capsys, command):
     assert main([*argv, "--budget", "9"]) == 0
 
 
+@pytest.mark.parametrize("command", ["run", "run --exact", "exact", "sweep", "verify impartial", "verify gap"])
+def test_a_clamped_k_is_noted_on_stderr_and_stdout_keeps_its_bytes(tri_path, tmp_path, capsys, command):
+    """simple-k clamps an explicit k to n - 1.  On the triangle, simple-k:300 draws k = 2,
+    and every command says so in one note on stderr; its stdout is simple-k:2's but for
+    the label.  simple-k:auto, an unclamped simple-k:2 and random-k:5, which draws 5
+    times even on 3 vertices, print no note."""
+
+    def argv(mech):
+        if command == "sweep":
+            config = tmp_path / "sweep.json"
+            config.write_text(json.dumps({"mechanisms": [mech], "generator": {"family": "fixed-sample-adversary"},
+                                          "n_values": [3], "trials": 20, "master_seed": 1}))
+            return ["sweep", "--config", str(config)]
+        if command.startswith("verify"):
+            return [*command.split(), "--mech", mech, "--n", "3"]
+        trials = ["--trials", "20", "--seed", "1"] if command == "run" else []
+        return [*command.split(), "--mech", mech, "--profile", tri_path, *trials]
+
+    outputs = {}
+    for mech in ("simple-k:300", "simple-k:2", "simple-k:auto", "random-k:5"):
+        assert main(argv(mech)) == 0, mech
+        outputs[mech] = capsys.readouterr()
+    assert outputs["simple-k:300"].err == "note: simple-k:300 draws k=2 on n=3 (k is clamped to n - 1)\n"
+    assert outputs["simple-k:300"].out == outputs["simple-k:2"].out.replace("simple-k:2", "simple-k:300")
+    assert [outputs[mech].err for mech in ("simple-k:2", "simple-k:auto", "random-k:5")] == ["", "", ""]
+
+
 def test_exact_budget_zero_still_refuses(tri_path, capsys):
     for argv in (["exact"], ["run", "--exact"]):
         assert main([*argv, "--mech", "random-k:1", "--profile", tri_path, "--budget", "0"]) == 2

@@ -27,15 +27,17 @@ The closed forms live here as test oracles.
 
 import math
 import statistics
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from impsel.core import MULTI, SINGLE, NominationProfile
 from impsel.exact import exact_distribution, expected_winner_degree, pr_top_in_nominated
-from impsel.generators import gen_bound_stress, gen_fixed_sample_adversary, gen_single_worst
+from impsel.generators import GeneratorSpec, gen_bound_stress, gen_fixed_sample_adversary, gen_single_worst
 from impsel.mechanisms import (
     MechanismSpec,
+    multiset_winner,
     nominated_winner,
     resolve_k,
     rks_gap_lower_bound,
@@ -45,7 +47,7 @@ from impsel.mechanisms import (
 )
 from impsel.montecarlo import TrialPlan, estimate
 from impsel.verify import measure_additive_gap_exhaustive
-from test_winners import reference_nominated
+from test_winners import reference_multiset, reference_nominated
 
 C4_N_VALUES = (64, 128, 256, 512, 1024, 2048, 4096)
 MC_SEED = 31
@@ -225,6 +227,23 @@ def test_random_k_at_c4s_sizes_matches_the_reference_and_the_closed_form(family)
         row = estimate(spec, profile, TrialPlan(ESTIMATE_TRIALS, MC_SEED))
         assert abs(row.gap - gap) <= 5 * row.std_err, (n, row.gap, float(gap), row.std_err)
         assert row.gap < rks_gap_lower_bound(n, k), (n, row.gap)
+
+
+@pytest.mark.parametrize(
+    "family, params", [("single-worst", {}), ("random-multi", {"p": 0.05})], ids=["single", "multi"]
+)
+def test_simple_k_at_c5s_sizes_up_to_256_matches_the_reference(family, params):
+    """C5's sizes where ``multiset_winner`` sums byte lanes, n = 128 and 256 at the
+    default k: the first 300 trials' draws of seed 31 give ``reference_multiset``'s
+    winner, trial by trial, on the profiles C5 and the ``mc-sks`` benchmark sweep.  The
+    reference reads a second copy, so the flat single-worst profile builds no rows."""
+    spec, generator = MechanismSpec.simple_k(), GeneratorSpec.from_mapping(family, params)
+    for n in (128, 256):
+        seed = MC_SEED if generator.needs_seed else None
+        profile, reference = generator.build(n, seed), generator.build(n, seed)
+        for draws in trial_draws(MC_SEED, MATCH_TRIALS, resolve_k(spec, n), n):
+            assert multiset_winner(profile, draws) == reference_multiset(reference, Counter(draws))[0], (n, draws)
+        assert "nominee_lanes" in vars(profile) and (profile.model != SINGLE or "out" not in vars(profile))
 
 
 @pytest.mark.parametrize("n", [128, 256])

@@ -8,9 +8,9 @@ import sys
 from pathlib import Path
 
 import impsel
-from impsel.core import MODELS
+from impsel.core import MODELS, NominationProfile
 from impsel.generators import FAMILIES
-from impsel.mechanisms import KINDS
+from impsel.mechanisms import KINDS, fixed_sample_winner
 
 SOURCES = sorted(Path(impsel.__file__).parent.glob("*.py"))
 MODULES = ("core", "mechanisms", "exact", "generators", "montecarlo", "verify")
@@ -216,6 +216,32 @@ def test_mechanisms_read_no_rows_wholesale():
     reads = [node.lineno for node in ast.walk(_trees()["mechanisms"])
              if isinstance(node, ast.Attribute) and node.attr == "out"]
     assert not reads, f"mechanisms.py:{reads[0]} reads a profile's rows"
+
+
+def test_byte_lanes_are_built_in_core_and_read_only_by_the_score_rule():
+    """``NominationProfile.nominee_lanes`` is defined in core and read only by
+    ``mechanisms.multiset_winner``.  ``fixed_sample_winner`` reaches no function that
+    reads them, and a fresh profile it scores builds none."""
+    trees = _trees()
+    defined = {(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "nominee_lanes"}
+    assert [name for name, _ in defined] == ["core"]
+    readers = set()
+    for name, tree in trees.items():
+        owner = _innermost_functions(tree)
+        readers |= {(name, owner.get(id(node))) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "nominee_lanes"
+                    or isinstance(node, ast.Constant) and node.value == "nominee_lanes"}
+    assert readers == {("mechanisms", "multiset_winner")}
+    functions = {f.name: f for f in trees["mechanisms"].body if isinstance(f, ast.FunctionDef)}
+    reached, todo = set(), ["fixed_sample_winner"]
+    while todo:
+        reached.add(name := todo.pop())
+        todo += [node.func.id for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id in functions.keys() - reached]
+    assert "multiset_winner" not in reached and "_counted_winner" in reached
+    profile = NominationProfile.multi(3, [(1, 2), (2,), ()])
+    assert fixed_sample_winner(profile, [0]) == 1 and "nominee_lanes" not in vars(profile)
 
 
 def test_only_the_asker_builds_refutation_witnesses():

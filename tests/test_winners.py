@@ -19,7 +19,7 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 from impsel.core import MULTI, SINGLE, NominationProfile
 from impsel.exact import sample_space, winner_weights
-from impsel.mechanisms import multiset_winner, nominated_winner
+from impsel.mechanisms import _counted_winner, multiset_winner, nominated_winner
 from impsel.verify import iter_profiles
 
 
@@ -213,6 +213,40 @@ def test_both_rules_match_the_references_on_planted_profiles_up_to_sixty_vertice
         profile = build(model, rows)
         assert nominated_winner(profile, sample) == (pool, winner)
         assert multiset_winner(profile, sample) == best
+        assert _counted_winner(profile, sample) == best
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_the_score_rule_on_either_side_of_the_byte_lane_limit(n):
+    """``multiset_winner`` sums byte lanes only on at most 256 vertices and fewer than
+    256 draws, where no score passes the 255 a byte holds.  At n = 255, 256 and 257, with
+    255 and 256 draws, it gives ``reference_multiset``'s winner on flat single profiles,
+    their checked twins and multi profiles, one of which abstains everywhere.  On both
+    stars every draw of a leaf nominates the undrawn centre 0, which then scores the
+    number of draws and wins.  The flat profiles build no rows."""
+    rng = random.Random(n)
+    star = [(1,)] + [(0,)] * (n - 1)
+    cases = [
+        (SINGLE, star, True),
+        (SINGLE, [((u + rng.randrange(1, n)) % n,) for u in range(n)], False),
+        (MULTI, [()] * n, False),
+        (MULTI, star[:1] + [(0, *rng.sample([v for v in range(1, n) if v != u], 3)) for u in range(1, n)], True),
+        (MULTI, [[v for v in range(n) if v != u and rng.random() < 0.05] for u in range(n)], False),
+    ]
+    flats = []
+    for k in (255, 256):
+        leaves = [rng.randrange(1, n) for _ in range(k)]
+        anywhere = [rng.randrange(n) for _ in range(k)]
+        for model, rows, is_star in cases:
+            reference, profile = NominationProfile(n, model, tuple(rows)), build(model, rows)
+            flats += [profile] if model == SINGLE else []
+            for draws in (leaves, anywhere):
+                winner, _ = reference_multiset(reference, Counter(draws))
+                if is_star and draws is leaves:
+                    assert winner == 0
+                for rule_input in (reference, profile):
+                    assert multiset_winner(rule_input, draws) == winner, (n, k, model, rows[:3], draws)
+    assert not [profile for profile in flats if "out" in vars(profile)]
 
 
 def passes_in_order(case):
