@@ -23,7 +23,8 @@ equal graphs compare and hash equal regardless of construction order.  A profile
 bytes per vertex, and builds the rows and the ``single_nominees`` tuple on first read.
 In-degrees, the edge count, ``row(u)``, ``format_profile`` and ``nominee_lanes`` (which the
 simple-k rule reads on up to 256 vertices) read the array; ``nominees_of``, which both
-sampling rules read, reads the tuple, so none of them builds rows.
+sampling rules read, and ``nominee_set``, which the random-k rule reads with it, read the
+tuple, so none of them builds rows.
 
 Profile text is read and written in bounded pieces.  ``parse_profile`` reads the header
 a line at a time, then pieces of about 256 KiB: one ``json.loads`` reads a piece of plain
@@ -38,7 +39,7 @@ import contextlib
 import functools
 import json
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from operator import eq, lt
@@ -220,14 +221,27 @@ class NominationProfile:
         """``out[u]``, read from the flat nominee array while the rows are not built."""
         return self.out[u] if "out" in self.__dict__ else (self._nominees[u],)
 
-    def nominees_of(self, vertices: Iterable[int]) -> list[int]:
-        """The nominees of each of ``vertices`` in turn, from the rows if they are built,
-        else from the ``single_nominees`` tuple, so a flat profile builds no rows."""
+    def nominees_of(self, vertices: Iterable[int], within: Container[int] | None = None) -> list[int]:
+        """The nominees of each of ``vertices`` in turn, only those in ``within`` if given,
+        from the rows if they are built, else from the ``single_nominees`` tuple, so a flat
+        profile builds no rows."""
         out = self.__dict__.get("out")
         if out is None:
             nominees = self.single_nominees
-            return [nominees[u] for u in vertices]
-        return [v for u in vertices for v in out[u]]
+            if within is None:
+                return [nominees[u] for u in vertices]
+            return [nominees[u] for u in vertices if nominees[u] in within]
+        if within is None:
+            return [v for u in vertices for v in out[u]]
+        return [v for u in vertices for v in out[u] if v in within]
+
+    def nominee_set(self, vertices: Iterable[int]) -> set[int]:
+        """``set(nominees_of(vertices))``, with no list between."""
+        out = self.__dict__.get("out")
+        if out is None:
+            nominees = self.single_nominees
+            return {nominees[u] for u in vertices}
+        return {v for u in vertices for v in out[u]}
 
     @functools.cached_property
     def nominee_lanes(self) -> list[int]:
@@ -361,6 +375,11 @@ def parse_profile(text: str) -> NominationProfile:
     rows: dict[int, list[int]] = {}  # by source
     for u, v in zip(sources, targets):
         rows.setdefault(u, []).append(v)
+    if model == SINGLE and len(rows) < n:  # a vertex with no row, and n may be too large to pad to
+        degrees = out_degrees(SINGLE, checked_int(n, "vertex count", 2, error=ModelViolation))
+        rowless = next(u for u in count() if u not in rows)
+        for u in range(rowless + 1):  # the row check, which refuses the first rowless vertex
+            _normalize_out(u, rows.get(u, ()), n, degrees)
     return NominationProfile(n, model, tuple(rows.get(u, ()) for u in range(n)))
 
 

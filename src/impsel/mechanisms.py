@@ -299,18 +299,18 @@ def check_model(kind: str, model: str) -> None:
 def nominated_winner(profile: NominationProfile, sample: Collection[int]) -> tuple[set[int], int | None]:
     """Nominee pool and winner for the sample set S, ``sample``'s members, in one pass over the pool.
 
-    W is everyone outside S nominated by a member of S: one set of the nominations, trimmed
-    of S in place, so ``sample`` is read twice and may repeat a draw but not be a one-shot
-    iterator.  The winner maximizes nominations from outside W, its in-degree less those
-    from inside, lowest id on ties.  A score never exceeds the in-degree, so a candidate
-    below the best so far is not looked up.
+    W is everyone outside S nominated by a member of S: the set ``profile.nominee_set(S)``,
+    trimmed of S in place, so ``sample`` is read twice and may repeat a draw but not be a
+    one-shot iterator.  The winner maximizes nominations from outside W, its in-degree less
+    those from inside, ``profile.nominees_of(W, W)``; lowest id on ties.  A score never
+    exceeds the in-degree, so a candidate below the best so far is not looked up.
     """
-    pool = set(profile.nominees_of(sample))
+    pool = profile.nominee_set(sample)
     pool.difference_update(sample)
     if not pool:
         return pool, None
     degs = profile.in_degrees
-    inside = [*filter(pool.__contains__, profile.nominees_of(pool))]
+    inside = profile.nominees_of(pool, pool)
     inside = Counter(inside) if inside else {}
     winner, top = -1, -1
     for v in pool:

@@ -7,6 +7,7 @@ real subprocess to cover the installed entry point end to end.
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -381,6 +382,35 @@ def test_ids_past_64_bits_exit_two_with_their_message(tmp_path, capsys, model, c
     path.write_text(f"impsel 1\nmodel {model}\nn 2\n{edges}")
     assert main([command[0], "--mech", "majority-default:0", "--profile", str(path), *command[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _cap_address_space():
+    """In the child only: at most 512 MB of address space, so a padding to n rows fails at once."""
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("command", [["exact"], ["run", "--trials", "1", "--seed", "1"]])
+@pytest.mark.parametrize(
+    ("edges", "message"),
+    [("0 1\n1 0\n", "vertex 2: single model requires out-degree exactly 1, got 0"),
+     ("0 1\n1 1\n", "vertex 1: self-loop is not allowed"),
+     ("1 0\n2 0\n", "vertex 0: single model requires out-degree exactly 1, got 0")],
+)
+def test_a_huge_declared_n_exits_two_with_the_row_check_message(tmp_path, command, edges, message):
+    """A single-model file declaring 10^9 vertices and giving a few rows is refused by the
+    row check, first bad row in vertex order, in under a second of the child's CPU time
+    and under a 512 MB address-space cap: no row is padded out to n."""
+    path = tmp_path / "huge.txt"
+    path.write_text(f"impsel 1\nmodel single\nn 1000000000\n{edges}")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "impsel", command[0], "--mech", "random-k:1", "--profile", str(path), *command[1:]],
+        capture_output=True, text=True, timeout=120, cwd=Path(impsel.__file__).parents[1],
+        preexec_fn=_cap_address_space,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
 
 
 @pytest.mark.parametrize(

@@ -212,7 +212,8 @@ def test_the_flat_nominee_array_is_read_only_in_core():
 
 def test_mechanisms_read_no_rows_wholesale():
     """No ``.out`` read in mechanisms: both sampling rules reach nominations only
-    through ``nominees_of`` or ``row``, so no winner rule builds a flat profile's rows."""
+    through ``nominees_of``, ``nominee_set`` or ``row``, so no winner rule builds a flat
+    profile's rows."""
     reads = [node.lineno for node in ast.walk(_trees()["mechanisms"])
              if isinstance(node, ast.Attribute) and node.attr == "out"]
     assert not reads, f"mechanisms.py:{reads[0]} reads a profile's rows"

@@ -116,26 +116,39 @@ def test_every_single_profile_up_to_four_vertices():
 
 
 def test_the_nomination_rule_reads_flat_and_row_profiles_alike():
-    """``nominated_winner`` reads nominations through ``NominationProfile.nominees_of``:
-    a flat profile's nominee tuple, or the rows of any other.  It reads ``sample`` twice,
-    for the nominations and for the trim, so it takes any collection of draws but not a
-    one-shot iterator.  On every single profile up to four vertices and every sample, as
-    a list with every draw repeated, as the sorted tuple ``exact._by_sequences`` passes
-    and as the frozenset ``verify.sample_mechanism_oracle`` passes, the flat build, the
-    checked constructor and ``verify.iter_profiles``' unchecked rows give one pool and
-    one winner."""
-    for n in (2, 3, 4):
-        samples = [[*c] for r in range(n + 1) for c in combinations(range(n), r)]
-        samples += [[*counts.elements()] for counts in multisets(n, 3)]
-        for enumerated in iter_profiles(n, SINGLE):
-            flat = NominationProfile.single([v for (v,) in enumerated.out])
-            checked = NominationProfile(n, SINGLE, enumerated.out)
+    """``nominated_winner`` reads nominations through ``NominationProfile.nominee_set``,
+    for the pool, and ``NominationProfile.nominees_of`` with ``within``, for the pool's
+    nominations inside it: a flat profile's nominee tuple, or the rows of any other.  It
+    reads ``sample`` twice, for the nominations and for the trim, so it takes any
+    collection of draws but not a one-shot iterator.  On every single profile up to four
+    vertices and every multi profile on three, and every sample, as a list with every
+    draw repeated, as the sorted tuple ``exact._by_sequences`` passes and as the frozenset
+    ``verify.sample_mechanism_oracle`` passes, the flat build (single only), the checked
+    constructor and ``verify.iter_profiles``' unchecked rows give one pool and one
+    winner, and each read equals its list form: the set read ``set(nominees_of(S))``,
+    the filtered read ``nominees_of(S)`` kept in order where in W, for every W."""
+    cases = [(n, SINGLE) for n in (2, 3, 4)] + [(3, MULTI)]
+    for n, model in cases:
+        subsets = [[*c] for r in range(n + 1) for c in combinations(range(n), r)]
+        samples = subsets + [[*counts.elements()] for counts in multisets(n, 3)]
+        for enumerated in iter_profiles(n, model):
+            checked = NominationProfile(n, model, enumerated.out)
+            profiles = [enumerated, checked]
+            if model == SINGLE:
+                flat = NominationProfile.single([v for (v,) in enumerated.out])
+                profiles.append(flat)
             for sample in samples:
                 pool, winner, _ = reference_nominated(checked, sample)
                 for form in (sample + sample[::-1], tuple(sorted(sample)), frozenset(sample)):
-                    for profile in (flat, enumerated, checked):
+                    for profile in profiles:
                         assert nominated_winner(profile, form) == (pool, winner), (profile, form)
-            assert "out" not in vars(flat)
+                        listed = profile.nominees_of(form)
+                        assert profile.nominee_set(form) == set(listed), (profile, form)
+                        for within in map(set, subsets):
+                            kept = [v for v in listed if v in within]
+                            assert profile.nominees_of(form, within) == kept, (profile, form, within)
+            if model == SINGLE:
+                assert "out" not in vars(flat)
 
 
 def test_the_score_rule_reads_flat_and_row_profiles_alike():
