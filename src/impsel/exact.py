@@ -172,7 +172,10 @@ def winner_weights(
     gains one in degree and, when L is in the pool, one in in-pool count.  With
     L outside the pool the gain stands, and each choice's winner is read off
     the members at the best score and one below.  A sample that draws L is
-    scored per choice.
+    scored per choice.  Under random-k a pool of exactly two members, lo < hi,
+    is scored inline, not by ``scan``: with L drawn, the higher scorer wins and
+    lo a tie; otherwise it gives scan's pair, ``(lo, 0)``, ``(pool, 0)`` on a tie
+    or ``(hi, lo)`` with lo one below hi, else ``(hi, 0)``.
     """
     rks = kind == "random_k_sample"
     masks = [sum(1 << v for v in row) for row in last_choices]
@@ -232,15 +235,34 @@ def winner_weights(
                 bonus = 1 if rks else sum(level >> (n - 1) for level in levels)
                 for nominees, weights in choices:
                     top = (pool | nominees | drawn) ^ drawn
-                    if top & (top - 1) and not tie:  # two candidates or more that may score apart
+                    rest = top & (top - 1)
+                    if rest and not tie:  # two candidates or more that may score apart
+                        if rks and not rest & (rest - 1):  # two, lo < hi: lo wins a tie
+                            lo, hi = (top ^ rest).bit_length() - 1, rest.bit_length() - 1
+                            s_lo = degree[lo] - (in_mask[lo] & top).bit_count() + (nominees >> lo & 1)
+                            s_hi = degree[hi] - (in_mask[hi] & top).bit_count() + (nominees >> hi & 1)
+                            weights[hi if s_hi > s_lo else lo] += weight
+                            continue
                         top = scan(top, levels, nominees, bonus)[0]
                     weights[(top & -top).bit_length() - 1] += weight
                 continue
             pool = (pool | drawn) ^ drawn
-            if tie or not pool & (pool - 1):
+            rest = pool & (pool - 1)
+            if tie or not rest:
                 common[(pool & -pool).bit_length() - 1] += weight
                 continue
-            top, near = scan(pool, levels, 0, 0)
+            if rks and not rest & (rest - 1):  # two candidates: scan's (top, near), lo < hi
+                lo, hi = (pool ^ rest).bit_length() - 1, rest.bit_length() - 1
+                s_lo = degree[lo] - (in_mask[lo] & pool).bit_count()
+                s_hi = degree[hi] - (in_mask[hi] & pool).bit_count()
+                if s_lo > s_hi:
+                    top, near = pool ^ rest, 0
+                elif s_lo == s_hi:
+                    top, near = pool, 0
+                else:
+                    top, near = rest, pool ^ rest if s_lo == s_hi - 1 else 0
+            else:
+                top, near = scan(pool, levels, 0, 0)
             if not rks or pool & last:
                 common[(top & -top).bit_length() - 1] += weight
                 continue

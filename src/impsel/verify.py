@@ -571,8 +571,9 @@ def measure_additive_gap_exhaustive(
 
     Returns the maximum of delta minus expected winner degree, with the
     first profile (in iteration order) that attains it.  Gaps are compared
-    as numerators ``delta * scale - sum(weights[v] * deg[v])``, with the
-    fixed rows' in-degrees counted once per block.
+    as numerators ``delta * scale - sum(weights[v] * deg[v])``.  The fixed
+    rows' in-degrees and their maximum are counted once per block; each of
+    the last vertex's choices adds its row's weights and may raise the maximum.
     """
     (*fixed_choices, last), _, _ = _space(n, model, max_n, DEFAULT_MEASURE_MAX_N)
     weights_of, scale = _subject_weights(subject, n, model, budget)
@@ -582,11 +583,14 @@ def measure_additive_gap_exhaustive(
         fixed_degree = [0] * n
         for v in itertools.chain.from_iterable(fixed):
             fixed_degree[v] += 1
+        fixed_delta = max(fixed_degree)
         for row, weights in zip(last, block):
-            degree = fixed_degree[:]
+            total, delta = sum(map(mul, weights, fixed_degree)), fixed_delta
             for v in row:
-                degree[v] += 1
-            gap = max(degree) * scale - sum(map(mul, weights, degree))
+                total += weights[v]
+                if fixed_degree[v] == fixed_delta:
+                    delta = fixed_delta + 1
+            gap = delta * scale - total
             if best is None or gap > best:
                 best, best_rows = gap, (*fixed, row)
     return Fraction(best, scale), NominationProfile(n, model, best_rows)

@@ -19,6 +19,7 @@ from impsel.exact import (
     exact_distribution,
     expected_winner_degree,
 )
+from impsel.generators import gen_fixed_sample_adversary
 from impsel.mechanisms import KINDS, MechanismSpec, ModelMismatch, majority_default_winner, parse_mechanism
 from impsel.verify import (
     DEFAULT_CHECK_MAX_N,
@@ -743,6 +744,13 @@ def test_majority_default_worst_gap():
 def test_random_k_gap_is_small_at_n4():
     alpha, _ = measure_additive_gap_exhaustive(MechanismSpec.random_k(2), 4, SINGLE)
     assert 0 < float(alpha) < 3
+
+
+def test_random_k2_worst_gap_at_single_n6():
+    """random-k:2's exact worst gap over every single n = 6 profile, and the first
+    profile that attains it: the star into vertex 0."""
+    worst = (Fraction(23, 18), gen_fixed_sample_adversary(6, 0))
+    assert measure_additive_gap_exhaustive(MechanismSpec.random_k(2), 6, SINGLE) == worst
 
 
 # ---------------------------------------------------------------------------

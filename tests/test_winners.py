@@ -11,6 +11,7 @@ hypothesis strategy plants cycles and cliques in profiles of up to 60 vertices.
 """
 
 import random
+import sys
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
@@ -411,6 +412,86 @@ def test_block_kernel_matches_the_per_profile_kernel(kind):
         assert set(seen) == common | {"simple-k lone nominator", "simple-k undrawn"}
     else:
         assert set(seen) == common | {"random-k last in pool", "random-k plus-one", "random-k plus-one, lifted"}
+
+
+def two_candidate_paths(fixed_rows, last_choices, members):
+    """How random-k decides a sample's pool of exactly two members, lo < hi, scored
+    by nominations from outside it, read off the rows; "scan" for three or more.
+    Without the last vertex L drawn, the pool is the block's: lo wins, hi wins, a
+    tie, or hi wins by one and some choice of L lifts lo to a tie.  With L drawn,
+    each choice's pool is its own, and L's nomination may flip the order."""
+    last, drawn = len(fixed_rows), set(members)
+    fixed_pool = {v for u in members if u != last for v in fixed_rows[u]}
+    if last not in drawn:
+        pool = fixed_pool - drawn
+        if len(pool) == 2:
+            lo, hi = sorted(pool)
+            outside = Counter(v for u, row in enumerate(fixed_rows) if u not in pool for v in row)
+            if outside[lo] > outside[hi]:
+                yield "lo wins"
+            elif outside[lo] == outside[hi]:
+                yield "tie"
+            elif outside[lo] == outside[hi] - 1 and last not in pool and any(lo in row for row in last_choices):
+                yield "hi wins, lo lifted"
+            else:
+                yield "hi wins"
+        elif len(pool) > 2:
+            yield "scan"
+        return
+    for row in last_choices:
+        pool = (fixed_pool | set(row)) - drawn
+        if len(pool) == 2:
+            lo, hi = sorted(pool)
+            outside = Counter(v for u, row in enumerate(fixed_rows) if u not in pool for v in row)
+            before = hi if outside[hi] > outside[lo] else lo
+            after = hi if outside[hi] + (hi in row) > outside[lo] + (lo in row) else lo
+            yield "last drawn, flipped" if after != before else "last drawn"
+        elif len(pool) > 2:
+            yield "scan"
+
+
+def test_random_k_two_candidate_pools_are_decided_every_way():
+    """Over the random-k domains of the block kernel test, every sample whose pool
+    has two members or more for some choice of the last vertex is fed to the kernel,
+    and each choice's weights match the brute-force winners.  Every way a
+    two-member pool is decided is reached, and ``scan`` sees pools of three members
+    and never one of two, which the kernel scores inline."""
+    domains = [(single_rows, n, k) for n in range(2, 6) for k in (1, 2, 3)]
+    domains += [(multi_rows, n, k) for n in range(2, 5) for k in (1, 2, 3)]
+    domains.append((single_rows, 6, 2))
+    seen, scanned = Counter(), Counter()
+
+    def count_scans(frame, event, arg):  # a global trace sees each Python call, not each line
+        if frame.f_code.co_name == "scan":
+            scanned[frame.f_locals["pool"].bit_count()] += 1
+
+    for rows_of, n, k in domains:
+        *fixed_choices, last = rows_of(n)
+        samples = list(sample_space(n, k))
+        for fixed in product(*fixed_choices):
+            picked = []
+            for sample in samples:
+                paths = list(two_candidate_paths(fixed, last, sample[0]))
+                seen.update(paths)
+                if paths:
+                    picked.append(sample)
+            if not picked:
+                continue
+            previous = sys.gettrace()
+            sys.settrace(count_scans)
+            try:
+                [got] = winner_weights("random_k_sample", [fixed], last, picked)
+            finally:
+                sys.settrace(previous)
+            for row, (weights, none_weight) in zip(last, got):
+                profile = NominationProfile.multi(n, [*fixed, row])
+                expected = [0] * (n + 1)
+                for members, _, weight in picked:
+                    winner = reference_nominated(profile, members)[1]
+                    expected[n if winner is None else winner] += weight
+                assert [*weights, none_weight] == expected, (n, k, fixed, row)
+    assert set(seen) == {"lo wins", "hi wins", "tie", "hi wins, lo lifted", "last drawn", "last drawn, flipped", "scan"}
+    assert min(scanned) == 3, scanned
 
 
 @pytest.mark.parametrize("kind", ["random_k_sample", "simple_k_sample"])
