@@ -10,9 +10,9 @@ where every vertex abstains is a perfectly valid multi-model profile.
 This module is the one owner of those rules: ``out_degrees(model, n)``
 says what each model allows, and only ``NominationProfile`` checks a row,
 one row at a time (its private ``_trusted`` skips that for rows verify
-enumerates, and its private ``_flat`` for the nominee list
-``NominationProfile.single`` checked itself).  It also owns ``checked_int``,
-the check of every integer input in the package.
+enumerates, and its private ``_flat`` for a nominee array that
+``_loop_free_in_range`` checked as 64-bit lanes).  It also owns
+``checked_int``, the check of every integer input in the package.
 
 Profiles are immutable values: a changed graph is a new profile, built
 through the same checked constructor.
@@ -38,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import sys
 from array import array
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -156,7 +157,7 @@ class NominationProfile:
 
     @classmethod
     def _flat(cls, nominees: array) -> "NominationProfile":
-        """A single-model profile of a nominee array ``single`` checked; its rows wait for a reader."""
+        """A single-model profile of a nominee array ``_loop_free_in_range`` passed; its rows wait for a reader."""
         profile = object.__new__(cls)
         profile.__dict__.update(n=len(nominees), model=SINGLE, _nominees=nominees)
         return profile
@@ -166,15 +167,15 @@ class NominationProfile:
         """Build a single-model profile from the list ``nominees[u] = x_u``.
 
         The flat list stands in for the row check: all ints by type (as an ``array("q")``
-        always is), in ``0..n-1``, no ``nominees[u] == u``.  The profile keeps a copy in an
-        ``array("q")``, 8 bytes per vertex, and builds its one-element rows on first read.
-        On any fault the row check runs, to name the first bad row."""
-        n = len(nominees)
-        ints = type(nominees) is array and nominees.typecode == "q" or {*map(type, nominees)} <= {int}
-        if n > 1 and ints and 0 <= min(nominees) and max(nominees) < n:
-            if not any(map(eq, nominees, range(n))):
-                return cls._flat(array("q", nominees))
-        return cls(n, SINGLE, (*zip(nominees),))
+        always is), then copied to an ``array("q")`` (an int past 64 bits fails there), in
+        ``0..n-1`` and no ``nominees[u] == u``, read as 64-bit lanes, 4,096 to an int.  The
+        profile keeps the copy, 8 bytes per vertex, and builds its one-element rows on first
+        read.  On any fault the row check runs, to name the first bad row."""
+        if type(nominees) is array and nominees.typecode == "q" or {*map(type, nominees)} <= {int}:
+            with contextlib.suppress(OverflowError):  # an int past 64 bits, for the row check to name
+                if _loop_free_in_range(flat := array("q", nominees)):
+                    return cls._flat(flat)
+        return cls(len(nominees), SINGLE, (*zip(nominees),))
 
     @classmethod
     def multi(
@@ -259,6 +260,39 @@ class NominationProfile:
     @property
     def edge_count(self) -> int:
         return self.n if self.model == SINGLE else sum(map(len, self.out))
+
+
+#: 64-bit lanes per int that ``_loop_free_in_range`` reads at a time
+_LANES = 1 << 12
+
+
+@functools.cache
+def _lanes() -> tuple[int, int]:
+    """``ones``, a 1 at the bottom of each of ``_LANES`` 64-bit lanes, and ``index``, i in lane i."""
+    ones = int.from_bytes((1).to_bytes(8, "little") * _LANES, "little")  # little-endian whatever the host
+    return ones, int.from_bytes(b"".join(i.to_bytes(8, "little") for i in range(_LANES)), "little")
+
+
+def _loop_free_in_range(flat: array) -> bool:
+    """Whether ``flat`` holds n > 1 nominees, each in ``0..n-1`` and not its own index.
+    Each ``_LANES`` entries are the 64-bit lanes of one int ``x``; a lane's top bit is set in
+    ``x`` if it is negative, else in ``x + top - n*ones`` (no lane carries) if it is n or more,
+    and clear in ``(d & low) + low | d`` if ``d = x ^ index`` is 0 there, a self-loop.  A
+    short last block reads 0 in its missing lanes, which passes."""
+    n, (ones, index) = len(flat), _lanes()
+    if n < _LANES:  # lanes for the one block only
+        ones, index = ones >> 64 * (_LANES - n), index & (1 << 64 * n) - 1
+    top = ones << 63
+    low, over = top - ones, top - n * ones
+    for s in range(0, n, _LANES):
+        block = flat[s : s + _LANES]
+        if sys.byteorder == "big":  # entry i in lane i, as in ``index``
+            block.byteswap()
+        x = int.from_bytes(block, "little")
+        d = x ^ (index + s * ones)
+        if (x | x + over) & top or ((d & low) + low | d) & top != top:
+            return False
+    return n > 1
 
 
 # after the dataclass, so ``out`` stays a field with no default; a profile's own ``out`` shadows it
@@ -367,7 +401,9 @@ def parse_profile(text: str) -> NominationProfile:
         raise ProfileFormatError(f"unexpected end of input, expected {what}")
     _, model, n = header
     if sources is None and model == SINGLE and len(targets) == n:  # sources 0..n-1 in order
-        return NominationProfile.single(targets)  # the flat store
+        if type(targets) is array and _loop_free_in_range(targets):
+            return NominationProfile._flat(targets)  # the flat store, with no second copy
+        return NominationProfile.single(targets)  # for the row check's message
     sources = sources or range(len(targets))
     # only now, so a duplicate or bad line anywhere wins over a bad source
     if sources and not 0 <= min(sources) <= max(sources) < n:
@@ -388,10 +424,15 @@ def _profile_text(profile: NominationProfile) -> Iterator[str]:
     each formatted by one ``%``, edges sorted by (from, to)."""
     n, model = profile.n, profile.model
     yield f"{PROFILE_MAGIC}\nmodel {model}\nn {n}\n"
-    sources = range(n) if model == SINGLE else chain.from_iterable(map(repeat, range(n), map(len, profile.out)))
     flat = profile.__dict__.get("_nominees")
-    targets = chain.from_iterable(profile.out) if flat is None else flat
-    ends = chain.from_iterable(zip(sources, targets))
+    if flat is not None:  # a flat profile's block is two slice assignments
+        for s in range(0, n, _LINES):
+            block = [0] * 2 * (m := min(_LINES, n - s))  # frees the previous block's ints first
+            block[::2], block[1::2] = range(s, s + m), flat[s : s + m]
+            yield "%d %d\n" * m % (*block,)
+        return
+    sources = chain.from_iterable(map(repeat, range(n), map(len, profile.out)))
+    ends = chain.from_iterable(zip(sources, chain.from_iterable(profile.out)))
     while block := (*islice(ends, 2 * _LINES),):
         yield "%d %d\n" * (len(block) // 2) % block
         del block  # before the next block boxes its ints

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import tracemalloc
+from array import array
 from collections import Counter
 from itertools import chain, islice
+from operator import eq
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -728,6 +730,74 @@ def test_flat_single_check_matches_the_row_check(nominees):
 
     reference = outcome(lambda: NominationProfile(len(nominees), SINGLE, tuple(zip(nominees))))
     assert outcome(lambda: NominationProfile.single(nominees)) == reference
+
+
+def _lanes_reference(nominees):
+    """What the lane check must say of ``nominees``, one boxed int at a time."""
+    n = len(nominees)
+    return n > 1 and 0 <= min(nominees) and max(nominees) < n and not any(map(eq, nominees, range(n)))
+
+
+def _row_check_outcome(build, nominees):
+    """The profile ``build`` makes of ``nominees``, or its message, beside the row check's."""
+    outcomes = []
+    for make in (build, lambda: NominationProfile(len(nominees), SINGLE, tuple(zip(nominees)))):
+        try:
+            outcomes.append(make().single_nominees)
+        except ModelViolation as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+@st.composite
+def _near_valid_nominees(draw):
+    """A valid nominee list, n = 2..9 or about a block of lanes either side of 4,096,
+    with up to three entries drawn near the bounds of a lane and of 0..n-1."""
+    n = draw(st.one_of(st.integers(2, 9), st.sampled_from([4095, 4096, 4097, 8193])))
+    nominees = [*gen_random_single(n, draw(st.integers(0, 2**32))).single_nominees]
+    for _ in range(draw(st.integers(0, 3))):
+        u = draw(st.one_of(st.sampled_from([0, n - 1, min(4095, n - 1), min(4096, n - 1)]), st.integers(0, n - 1)))
+        edges = [-(2**63), -2, -1, 0, 1, u - 1, u, u + 1, n - 2, n - 1, n, n + 1, 2**63 - 1]
+        nominees[u] = draw(st.one_of(st.sampled_from(edges), st.integers(-(2**63), 2**63 - 1)))
+    return nominees
+
+
+@given(_near_valid_nominees())
+@settings(max_examples=200, deadline=None)
+def test_lane_check_matches_the_boxed_reference(nominees):
+    """The 64-bit lane check of a nominee array says what ``min``, ``max`` and ``eq``
+    on every boxed entry say."""
+    assert core._loop_free_in_range(array("q", nominees)) == _lanes_reference(nominees)
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_lane_check_finds_one_bad_entry_at_each_block_edge(n):
+    """One entry at u = 0, 4,095, 4,096 or n - 1 set out of range, to a self-loop, or to a
+    boundary value that is valid: the lane check agrees with the reference, and ``single``
+    keeps the row check's profile or message."""
+    valid = [*gen_random_single(n, n).single_nominees]
+    assert core._loop_free_in_range(array("q", valid))
+    for u in sorted({0, 4095, 4096, n - 1} & {*range(n)}):
+        for value in (-1, -(2**63), n, n + 1, 2**63 - 1, u, 0, n - 1):
+            nominees = [*valid]
+            nominees[u] = value
+            assert core._loop_free_in_range(array("q", nominees)) == _lanes_reference(nominees), (u, value)
+            built, reference = _row_check_outcome(lambda: NominationProfile.single(array("q", nominees)), nominees)
+            assert built == reference, (u, value)
+
+
+@pytest.mark.parametrize("nominees", [[], [0], [1], [-1]])
+def test_lane_check_refuses_fewer_than_two_nominees(nominees):
+    assert not core._loop_free_in_range(array("q", nominees))
+    built, reference = _row_check_outcome(lambda: NominationProfile.single(nominees), nominees)
+    assert built == reference
+
+
+@pytest.mark.parametrize("vertex", [2**64, -(2**63) - 1])
+def test_a_list_entry_past_64_bits_gets_the_row_check_message(vertex):
+    nominees = [1, vertex, 0]
+    built, reference = _row_check_outcome(lambda: NominationProfile.single(nominees), nominees)
+    assert built == reference == f"vertex 1: nominee {vertex} out of range 0..2"
 
 
 @pytest.mark.parametrize(

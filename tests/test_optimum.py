@@ -1,38 +1,52 @@
-"""The best deterministic impartial mechanism on the single model, exactly, at n = 3..5.
+"""The best deterministic impartial mechanism, exactly: on the single model at n = 3..5,
+and on the multi model at n = 3.
 
 A deterministic impartial mechanism is a table of 0/1 entries x_u(others): u wins
-exactly when its entry at the other vertices' nominees is 1.  u's own row cannot
+exactly when its entry at the other vertices' rows is 1.  u's own row cannot
 move that entry, so every table is impartial by construction, and asking whether
 some mechanism keeps every gap delta - deg(winner) at or below t is plain 0/1
 feasibility: at most one winner per profile, and wherever delta > t a winner
 whose in-degree reaches delta - t (no winner counts 0).  Unit propagation, and
 branching on the unmet winner clause with the fewest open entries, decide it.
 
-The optima are 1, 2 and 2 at n = 3, 4 and 5, over every deterministic impartial
-mechanism that may select no one.  ``fixed:0`` attains n - 2, so it is optimal at
-n = 3 and 4; at n = 5 the optimum is below n - 2 = 3, the floor of every constant
-sample (``test_every_constant_sample_has_the_strong_sample_floor``).
+The single-model optima are 1, 2 and 2 at n = 3, 4 and 5, over every deterministic
+impartial mechanism that may select no one.  ``fixed:0`` attains n - 2, so it is optimal
+at n = 3 and 4; at n = 5 the optimum is below n - 2 = 3, the floor of every constant
+sample (``test_every_constant_sample_has_the_strong_sample_floor``).  On the multi model,
+where a row is any subset of the others, the optimum at n = 3 is 2 = n - 1: selecting no
+one attains it, and no mechanism keeps every gap at 1.
 """
 
 import itertools
 
 import pytest
 
-from impsel.core import SINGLE
+from impsel.core import MULTI, SINGLE
 from impsel.verify import check_impartial, measure_additive_gap_exhaustive
 
 OPTIMA = {3: 1, 4: 2, 5: 2}
+MULTI_OPTIMA = {3: 2}
+CASES = [pytest.param(SINGLE, n, t, id=f"{n}-{t}") for n, t in OPTIMA.items()] + [
+    pytest.param(MULTI, n, t, id=f"multi-{n}-{t}") for n, t in MULTI_OPTIMA.items()
+]
 
 
-def winner_table(n, t):
-    """The (u, others' nominees) keys at which u wins, for a deterministic impartial
-    mechanism on single n-vertex profiles whose every gap is at most t; None if no
+def rows_of(model, n, u):
+    """The rows ``model`` allows vertex u of an n-vertex profile, as sorted tuples."""
+    others = [v for v in range(n) if v != u]
+    sizes = [1] if model == SINGLE else range(n)
+    return [row for size in sizes for row in itertools.combinations(others, size)]
+
+
+def winner_table(n, t, model=SINGLE):
+    """The (u, others' rows) keys at which u wins, for a deterministic impartial
+    mechanism on n-vertex ``model`` profiles whose every gap is at most t; None if no
     such mechanism exists."""
     entry = {}
     profiles = []  # each profile's n entries, and its winner clause when delta > t
-    for nominees in itertools.product(*[[v for v in range(n) if v != u] for u in range(n)]):
-        degree = [nominees.count(v) for v in range(n)]
-        ids = [entry.setdefault((u, nominees[:u] + nominees[u + 1 :]), len(entry)) for u in range(n)]
+    for rows in itertools.product(*[rows_of(model, n, u) for u in range(n)]):
+        degree = [sum(v in row for row in rows) for v in range(n)]
+        ids = [entry.setdefault((u, rows[:u] + rows[u + 1 :]), len(entry)) for u in range(n)]
         need = max(degree) - t
         profiles.append((ids, [x for x, d in zip(ids, degree) if d >= need] if need > 0 else None))
     holds = [[] for _ in entry]
@@ -86,22 +100,22 @@ def winner_table(n, t):
     return {key for key, x in entry.items() if value[x]} if solve() else None
 
 
-@pytest.mark.parametrize("n, optimum", OPTIMA.items())
-def test_no_deterministic_impartial_mechanism_keeps_every_gap_below_the_optimum(n, optimum):
-    assert winner_table(n, optimum - 1) is None
+@pytest.mark.parametrize("model, n, optimum", CASES)
+def test_no_deterministic_impartial_mechanism_keeps_every_gap_below_the_optimum(model, n, optimum):
+    assert winner_table(n, optimum - 1, model) is None
 
 
-@pytest.mark.parametrize("n, optimum", OPTIMA.items())
-def test_a_mechanism_at_the_optimum_is_impartial_and_attains_it(n, optimum):
+@pytest.mark.parametrize("model, n, optimum", CASES)
+def test_a_mechanism_at_the_optimum_is_impartial_and_attains_it(model, n, optimum):
     """The table the search finds, asked as a callable subject by the exhaustive
     engines: no impartiality witness, and its exact worst gap is the optimum."""
-    table = winner_table(n, optimum)
+    table = winner_table(n, optimum, model)
 
     def mechanism(profile):
-        nominees = tuple(v for (v,) in profile.out)
-        winners = [u for u in range(n) if (u, nominees[:u] + nominees[u + 1 :]) in table]
-        assert len(winners) <= 1, (nominees, winners)
+        rows = profile.out
+        winners = [u for u in range(n) if (u, rows[:u] + rows[u + 1 :]) in table]
+        assert len(winners) <= 1, (rows, winners)
         return winners[0] if winners else None
 
-    assert check_impartial(mechanism, n, SINGLE) == []
-    assert measure_additive_gap_exhaustive(mechanism, n, SINGLE)[0] == optimum
+    assert check_impartial(mechanism, n, model) == []
+    assert measure_additive_gap_exhaustive(mechanism, n, model)[0] == optimum

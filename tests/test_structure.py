@@ -169,13 +169,13 @@ def test_config_fields_are_checked_only_in_constructors():
 def test_unchecked_profiles_are_built_only_from_enumerated_rows():
     """``NominationProfile._trusted`` skips the row check, so only the engines
     that pass rows of ``verify._choices``'s product may call it.  ``_flat``
-    skips it for a single model's nominee tuple, so only ``NominationProfile.single``
-    may call it, inside its check that the flat list is all ints by type, in
-    ``0..n-1`` and free of ``nominees[u] == u``.  No other code makes a profile
-    with ``__new__``, which would skip the check as well."""
+    skips it for a single model's nominee array, so only ``NominationProfile.single``
+    and ``parse_profile`` may call it, inside an ``if`` on ``_loop_free_in_range``,
+    the check that the array is in ``0..n-1`` and free of ``nominees[u] == u``.  No
+    other code makes a profile with ``__new__``, which would skip the check as well."""
     allowed = {
         "_trusted": {("verify", "iter_profiles"), ("verify", "_subject_weights")},
-        "_flat": {("core", "single")},
+        "_flat": {("core", "single"), ("core", "parse_profile")},
         "__new__": {("core", "_trusted"), ("core", "_flat")},
     }
     trees, seen = _trees(), set()
@@ -191,11 +191,13 @@ def test_unchecked_profiles_are_built_only_from_enumerated_rows():
                 assert site in allowed[node.attr], f"{name}.py:{node.lineno} builds an unchecked profile"
                 seen.add((node.attr, site))
     assert seen == {(attr, site) for attr, sites in allowed.items() for site in sites}
-    single = _method(trees["core"], "NominationProfile", "single")
-    checked = [node for test in ast.walk(single) if isinstance(test, ast.If)
-               for stmt in test.body for node in ast.walk(stmt)]
-    flat_calls = [node for node in ast.walk(single) if isinstance(node, ast.Attribute) and node.attr == "_flat"]
-    assert flat_calls and all(node in checked for node in flat_calls), "single builds a flat profile unchecked"
+    parse = next(n for n in trees["core"].body if isinstance(n, ast.FunctionDef) and n.name == "parse_profile")
+    for builder in (_method(trees["core"], "NominationProfile", "single"), parse):
+        checked = [node for test in ast.walk(builder) if isinstance(test, ast.If)
+                   if any(isinstance(n, ast.Name) and n.id == "_loop_free_in_range" for n in ast.walk(test.test))
+                   for stmt in test.body for node in ast.walk(stmt)]
+        flat_calls = [node for node in ast.walk(builder) if isinstance(node, ast.Attribute) and node.attr == "_flat"]
+        assert flat_calls and all(node in checked for node in flat_calls), f"{builder.name} builds a flat profile unchecked"
 
 
 def test_the_flat_nominee_array_is_read_only_in_core():
