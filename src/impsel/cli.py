@@ -57,13 +57,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write("\n")
 
 
-def _load_subject(args) -> "MechanismSpec | object":
-    """A --mech spec or a --oracle callable, for the verify subcommands."""
-    if getattr(args, "mech", None):
-        return parse_mechanism(args.mech)
-    return named_oracle(args.oracle)
-
-
 def _budget(subject, n: int, args) -> int:
     """--budget, else the default.  Only a mechanism that draws on n vertices enumerates,
     so any other subject refuses the enumeration flags its command has: --budget, and in
@@ -81,6 +74,24 @@ def _note_clamped_k(subject, n: int) -> None:
         print(f"note: {subject.label()} draws k={k} on n={n} (k is clamped to n - 1)", file=sys.stderr)
 
 
+def _exact(spec: MechanismSpec, profile, args, method: str = "auto"):
+    """``spec``'s exact winner distribution on ``profile`` within the budget, its expected
+    winner in-degree and its gap, delta minus that degree."""
+    dist = exact_distribution(spec, profile, budget=_budget(spec, profile.n, args), method=method)
+    mean = expected_winner_degree(dist, profile)
+    return dist, mean, profile.delta - mean
+
+
+def _report(spec: MechanismSpec, n: int, doc: dict, text: dict, args) -> int:
+    """Note a clamped k, then write ``doc`` as sorted JSON or ``text`` as ``key=value`` lines."""
+    _note_clamped_k(spec, n)
+    if args.format == "json":
+        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
+    else:
+        _emit("\n".join(f"{key}={plain(value)}" for key, value in text.items()), args.out)
+    return 0
+
+
 def cmd_gen(args) -> int:
     params = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
     spec = GeneratorSpec.from_mapping(args.family, params)
@@ -96,17 +107,9 @@ def cmd_run(args) -> int:
     if args.exact:
         if args.trials is not None or args.seed is not None:
             raise ValueError("--exact enumerates every draw; it takes neither --trials nor --seed")
-        dist = exact_distribution(spec, profile, budget=_budget(spec, profile.n, args))
-        mean, delta = expected_winner_degree(dist, profile), profile.delta
-        result = {
-            "mechanism": spec.label(),
-            "n": profile.n,
-            "delta": delta,
-            "mean_degree": str(mean),
-            "gap": str(delta - mean),
-            "p_none": str(dist.p_none),
-            "exact": True,
-        }
+        dist, mean, gap = _exact(spec, profile, args)
+        fields = {"n": profile.n, "delta": profile.delta, "mean_degree": str(mean), "gap": str(gap),
+                  "p_none": str(dist.p_none), "exact": True}
     else:
         if args.trials is None:
             raise ValueError("one of --exact or --trials is required")
@@ -114,49 +117,27 @@ def cmd_run(args) -> int:
             raise ValueError("--trials requires --seed")
         if args.budget is not None:
             raise ValueError("--budget bounds enumeration; it applies only with --exact")
-        report = estimate(spec, profile, TrialPlan(args.trials, args.seed))
-        result = {"mechanism": spec.label(), **report.fields()}
-    _note_clamped_k(spec, profile.n)
-    if args.format == "json":
-        _emit(json.dumps(result, indent=2, sort_keys=True), args.out)
-    else:
-        _emit("\n".join(f"{key}={plain(value)}" for key, value in result.items()), args.out)
-    return 0
+        fields = estimate(spec, profile, TrialPlan(args.trials, args.seed)).fields()
+    result = {"mechanism": spec.label(), **fields}
+    return _report(spec, profile.n, result, result, args)
 
 
 def cmd_exact(args) -> int:
     spec = parse_mechanism(args.mech)
     profile = load_profile(args.profile)
-    dist = exact_distribution(spec, profile, budget=_budget(spec, profile.n, args), method=args.method)
-    mean = expected_winner_degree(dist, profile)
-    delta = profile.delta
+    dist, mean, gap = _exact(spec, profile, args, args.method)
     doc = dist.to_json_dict()
-    doc.update(
-        mechanism=spec.label(),
-        delta=delta,
-        expected_degree=str(mean),
-        gap=str(delta - mean),
-    )
+    text = {"mechanism": spec.label(), "n": profile.n, **{f"p[{u}]": p for u, p in doc["p"].items()},
+            "p_none": doc["p_none"], "delta": profile.delta, "expected_degree": mean, "gap": gap}
     try:
-        doc["bound_kind"], doc["bound_value"] = compute_bound(spec, profile.n)
+        kind, value = compute_bound(spec, profile.n)
+        doc.update(bound_kind=kind, bound_value=value)
+        text[f"bound[{kind}]"] = value
     except ValueError as exc:
         doc["bound_error"] = str(exc)
-    _note_clamped_k(spec, profile.n)
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
-    else:
-        lines = [f"mechanism={doc['mechanism']}", f"n={profile.n}"]
-        lines.extend(f"p[{u}]={p}" for u, p in sorted(doc["p"].items(), key=lambda kv: int(kv[0])))
-        lines.append(f"p_none={doc['p_none']}")
-        lines.append(f"delta={delta}")
-        lines.append(f"expected_degree={mean}")
-        lines.append(f"gap={delta - mean}")
-        if "bound_error" in doc:
-            lines.append(f"bound=n/a ({doc['bound_error']})")
-        else:
-            lines.append(f"bound[{doc['bound_kind']}]={doc['bound_value']}")
-        _emit("\n".join(lines), args.out)
-    return 0
+        text["bound"] = f"n/a ({exc})"
+    doc.update(mechanism=spec.label(), delta=profile.delta, expected_degree=str(mean), gap=str(gap))
+    return _report(spec, profile.n, doc, text, args)
 
 
 def cmd_sweep(args) -> int:
@@ -192,10 +173,17 @@ def _report_witnesses(witnesses, domain: str) -> int:
     return 1
 
 
-def cmd_verify_impartial(args) -> int:
-    subject = _load_subject(args)
-    witnesses = check_impartial(subject, args.n, args.model, budget=_budget(subject, args.n, args), max_n=args.max_n)
+def _verify(engine, args):
+    """``engine`` run on the --mech or --oracle subject at --n and --model, with its budget
+    and --max-n; a clamped k is noted after it."""
+    subject = parse_mechanism(args.mech) if args.mech else named_oracle(args.oracle)
+    result = engine(subject, args.n, args.model, budget=_budget(subject, args.n, args), max_n=args.max_n)
     _note_clamped_k(subject, args.n)
+    return result
+
+
+def cmd_verify_impartial(args) -> int:
+    witnesses = _verify(check_impartial, args)
     return _report_witnesses(
         witnesses, f"{profile_count(args.n, args.model)} {args.model} profiles, n={args.n}"
     )
@@ -213,11 +201,7 @@ def cmd_verify_strong_sample(args) -> int:
 
 
 def cmd_verify_gap(args) -> int:
-    subject = _load_subject(args)
-    alpha, worst = measure_additive_gap_exhaustive(
-        subject, args.n, args.model, budget=_budget(subject, args.n, args), max_n=args.max_n
-    )
-    _note_clamped_k(subject, args.n)
+    alpha, worst = _verify(measure_additive_gap_exhaustive, args)
     print(f"alpha={alpha}")
     print("worst profile:")
     for line in format_profile(worst).splitlines():

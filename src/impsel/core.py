@@ -10,8 +10,8 @@ where every vertex abstains is a perfectly valid multi-model profile.
 This module is the one owner of those rules: ``out_degrees(model, n)``
 says what each model allows, and only ``NominationProfile`` checks a row,
 one row at a time (its private ``_trusted`` skips that for rows verify
-enumerates, and its private ``_flat`` for a nominee array that
-``_loop_free_in_range`` checked as 64-bit lanes).  It also owns
+enumerates, and its private ``_flat`` for a nominee array that it checks
+with ``_loop_free_in_range``, as 64-bit lanes).  It also owns
 ``checked_int``, the check of every integer input in the package.
 
 Profiles are immutable values: a changed graph is a new profile, built
@@ -156,8 +156,10 @@ class NominationProfile:
         return profile
 
     @classmethod
-    def _flat(cls, nominees: array) -> "NominationProfile":
-        """A single-model profile of a nominee array ``_loop_free_in_range`` passed; its rows wait for a reader."""
+    def _flat(cls, nominees: array) -> "NominationProfile | None":
+        """A single-model profile of a nominee array ``_loop_free_in_range`` passes, else None."""
+        if not _loop_free_in_range(nominees):
+            return None
         profile = object.__new__(cls)
         profile.__dict__.update(n=len(nominees), model=SINGLE, _nominees=nominees)
         return profile
@@ -173,8 +175,8 @@ class NominationProfile:
         read.  On any fault the row check runs, to name the first bad row."""
         if type(nominees) is array and nominees.typecode == "q" or {*map(type, nominees)} <= {int}:
             with contextlib.suppress(OverflowError):  # an int past 64 bits, for the row check to name
-                if _loop_free_in_range(flat := array("q", nominees)):
-                    return cls._flat(flat)
+                if profile := cls._flat(array("q", nominees)):
+                    return profile
         return cls(len(nominees), SINGLE, (*zip(nominees),))
 
     @classmethod
@@ -401,9 +403,8 @@ def parse_profile(text: str) -> NominationProfile:
         raise ProfileFormatError(f"unexpected end of input, expected {what}")
     _, model, n = header
     if sources is None and model == SINGLE and len(targets) == n:  # sources 0..n-1 in order
-        if type(targets) is array and _loop_free_in_range(targets):
-            return NominationProfile._flat(targets)  # the flat store, with no second copy
-        return NominationProfile.single(targets)  # for the row check's message
+        # the flat store with no second copy, else ``single``, whose row check names a fault
+        return type(targets) is array and NominationProfile._flat(targets) or NominationProfile.single(targets)
     sources = sources or range(len(targets))
     # only now, so a duplicate or bad line anywhere wins over a bad source
     if sources and not 0 <= min(sources) <= max(sources) < n:

@@ -13,6 +13,7 @@ take an explicit seed and never touch global RNG state.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -215,7 +216,8 @@ class GeneratorSpec:
         return self.family + ":" + ",".join(f"{k}={v}" for k, v in self.params)
 
     def build(self, n: int, instance_seed: int | None = None) -> NominationProfile:
-        """Instantiate the family at ``n``; seeded families require a seed."""
+        """Instantiate the family at ``n``, which fits an index; seeded families require a seed."""
+        checked_int(n, "vertex count", 2, sys.maxsize)
         if self.needs_seed:
             if instance_seed is None:
                 raise ValueError(f"family {self.family} requires an instance seed")

@@ -389,6 +389,17 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
 
+def _refused_at_once(argv, message):
+    """``impsel argv`` exits 2 with ``message`` alone, in under a second of the child's CPU
+    time and under a 512 MB address-space cap: nothing sized by the input is allocated."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-m", "impsel", *argv], capture_output=True, text=True, timeout=120,
+                          cwd=Path(impsel.__file__).parents[1], preexec_fn=_cap_address_space)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+
+
 @pytest.mark.parametrize("command", [["exact"], ["run", "--trials", "1", "--seed", "1"]])
 @pytest.mark.parametrize(
     ("edges", "message"),
@@ -402,15 +413,23 @@ def test_a_huge_declared_n_exits_two_with_the_row_check_message(tmp_path, comman
     and under a 512 MB address-space cap: no row is padded out to n."""
     path = tmp_path / "huge.txt"
     path.write_text(f"impsel 1\nmodel single\nn 1000000000\n{edges}")
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(
-        [sys.executable, "-m", "impsel", command[0], "--mech", "random-k:1", "--profile", str(path), *command[1:]],
-        capture_output=True, text=True, timeout=120, cwd=Path(impsel.__file__).parents[1],
-        preexec_fn=_cap_address_space,
-    )
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
-    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+    _refused_at_once([command[0], "--mech", "random-k:1", "--profile", str(path), *command[1:]], message)
+
+
+@pytest.mark.parametrize("family", [*sorted(FAMILIES), "sweep"])
+def test_a_vertex_count_past_an_index_exits_two_before_a_family_runs(tmp_path, family):
+    """n = 2^63 is refused at once by ``GeneratorSpec.build``'s one check, in ``gen`` for
+    every family (with the seed and p it needs) and in ``sweep``."""
+    if family == "sweep":
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"mechanisms": ["random-k:2"], "generator": {"family": "star"},
+                                    "n_values": [2**63], "trials": 10, "master_seed": 1}))
+        argv = ["sweep", "--config", str(path)]
+    else:
+        needs = FAMILIES[family]
+        argv = ["gen", "--family", family, "--n", str(2**63), *["--seed", "1"] * needs.seeded,
+                *["--p", "0.5"] * ("p" in needs.required)]
+    _refused_at_once(argv, f"vertex count {2**63} out of range 2..{2**63 - 1}")
 
 
 @pytest.mark.parametrize(
@@ -449,6 +468,37 @@ def test_exact_prints_each_kinds_bound(tmp_path, capsys, mech, n, line, fields):
     doc = json.loads(capsys.readouterr().out)
     assert {key: doc[key] for key in doc if key.startswith("bound")} == fields
     assert type(doc.get("bound_value", 0.0)) is float  # 5.0, not 5, for majority-default too
+
+
+@pytest.mark.parametrize(
+    ("mech", "lines"),
+    [
+        ("random-k:2", ["p[0]=1/2", "p[1]=5/16", "p[2]=1/16", "p_none=1/8", "delta=2", "expected_degree=11/8",
+                        "gap=5/8", "bound[rks_lower]=3.666666666666667"]),
+        ("simple-k:2", ["p[0]=1/2", "p[1]=5/16", "p[2]=1/16", "p_none=1/8", "delta=2", "expected_degree=11/8",
+                        "gap=5/8", "bound[sks_lower]=16.46081252914248"]),
+        ("fixed:0", ["p[1]=1", "p_none=0", "delta=2", "expected_degree=1", "gap=1",
+                     "bound=n/a (no closed-form guarantee for fixed_sample)"]),
+        ("majority-default:0", ["p[0]=1", "p_none=0", "delta=2", "expected_degree=2", "gap=0",
+                                "bound[mwd_upper]=2.0"]),
+    ],
+)
+def test_exact_text_and_the_run_exact_summary_of_it(tmp_path, capsys, mech, lines):
+    """The whole text ``exact`` prints on one 4-vertex profile, and ``run --exact``'s
+    summary of the same enumeration, in text and in JSON."""
+    path = tmp_path / "four.txt"
+    path.write_text("impsel 1\nmodel single\nn 4\n0 1\n1 0\n2 0\n3 2\n")
+    argv = ["--mech", mech, "--profile", str(path)]
+    assert main(["exact", *argv]) == 0
+    assert capsys.readouterr().out == "\n".join([f"mechanism={mech}", "n=4", *lines, ""])
+    exact = dict(line.split("=", 1) for line in lines)
+    summary = {"mechanism": mech, "n": "4", "delta": exact["delta"], "mean_degree": exact["expected_degree"],
+               "gap": exact["gap"], "p_none": exact["p_none"], "exact": "true"}
+    assert main(["run", "--exact", *argv]) == 0
+    assert capsys.readouterr().out == "".join(f"{key}={value}\n" for key, value in summary.items())
+    assert main(["run", "--exact", *argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {**summary, "n": 4, "delta": int(exact["delta"]), "exact": True}
 
 
 def test_exact_budget_error_is_reported(tri_path, capsys):

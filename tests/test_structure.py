@@ -170,9 +170,10 @@ def test_unchecked_profiles_are_built_only_from_enumerated_rows():
     """``NominationProfile._trusted`` skips the row check, so only the engines
     that pass rows of ``verify._choices``'s product may call it.  ``_flat``
     skips it for a single model's nominee array, so only ``NominationProfile.single``
-    and ``parse_profile`` may call it, inside an ``if`` on ``_loop_free_in_range``,
-    the check that the array is in ``0..n-1`` and free of ``nominees[u] == u``.  No
-    other code makes a profile with ``__new__``, which would skip the check as well."""
+    and ``parse_profile`` may call it, and ``_flat`` calls ``_loop_free_in_range``, the
+    check that the array is in ``0..n-1`` and free of ``nominees[u] == u``, before its
+    ``__new__``.  No other code makes a profile with ``__new__``, which would skip the
+    check as well."""
     allowed = {
         "_trusted": {("verify", "iter_profiles"), ("verify", "_subject_weights")},
         "_flat": {("core", "single"), ("core", "parse_profile")},
@@ -191,13 +192,10 @@ def test_unchecked_profiles_are_built_only_from_enumerated_rows():
                 assert site in allowed[node.attr], f"{name}.py:{node.lineno} builds an unchecked profile"
                 seen.add((node.attr, site))
     assert seen == {(attr, site) for attr, sites in allowed.items() for site in sites}
-    parse = next(n for n in trees["core"].body if isinstance(n, ast.FunctionDef) and n.name == "parse_profile")
-    for builder in (_method(trees["core"], "NominationProfile", "single"), parse):
-        checked = [node for test in ast.walk(builder) if isinstance(test, ast.If)
-                   if any(isinstance(n, ast.Name) and n.id == "_loop_free_in_range" for n in ast.walk(test.test))
-                   for stmt in test.body for node in ast.walk(stmt)]
-        flat_calls = [node for node in ast.walk(builder) if isinstance(node, ast.Attribute) and node.attr == "_flat"]
-        assert flat_calls and all(node in checked for node in flat_calls), f"{builder.name} builds a flat profile unchecked"
+    flat = _method(trees["core"], "NominationProfile", "_flat")
+    checks = [node.lineno for node in ast.walk(flat) if isinstance(node, ast.Name) and node.id == "_loop_free_in_range"]
+    builds = [node.lineno for node in ast.walk(flat) if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    assert checks and builds and min(checks) < min(builds), "_flat builds a profile before it checks the array"
 
 
 def test_the_flat_nominee_array_is_read_only_in_core():
@@ -402,6 +400,20 @@ def test_only_normalize_out_tests_a_row_length_against_the_model():
              and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
              and any(map(a_degrees_range, node.comparators))}
     assert tests == {"_normalize_out"}
+
+
+def test_the_cli_evaluates_exactly_once_and_notes_a_clamp_where_it_reports():
+    """In ``cli``, ``_exact`` is the one call of ``exact_distribution`` and of
+    ``expected_winner_degree``, which ``run --exact`` and ``exact`` share.  A clamped k
+    is noted only by ``_report``, which writes every ``run`` and ``exact`` result, by
+    ``_verify``, which runs both verify engines on a subject, and by ``cmd_sweep``."""
+    tree = _trees()["cli"]
+    owner, callers = _innermost_functions(tree), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            callers.setdefault(node.func.id, []).append(owner.get(id(node)))
+    assert callers["exact_distribution"] == callers["expected_winner_degree"] == ["_exact"]
+    assert sorted(callers["_note_clamped_k"]) == ["_report", "_verify", "cmd_sweep"]
 
 
 def test_every_imported_name_is_used():
